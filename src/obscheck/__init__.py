@@ -29,8 +29,6 @@ from .lts import (
     format_label_expr,
     load_aut,
     parse_label_expr,
-    post,
-    pre,
     save_aut,
     to_dot,
 )

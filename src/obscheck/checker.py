@@ -16,7 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .lts import LabelExpr, Lts, StateSet, Atom, Or as LabelOr, Not as LabelNot
+from .lts import TICK, TICK_LABEL, LabelExpr, Lts, StateSet, Or as LabelOr, Not as LabelNot
 from .lts import eval_label_expr, format_label_expr
 from .mucalc import Iff, Not, eval_mu, is_tautology
 from .mucompile import (
@@ -26,7 +26,7 @@ from .mucompile import (
     reach_formula,
 )
 from .pathregex import PathRegex, oracle_end_states, oracle_visited_states
-from .timednet import TICK_LABEL, TimedNet, explore
+from .timednet import TimedNet, explore
 
 
 @dataclass
@@ -82,7 +82,7 @@ class Report:
 
 def internal_label_expr(events: list[LabelExpr]) -> LabelExpr:
     """Default notion of internal step: anything but the events and the tick."""
-    union: LabelExpr = Atom(TICK_LABEL)
+    union: LabelExpr = TICK
     for e in events:
         union = LabelOr(e, union)
     return LabelNot(union)
@@ -322,37 +322,21 @@ def check_reachable(g: Lts, target: LabelExpr, via: str = "enabled") -> Report:
         raise ValueError("via must be 'enabled' or 'entered'")
     report = Report()
     t0 = time.perf_counter()
-    if via == "enabled":
-        enabled_bits = 0
-        for src, label, dst in g.transitions:
-            if eval_label_expr(target, label):
-                enabled_bits |= 1 << src
-        hit = _shortest_path(g, StateSet(g.num_states, enabled_bits))
-        if hit is None:
-            report.verdicts.append(Verdict("reachable", False))
-        else:
-            state, trace = hit
-            report.verdicts.append(Verdict("reachable", True, witness_state=state, witness_trace=trace))
+    src_bits = 0
+    for src, label, _ in g.transitions:
+        if eval_label_expr(target, label):
+            src_bits |= 1 << src
+    hit = _shortest_path(g, StateSet(g.num_states, src_bits))
+    if hit is not None and via == "entered":
+        # Extend the path to a state with a matching outgoing edge by that edge.
+        state, trace = hit
+        label, dst = next((lab, dst) for lab, dst in g.out_edges(state) if eval_label_expr(target, lab))
+        hit = (dst, trace + [label])
+    if hit is None:
+        report.verdicts.append(Verdict("reachable", False))
     else:
-        # Reaching a state via a matching edge: the shortest path to a state
-        # with a matching outgoing edge, extended by that edge.
-        hit = None
-        src_bits = 0
-        for src, label, dst in g.transitions:
-            if eval_label_expr(target, label):
-                src_bits |= 1 << src
-        path = _shortest_path(g, StateSet(g.num_states, src_bits))
-        if path is not None:
-            state, trace = path
-            for label, dst in g.out_edges(state):
-                if eval_label_expr(target, label):
-                    hit = (dst, trace + [label])
-                    break
-        if hit is None:
-            report.verdicts.append(Verdict("reachable", False))
-        else:
-            state, trace = hit
-            report.verdicts.append(Verdict("reachable", True, witness_state=state, witness_trace=trace))
+        state, trace = hit
+        report.verdicts.append(Verdict("reachable", True, witness_state=state, witness_trace=trace))
     report.timings["reachable"] = time.perf_counter() - t0
     return report
 

@@ -20,70 +20,31 @@ of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .lts import Atom, Top
+from .lts import NOT_TICK, TICK_LABEL, Atom, Interval, Top
 from .lts import Not as LabelNot
 from .pathregex import EPS, TICK, One, PathRegex, Seq, Star, Union, Word, seq_of
-
-TICK_SYMBOL = "t"
 
 
 class FottError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Integer interval with open/closed ends; upper=None means unbounded."""
-
-    lower: int
-    upper: int | None
-    lower_open: bool = False
-    upper_open: bool = False
-
-    def __post_init__(self):
-        if self.lower < 0:
-            raise FottError("durations are counts of ticks; negative bound")
-        if self.upper is not None and self.upper < 0:
-            raise FottError("negative upper bound")
-
-    def contains(self, k: int) -> bool:
-        if self.lower_open:
-            if k <= self.lower:
-                return False
-        elif k < self.lower:
-            return False
-        if self.upper is None:
-            return True
-        if self.upper_open:
-            return k < self.upper
-        return k <= self.upper
-
-    def __str__(self):
-        left = "]" if self.lower_open else "["
-        if self.upper is None:
-            return f"{left}{self.lower},inf["
-        right = "[" if self.upper_open else "]"
-        return f"{left}{self.lower},{self.upper}{right}"
-
-
 def interval_ticks(interval: Interval) -> tuple[int, int | None]:
     """The integer tick counts inside the interval, as an inclusive range
     (lo, hi) with hi=None for an unbounded interval.  Empty ranges are
     rejected: no integer fits in the window."""
-    lo = interval.lower + 1 if interval.lower_open else interval.lower
-    if interval.upper is None:
-        return lo, None
-    hi = interval.upper - 1 if interval.upper_open else interval.upper
-    if hi < lo:
+    ticks = interval.integer_range()
+    if ticks is None:
         raise FottError(f"no integer duration lies in {interval}")
-    return lo, hi
+    return ticks
 
 
 def delta(word: Sequence[str]) -> int:
     """Duration of a discrete trace: its number of ticks."""
-    return sum(1 for s in word if s == TICK_SYMBOL)
+    return sum(1 for s in word if s == TICK_LABEL)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +53,31 @@ def delta(word: Sequence[str]) -> int:
 
 class FottFormula:
     __slots__ = ()
+
+    # Solver memos, stored on the formula itself so they are freed with it.
+
+    @cached_property
+    def _conjuncts(self) -> tuple:
+        """The formula as a flat conjunct list, quantifiers dropped."""
+        items: list[FottFormula] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            t = type(node)
+            if t is And:
+                stack.append(node.right)
+                stack.append(node.left)
+            elif t is Exists:
+                stack.append(node.body)
+            else:
+                items.append(node)
+        # And(a, b) pushes b then a, so a pops first: construction order kept,
+        # which is what makes split enumeration prune early.
+        return tuple(items)
+
+    @cached_property
+    def _frees(self) -> tuple[str, ...]:
+        return tuple(sorted(free_variables(self)))
 
 
 @dataclass(frozen=True)
@@ -242,42 +228,10 @@ def check_anchored(f: FottFormula, free: Sequence[str]) -> None:
 #
 # Bindings are (base word, lo, hi) windows, so split enumeration never
 # copies; literal words introduce their own base.  The conjunct list of a
-# formula is flattened once and then walked by index: the next constraint
-# is almost always the next ready one, so the scheduler only reorders (and
-# only then copies) when construction order and data flow disagree.
-
-_CONJUNCTS: dict[int, tuple[FottFormula, tuple]] = {}
-_FREES: dict[int, tuple[FottFormula, tuple[str, ...]]] = {}
-
-
-def _conjuncts(f: FottFormula) -> tuple:
-    got = _CONJUNCTS.get(id(f))
-    if got is None:
-        items: list[FottFormula] = []
-        stack = [f]
-        while stack:
-            node = stack.pop()
-            t = type(node)
-            if t is And:
-                stack.append(node.right)
-                stack.append(node.left)
-            elif t is Exists:
-                stack.append(node.body)
-            else:
-                items.append(node)
-        # And(a, b) pushes b then a, so a pops first: construction order kept,
-        # which is what makes split enumeration prune early.
-        got = (f, tuple(items))
-        _CONJUNCTS[id(f)] = got
-    return got[1]
-
-
-def _frees(f: FottFormula) -> tuple[str, ...]:
-    got = _FREES.get(id(f))
-    if got is None:
-        got = (f, tuple(sorted(free_variables(f))))
-        _FREES[id(f)] = got
-    return got[1]
+# formula is flattened once (`FottFormula._conjuncts`) and then walked by
+# index: the next constraint is almost always the next ready one, so the
+# scheduler only reorders (and only then copies) when construction order and
+# data flow disagree.
 
 
 def _window_eq(wa, la, ha, wb, lb, hb) -> bool:
@@ -301,7 +255,7 @@ def eval_fott(f: FottFormula, asg: Mapping[str, Sequence[str]]) -> bool:
 
 
 def _truth(f: FottFormula, env: dict[str, tuple]) -> bool:
-    return _solve(_conjuncts(f), 0, env)
+    return _solve(f._conjuncts, 0, env)
 
 
 def _ready(item: FottFormula, env: dict[str, tuple]) -> bool:
@@ -313,7 +267,7 @@ def _ready(item: FottFormula, env: dict[str, tuple]) -> bool:
     if t is DurIn:
         return item.var in env
     if t is Not:
-        for v in _frees(item):
+        for v in item._frees:
             if v not in env:
                 return False
         return True
@@ -350,7 +304,7 @@ def _solve(items: tuple, i: int, env: dict[str, tuple]) -> bool:
         w, lo, hi = env[item.var]
         ticks = 0
         for k in range(lo, hi):
-            if w[k] == TICK_SYMBOL:
+            if w[k] == TICK_LABEL:
                 ticks += 1
         return item.interval.contains(ticks) and _solve(items, i + 1, env)
     # Not
@@ -492,7 +446,7 @@ def present_regex(a: str, b: str, interval: Interval) -> PathRegex:
     no_trigger: PathRegex = Seq(EPS, Star(LabelNot(Atom(b))))
 
     def branch(k: int, unbounded: bool) -> PathRegex:
-        steps = [Star(LabelNot(Atom(b))), One(Atom(b)), Star(LabelNot(Atom(TICK_SYMBOL)))]
+        steps = [Star(LabelNot(Atom(b))), One(Atom(b)), Star(NOT_TICK)]
         steps.extend([TICK] * k)
         if unbounded:
             steps.append(Star(Top()))

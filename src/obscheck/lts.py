@@ -1,4 +1,5 @@
-"""Labeled transition systems: states, labeled edges, state sets, label expressions, file I/O.
+"""Labeled transition systems: states, labeled edges, state sets, label expressions,
+tick windows, file I/O.
 
 The graph is the shared substrate of every check in this package: states are
 dense indices 0..n-1, edges carry interned text labels, and `t` is reserved
@@ -14,11 +15,10 @@ from typing import Iterable, Iterator
 from ._scan import Cursor, ParseError, tokenize
 
 TICK_LABEL = "t"
-SILENT_LABEL = "z"
 
 # "T" is the all-labels constant of the expression language and may never be
 # used as a transition label.
-_FORBIDDEN_LABEL = "T"
+RESERVED_LABEL = "T"
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +59,8 @@ class Or(LabelExpr):
 
 
 TOP = Top()
+TICK = Atom(TICK_LABEL)
+NOT_TICK = Not(TICK)
 
 
 def eval_label_expr(expr: LabelExpr, label: str) -> bool:
@@ -89,15 +91,17 @@ def _parse_or(cur: Cursor) -> LabelExpr:
 
 
 def _parse_and(cur: Cursor) -> LabelExpr:
-    expr = _parse_unary(cur)
+    expr = parse_label_operand_at(cur)
     while cur.take("/\\"):
-        expr = And(expr, _parse_unary(cur))
+        expr = And(expr, parse_label_operand_at(cur))
     return expr
 
 
-def _parse_unary(cur: Cursor) -> LabelExpr:
+def parse_label_operand_at(cur: Cursor) -> LabelExpr:
+    """Parse one operand: `-operand`, `(expr)`, a label, or `T`.  The path
+    regex and formula parsers use it for the label after `*` and `o`."""
     if cur.take("-"):
-        return Not(_parse_unary(cur))
+        return Not(parse_label_operand_at(cur))
     if cur.take("("):
         expr = _parse_or(cur)
         cur.expect(")")
@@ -105,7 +109,7 @@ def _parse_unary(cur: Cursor) -> LabelExpr:
     tok = cur.peek()
     if tok.kind == "ident":
         cur.advance()
-        if tok.text == "T":
+        if tok.text == RESERVED_LABEL:
             return TOP
         return Atom(tok.text)
     raise ParseError(f"expected a label, found {tok.text or 'end of input'!r}", tok.pos)
@@ -134,7 +138,7 @@ def _fmt(expr: LabelExpr, need: int) -> str:
     if type(expr) is Atom:
         out = expr.name
     elif type(expr) is Top:
-        out = "T"
+        out = RESERVED_LABEL
     elif type(expr) is Not:
         out = "-" + _fmt(expr.arg, 3)
     elif type(expr) is And:
@@ -144,6 +148,58 @@ def _fmt(expr: LabelExpr, need: int) -> str:
     if level < need:
         return "(" + out + ")"
     return out
+
+
+# ---------------------------------------------------------------------------
+# Tick windows
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Integer interval with open/closed ends; upper=None means unbounded.
+
+    Its bounds count ticks: clock values in a network, durations in a
+    trace formula.
+    """
+
+    lower: int
+    upper: int | None
+    lower_open: bool = False
+    upper_open: bool = False
+
+    def __post_init__(self):
+        if self.lower < 0:
+            raise ValueError("durations are counts of ticks; negative bound")
+        if self.upper is not None and self.upper < 0:
+            raise ValueError("negative upper bound")
+
+    def contains(self, k: int) -> bool:
+        if self.lower_open:
+            if k <= self.lower:
+                return False
+        elif k < self.lower:
+            return False
+        if self.upper is None:
+            return True
+        if self.upper_open:
+            return k < self.upper
+        return k <= self.upper
+
+    def integer_range(self) -> tuple[int, int | None] | None:
+        """The integers inside, as an inclusive range (lo, hi) with hi=None
+        when unbounded; None when no integer lies inside."""
+        lo = self.lower + 1 if self.lower_open else self.lower
+        if self.upper is None:
+            return lo, None
+        hi = self.upper - 1 if self.upper_open else self.upper
+        return (lo, hi) if lo <= hi else None
+
+    def __str__(self):
+        left = "]" if self.lower_open else "["
+        if self.upper is None:
+            return f"{left}{self.lower},inf["
+        right = "[" if self.upper_open else "]"
+        return f"{left}{self.lower},{self.upper}{right}"
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +314,7 @@ class Lts:
         label_order: list[str] = []
 
         def intern(text: str) -> str:
-            if text == _FORBIDDEN_LABEL:
+            if text == RESERVED_LABEL:
                 raise ValueError("'T' is reserved for label expressions, not transitions")
             got = interned.get(text)
             if got is None:
@@ -318,9 +374,6 @@ class Lts:
 
     def empty_set(self) -> StateSet:
         return StateSet.empty(self._n)
-
-    def all_states(self) -> StateSet:
-        return StateSet.full(self._n)
 
     def set_of(self, states: Iterable[int]) -> StateSet:
         return StateSet.of(self._n, states)
@@ -392,14 +445,6 @@ class Lts:
         if s.width != self._n:
             raise ValueError("state set belongs to a different graph")
         return StateSet(self._n, self.pre_bits(s.bits, expr))
-
-
-def post(g: Lts, s: StateSet, expr: LabelExpr) -> StateSet:
-    return g.post(s, expr)
-
-
-def pre(g: Lts, s: StateSet, expr: LabelExpr) -> StateSet:
-    return g.pre(s, expr)
 
 
 # ---------------------------------------------------------------------------

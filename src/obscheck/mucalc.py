@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 from ._scan import Cursor, ParseError, tokenize
 from .lts import (
+    NOT_TICK,
+    TICK,
     Atom,
     LabelExpr,
     Lts,
@@ -25,8 +27,8 @@ from .lts import (
     Top,
     format_label_expr,
     parse_label_expr_at,
+    parse_label_operand_at,
 )
-from .lts import Not as LabelNot
 
 
 class EvalError(ValueError):
@@ -120,13 +122,10 @@ class SuffixStar(MuFormula):
 TRUE = TrueConst()
 INIT = InitConst()
 
-_TICK = Atom("t")
-_NOT_TICK = LabelNot(_TICK)
-
 
 def tick_suffix(f: MuFormula) -> MuFormula:
     """The `f o Tick` abbreviation: (f o t) * (-t)."""
-    return SuffixStar(SuffixO(f, _TICK), _NOT_TICK)
+    return SuffixStar(SuffixO(f, TICK), NOT_TICK)
 
 
 # Reserved words of the concrete syntax; none may name a fixpoint variable.
@@ -212,28 +211,12 @@ def _parse_postfix(cur: Cursor, bound) -> MuFormula:
                 cur.advance()
                 expr = tick_suffix(expr)
             else:
-                expr = SuffixO(expr, _parse_label_operand(cur))
+                expr = SuffixO(expr, parse_label_operand_at(cur))
         elif cur.at("*"):
             cur.advance()
-            expr = SuffixStar(expr, _parse_label_operand(cur))
+            expr = SuffixStar(expr, parse_label_operand_at(cur))
         else:
             return expr
-
-
-def _parse_label_operand(cur: Cursor) -> LabelExpr:
-    if cur.take("("):
-        label = parse_label_expr_at(cur)
-        cur.expect(")")
-        return label
-    if cur.take("-"):
-        return LabelNot(_parse_label_operand(cur))
-    tok = cur.peek()
-    if tok.kind == "ident":
-        cur.advance()
-        if tok.text == "T":
-            return Top()
-        return Atom(tok.text)
-    raise ParseError(f"expected a label, found {tok.text or 'end of input'!r}", tok.pos)
 
 
 def _parse_primary(cur: Cursor, bound) -> MuFormula:
@@ -302,8 +285,8 @@ def _print(f: MuFormula, need: int) -> str:
         if (
             t is SuffixStar
             and type(f.arg) is SuffixO
-            and f.arg.label == _TICK
-            and f.label == _NOT_TICK
+            and f.arg.label == TICK
+            and f.label == NOT_TICK
         ):
             out, level = _print_postfix_left(f.arg.arg) + " o Tick", 5
         elif t is BwdDiamond:

@@ -13,17 +13,24 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._scan import Cursor, ParseError, tokenize
-from .lts import Atom, LabelExpr, Lts, StateSet, Top, eval_label_expr, parse_label_expr_at
-from .lts import Not as LabelNot
+from .lts import NOT_TICK, LabelExpr, Lts, StateSet, eval_label_expr, parse_label_operand_at
+from .lts import TICK as TICK_ATOM
 
 Word = tuple[str, ...]
 
 
 class PathRegex:
     __slots__ = ()
+
+    @cached_property
+    def _matcher(self):
+        # match_word's compiled form, kept on the expression so that it is
+        # freed with it.
+        return _compile_branches(self)
 
 
 class Step:
@@ -121,41 +128,31 @@ def _parse_step(cur: Cursor) -> Step:
 
 
 def _parse_operand(cur: Cursor) -> LabelExpr:
-    if cur.at("("):
-        mark = cur.mark()
-        cur.advance()
+    mark = cur.mark()
+    try:
+        return parse_label_operand_at(cur)
+    except ParseError as err:
+        # Distinguish a star over a parenthesized sub-regex, which the
+        # restricted grammar rejects, from a plain syntax error.
+        cur.reset(mark)
+        while cur.take("-"):
+            pass
+        if not cur.take("("):
+            raise
         try:
-            label = parse_label_expr_at(cur)
-            cur.expect(")")
-            return label
-        except ParseError as err:
-            # Distinguish a star over a parenthesized sub-regex, which the
-            # restricted grammar rejects, from a plain syntax error.
-            cur.reset(mark)
-            cur.advance()
-            try:
-                _parse_union(cur)
-                closed = cur.take(")")
-            except ParseError:
-                raise err from None
-            if closed and cur.at("*"):
-                raise ParseError(
-                    "'*' applies only to label expressions, not to sequences or unions",
-                    cur.peek().pos,
-                ) from None
+            _parse_union(cur)
+            closed = cur.take(")")
+        except ParseError:
+            raise err from None
+        if closed and cur.at("*"):
             raise ParseError(
-                "parenthesized sub-expressions must be label expressions",
+                "'*' applies only to label expressions, not to sequences or unions",
                 cur.peek().pos,
             ) from None
-    if cur.take("-"):
-        return LabelNot(_parse_operand(cur))
-    tok = cur.peek()
-    if tok.kind == "ident":
-        cur.advance()
-        if tok.text == "T":
-            return Top()
-        return Atom(tok.text)
-    raise ParseError(f"expected a label or 'Tick', found {tok.text or 'end of input'!r}", tok.pos)
+        raise ParseError(
+            "parenthesized sub-expressions must be label expressions",
+            cur.peek().pos,
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -170,35 +167,18 @@ def expand_tick(regex: PathRegex) -> PathRegex:
         return Union(expand_tick(regex.left), expand_tick(regex.right))
     head = expand_tick(regex.head)
     if type(regex.step) is Tick:
-        return Seq(Seq(head, One(Atom("t"))), Star(LabelNot(Atom("t"))))
+        return Seq(Seq(head, One(TICK_ATOM)), Star(NOT_TICK))
     return Seq(head, regex.step)
-
-
-# Caches keyed by object identity; entries keep their key alive so ids are
-# never recycled under us.
-_COMPILED: dict[int, tuple[PathRegex, tuple]] = {}
-_SYMBOL_ROWS: dict[tuple[int, str], tuple[int, ...]] = {}
-_LABEL_MEMO: dict[tuple[int, str], bool] = {}
-
-
-def _matches(label: LabelExpr, symbol: str) -> bool:
-    key = (id(label), symbol)
-    got = _LABEL_MEMO.get(key)
-    if got is None:
-        got = eval_label_expr(label, symbol)
-        _LABEL_MEMO[key] = got
-    return got
 
 
 _ONE, _STAR = 0, 1
 
 
 def _compile_branches(regex: PathRegex):
-    """(branches, labels): each branch is a step list of (opcode, label index)
-    over a deduplicated table of the label expressions involved."""
-    got = _COMPILED.get(id(regex))
-    if got is not None:
-        return got[1]
+    """(branches, labels, rows): each branch is a step list of (opcode, label
+    index) over a deduplicated table of the label expressions involved;
+    `rows`, which match_word fills in, maps each symbol met so far to the
+    indices of the labels it matches."""
     labels: list[LabelExpr] = []
     index: dict[LabelExpr, int] = {}
 
@@ -228,9 +208,7 @@ def _compile_branches(regex: PathRegex):
         steps.reverse()
         return [tuple(steps)]
 
-    compiled = (tuple(branches(expand_tick(regex))), tuple(labels))
-    _COMPILED[id(regex)] = (regex, compiled)
-    return compiled
+    return tuple(branches(expand_tick(regex))), tuple(labels), {}
 
 
 def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
@@ -239,15 +217,13 @@ def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
     Each branch is folded over a bit mask of reachable end positions in the
     word; a star closes the position set under its matching symbols.
     """
-    branches, labels = _compile_branches(regex)
+    branches, labels, rows = regex._matcher
     # Mask of word positions each label expression matches.
     masks = [0] * len(labels)
-    key_base = id(regex)
     for i, symbol in enumerate(word):
-        row = _SYMBOL_ROWS.get((key_base, symbol))
+        row = rows.get(symbol)
         if row is None:
-            row = tuple(j for j, e in enumerate(labels) if _matches(e, symbol))
-            _SYMBOL_ROWS[(key_base, symbol)] = row
+            row = rows[symbol] = tuple(j for j, e in enumerate(labels) if eval_label_expr(e, symbol))
         bit = 1 << i
         for j in row:
             masks[j] |= bit

@@ -33,9 +33,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 
-from .lts import Lts
-
-TICK_LABEL = "t"
+from .lts import RESERVED_LABEL, TICK_LABEL, Interval, Lts
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -52,40 +50,6 @@ class NetError(ValueError):
 
 class ExploreError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class Window:
-    """Integer time window; upper=None means unbounded."""
-
-    lo: int
-    hi: int | None
-    lo_open: bool = False
-    hi_open: bool = False
-
-    def contains(self, k: int) -> bool:
-        if self.lo_open:
-            if k <= self.lo:
-                return False
-        elif k < self.lo:
-            return False
-        if self.hi is None:
-            return True
-        if self.hi_open:
-            return k < self.hi
-        return k <= self.hi
-
-    def finite_consts(self) -> tuple[int, ...]:
-        if self.hi is None:
-            return (self.lo,)
-        return (self.lo, self.hi)
-
-    def is_integer_empty(self) -> bool:
-        lo = self.lo + 1 if self.lo_open else self.lo
-        if self.hi is None:
-            return False
-        hi = self.hi - 1 if self.hi_open else self.hi
-        return hi < lo
 
 
 @dataclass(frozen=True)
@@ -120,14 +84,14 @@ class Event:
 
 @dataclass(frozen=True)
 class Elapse:
-    window: Window
+    window: Interval
     urgent: bool = False
 
 
 @dataclass(frozen=True)
 class Reaction:
     event: str
-    window: Window = Window(0, None)
+    window: Interval = Interval(0, None)
 
 
 @dataclass(frozen=True)
@@ -170,14 +134,23 @@ class TimedNet:
         ]
         self._cmax = [self._cmax_table(p) for p in self.processes]
         self._var_index = {name: i for i, name in enumerate(self.variables)}
+        # Observed event label -> (process, transition, source location index,
+        # window) of each reaction bound to it, in (process, transition) order.
+        self._reactions: dict[str, list[tuple[int, int, int, Interval]]] = {}
+        for p, proc in enumerate(self.processes):
+            for ti, tr in enumerate(proc.transitions):
+                if type(tr.kind) is Reaction:
+                    self._reactions.setdefault(tr.kind.event, []).append(
+                        (p, ti, self._loc_index[p][tr.source], tr.kind.window)
+                    )
 
     @staticmethod
     def _cmax_table(proc: Process) -> dict[str, int]:
         table = {loc: 0 for loc in proc.locations}
         for tr in proc.transitions:
             if type(tr.kind) in (Elapse, Reaction):
-                for c in tr.kind.window.finite_consts():
-                    table[tr.source] = max(table[tr.source], c)
+                w = tr.kind.window
+                table[tr.source] = max(table[tr.source], w.lower, w.upper or 0)
         return table
 
     def _validate(self) -> None:
@@ -203,7 +176,7 @@ class TimedNet:
             for tr in proc.transitions:
                 if tr.source not in locs or tr.target not in locs:
                     raise NetError(f"process {proc.name}: transition endpoints must be locations")
-                if not _NAME_RE.match(tr.label) or tr.label in (TICK_LABEL, "T"):
+                if not _NAME_RE.match(tr.label) or tr.label in (TICK_LABEL, RESERVED_LABEL):
                     raise NetError(f"process {proc.name}: label {tr.label!r} is reserved or invalid")
                 all_labels.add(tr.label)
                 kind = tr.kind
@@ -224,21 +197,21 @@ class TimedNet:
                 elif type(kind) is Elapse:
                     w = kind.window
                     if kind.urgent:
-                        if w.hi is None:
+                        if w.upper is None:
                             raise NetError("an urgent elapse needs a finite upper bound")
-                        if w.hi_open or w.lo_open:
+                        if w.upper_open or w.lower_open:
                             raise NetError("urgent elapse windows must be closed")
-                        if w.lo > w.hi:
+                        if w.lower > w.upper:
                             raise NetError("empty elapse window")
                     else:
-                        if w.hi is not None:
+                        if w.upper is not None:
                             raise NetError(
                                 "an elapse with a finite upper bound must be urgent "
                                 "(clock clamping is unsound otherwise)"
                             )
                 elif type(kind) is Reaction:
                     has_reaction = True
-                    if kind.window.is_integer_empty():
+                    if kind.window.integer_range() is None:
                         raise NetError("reaction window contains no integer instant")
                 else:
                     raise NetError(f"unknown transition kind {kind!r}")
@@ -260,16 +233,6 @@ class TimedNet:
     def cmax(self, proc_index: int, location_index: int) -> int:
         proc = self.processes[proc_index]
         return self._cmax[proc_index][proc.locations[location_index]]
-
-    @property
-    def probes(self) -> dict[str, list[tuple[int, int]]]:
-        """Observed event label -> reaction transitions bound to it."""
-        table: dict[str, list[tuple[int, int]]] = {}
-        for p, proc in enumerate(self.processes):
-            for ti, tr in enumerate(proc.transitions):
-                if type(tr.kind) is Reaction:
-                    table.setdefault(tr.kind.event, []).append((p, ti))
-        return table
 
 
 # A network state: location index per process, value per variable, clock per
@@ -351,25 +314,19 @@ def _successors(net: TimedNet, state: NetState) -> list[tuple[str, NetState]]:
             nc = list(clocks)
             if not (kind.keepclock and tr.source == tr.target):
                 nc[p] = 0
-            npend = []
-            for q, qproc in enumerate(net.processes):
-                qloc = qproc.locations[locs[q]]
-                for rti, rtr in enumerate(qproc.transitions):
-                    if (
-                        type(rtr.kind) is Reaction
-                        and rtr.source == qloc
-                        and rtr.kind.event == tr.label
-                        and rtr.kind.window.contains(clocks[q])
-                    ):
-                        npend.append((q, rti))
-            out.append((tr.label, (tuple(nl), tuple(nv), tuple(nc), tuple(sorted(npend)))))
+            npend = tuple(
+                (q, rti)
+                for q, rti, source, window in net._reactions.get(tr.label, ())
+                if locs[q] == source and window.contains(clocks[q])
+            )
+            out.append((tr.label, (tuple(nl), tuple(nv), tuple(nc), npend)))
         else:
             nl = list(locs)
             nl[p] = net._loc_index[p][tr.target]
             nc = list(clocks)
             nc[p] = 0
             out.append((tr.label, (tuple(nl), vals, tuple(nc), ())))
-            if kind.urgent and clocks[p] == kind.window.hi:
+            if kind.urgent and clocks[p] == kind.window.upper:
                 tick_blocked = True
 
     if not tick_blocked:
@@ -444,10 +401,10 @@ def builtin_present(d1: int, d2: int) -> TimedNet:
         locations=("idle", "start", "watch", "ok", "error"),
         initial="idle",
         transitions=(
-            Transition("idle", "start", "start", Reaction("b", Window(0, None))),
-            Transition("start", "watch", "watch", Elapse(Window(d1, d1), urgent=True)),
-            Transition("watch", "ok", "stop", Reaction("a", Window(0, d2 - d1, hi_open=True))),
-            Transition("watch", "error", "error", Elapse(Window(d2 - d1, None))),
+            Transition("idle", "start", "start", Reaction("b", Interval(0, None))),
+            Transition("start", "watch", "watch", Elapse(Interval(d1, d1), urgent=True)),
+            Transition("watch", "ok", "stop", Reaction("a", Interval(0, d2 - d1, upper_open=True))),
+            Transition("watch", "error", "error", Elapse(Interval(d2 - d1, None))),
         ),
     )
     return TimedNet(
@@ -469,7 +426,7 @@ def builtin_mouse() -> TimedNet:
         transitions=(
             Transition("s0", "s1", "click", Event(assigns=(("dbl", 0),))),
             Transition("s1", "s1", "click", Event(assigns=(("dbl", 1),), keepclock=True)),
-            Transition("s1", "s2", "delay", Elapse(Window(1, 1), urgent=True)),
+            Transition("s1", "s2", "delay", Elapse(Interval(1, 1), urgent=True)),
             Transition("s2", "s0", "double", Event(guard=(Cmp("dbl", "=", 1),), urgent=True)),
             Transition("s2", "s0", "z", Event(guard=(Cmp("dbl", "=", 0),), urgent=True)),
         ),
@@ -479,8 +436,8 @@ def builtin_mouse() -> TimedNet:
         locations=("w0", "w1", "err"),
         initial="w0",
         transitions=(
-            Transition("w0", "w1", "once", Reaction("click", Window(0, None))),
-            Transition("w1", "err", "error", Reaction("click", Window(0, None))),
+            Transition("w0", "w1", "once", Reaction("click", Interval(0, None))),
+            Transition("w1", "err", "error", Reaction("click", Interval(0, None))),
         ),
     )
     return TimedNet(
@@ -521,17 +478,17 @@ _CMP_RE = re.compile(r"(\w+)\s*(=|!=|<=|>=|<|>)\s*(-?\d+)$")
 _ASSIGN_RE = re.compile(r"(\w+)\s*:=\s*(-?\d+)$")
 
 
-def _parse_window(text: str, line: int) -> Window:
+def _parse_window(text: str, line: int) -> Interval:
     m = _WINDOW_RE.match(text.strip())
     if m is None:
         raise NetError(f"malformed time window {text!r}", line)
     left, lo, hi, right = m.groups()
-    lo_open = left == "]"
+    lower_open = left == "]"
     if hi == "w":
         if right != "[":
             raise NetError("an unbounded window must end with '['", line)
-        return Window(int(lo), None, lo_open=lo_open)
-    return Window(int(lo), int(hi), lo_open=lo_open, hi_open=right == "[")
+        return Interval(int(lo), None, lower_open=lower_open)
+    return Interval(int(lo), int(hi), lower_open=lower_open, upper_open=right == "[")
 
 
 def _parse_guard(text: str, line: int) -> tuple[Cmp, ...]:
@@ -644,7 +601,7 @@ def parse_net(text: str) -> TimedNet:
                 if mm is None:
                     raise NetError(f"malformed probe transition {middle!r}", lineno)
                 label = mm.group("label")
-                window = _parse_window(mm.group("window"), lineno) if mm.group("window") else Window(0, None)
+                window = _parse_window(mm.group("window"), lineno) if mm.group("window") else Interval(0, None)
                 kind = Reaction(mm.group(1), window)
             current["locations"].extend((source, target))
             current["transitions"].append(Transition(source, target, label, kind))

@@ -154,7 +154,9 @@ class TestCheckReachable:
         assert check_reachable(present45_graph, Atom("error")).verdict("reachable").holds
 
     def test_unmatched_label_unreachable(self, present45_graph):
-        assert not check_reachable(present45_graph, Atom("ghost")).verdict("reachable").holds
+        for via in ("enabled", "entered"):
+            report = check_reachable(present45_graph, Atom("ghost"), via=via)
+            assert not report.verdict("reachable").holds, via
 
     def test_entered_mode_ends_with_matching_edge(self):
         g = explore(builtin_mouse())

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -99,6 +101,21 @@ class TestMatchWord:
         for length in range(7):
             for w in itertools.product(ALPHABET, repeat=length):
                 assert match_word(regex, w) == eval_fott(formula, {"x": w})
+
+    def test_expressions_are_freed_after_use(self):
+        """Matching and evaluating keep no state that outlives the
+        expressions: once dropped, they are collected."""
+        refs = []
+        for i in range(200):
+            a = f"a{i}"
+            interval = Interval(i % 5, i % 5 + 1 + i % 3, upper_open=True)
+            regex, formula = present_regex(a, "b", interval), present_fott(a, "b", interval)
+            word = ("b",) + ("t",) * (i % 7) + (a,)
+            assert match_word(regex, word) == eval_fott(formula, {"x": word})
+            refs += [weakref.ref(regex), weakref.ref(formula)]
+        del regex, formula
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) == 0
 
 
 class TestOracles:

@@ -12,8 +12,8 @@ from obscheck.timednet import (
     NetError,
     Process,
     TimedNet,
+    Interval,
     Transition,
-    Window,
     builtin_mouse,
     builtin_present,
     describe_state,
@@ -177,7 +177,7 @@ class TestValidation:
                         name="P",
                         locations=("l", "m"),
                         initial="l",
-                        transitions=(Transition("l", "m", "go", Elapse(Window(2, 5))),),
+                        transitions=(Transition("l", "m", "go", Elapse(Interval(2, 5))),),
                     )
                 ]
             )
@@ -271,6 +271,14 @@ class TestParseNet:
             "process Obs\ninit w\nfrom w probe ghost label r to w"
         )
         with pytest.raises(NetError, match="unknown event"):
+            parse_net(text)
+
+    def test_probe_window_without_integer_instant_rejected(self):
+        text = (
+            "process Sys\ninit l\nfrom l on e to l\n"
+            "process Obs\ninit w\nfrom w probe e when elapsed in ]2,3[ label r to w"
+        )
+        with pytest.raises(NetError, match="no integer instant"):
             parse_net(text)
 
     def test_comments_and_blank_lines_ignored(self):
