@@ -260,6 +260,10 @@ def main(argv=None) -> int:
     except (UsageError, ParseError, NetError, FottError, EvalError, ExploreError, ValueError) as err:
         print(f"obscheck: {err}", file=sys.stderr)
         return 2
+    except RecursionError:  # the structural walks over formulas and expressions recurse
+        limit = sys.getrecursionlimit()
+        print(f"obscheck: input nested too deeply: over the recursion limit of {limit}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -87,11 +87,7 @@ def compile_both(regex: PathRegex) -> tuple[MuFormula, MuFormula]:
 def error_condition(err_label: str) -> MuFormula:
     """States satisfying the observer's error condition: the error transition
     is enabled, or the state can only be reached by firing it."""
-    err = Atom(err_label)
-    enabled = FwdDiamond(err, TRUE)
-    after_error = SuffixStar(BwdDiamond(TRUE, err), Top())
-    error_free = SuffixStar(INIT, LabelNot(err))
-    return Or(enabled, And(after_error, Not(error_free)))
+    return Or(FwdDiamond(Atom(err_label), TRUE), error_entry_region(err_label))
 
 
 def error_entry_region(err_label: str) -> MuFormula:

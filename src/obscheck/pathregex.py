@@ -314,39 +314,44 @@ def build_nfa(regex: PathRegex) -> Nfa:
 # Product oracles
 
 
-def _product_end_bits(g: Lts, nfa: Nfa) -> int:
-    """States of g reachable from the initial state along a word the NFA accepts."""
-    start = (g.initial, nfa.initial)
+def _product_bits(g: Lts, nfa: Nfa) -> tuple[int, int]:
+    """(end, visited) bit sets of the NFA x graph product: the graph states of
+    the reached pairs whose NFA state accepts, and those of all reached pairs."""
+    n = nfa.num_states
+    start = g.initial * n + nfa.initial  # the pair (s, q) is kept as s * n + q
     seen = {start}
     queue = deque((start,))
-    out = 0
-    if nfa.initial in nfa.accepting:
-        out |= 1 << g.initial
+    end = 1 << g.initial if nfa.initial in nfa.accepting else 0
+    visited = 1 << g.initial
     while queue:
-        s, q = queue.popleft()
+        s, q = divmod(queue.popleft(), n)
         nfa_edges = nfa.edges[q]
         for label, dst in g.out_edges(s):
             for expr, q2 in nfa_edges:
                 if eval_label_expr(expr, label):
-                    pair = (dst, q2)
+                    pair = dst * n + q2
                     if pair not in seen:
                         seen.add(pair)
                         queue.append(pair)
+                        visited |= 1 << dst
                         if q2 in nfa.accepting:
-                            out |= 1 << dst
-    return out
+                            end |= 1 << dst
+    return end, visited
 
 
 def oracle_end_states(g: Lts, regex: PathRegex) -> StateSet:
     """States reachable from the initial state after firing a matching word."""
-    return StateSet(g.num_states, _product_end_bits(g, build_nfa(regex)))
+    return StateSet(g.num_states, _product_bits(g, build_nfa(regex))[0])
 
 
 def oracle_visited_states(g: Lts, regex: PathRegex) -> StateSet:
     """States reachable while firing a matching word: the union of the end
-    states over every syntactic prefix of the (left-nested) expression."""
-    if type(regex) is Eps:
-        return StateSet(g.num_states, 1 << g.initial)
-    if type(regex) is Union:
-        return oracle_visited_states(g, regex.left) | oracle_visited_states(g, regex.right)
-    return oracle_visited_states(g, regex.head) | oracle_end_states(g, regex)
+    states over every syntactic prefix of the (left-nested) expression.
+
+    One product gives that union.  Each NFA state ends a syntactic prefix,
+    where the `t` state inside an expanded Tick counts as an end of that
+    Tick's prefix (its `(-t)*` may take no step).  A word leads into a state
+    only if it matches the prefix that state ends, and each word of a prefix
+    leads into one of its ends, so the union is the set of graph states over
+    all reached pairs."""
+    return StateSet(g.num_states, _product_bits(g, build_nfa(regex))[1])

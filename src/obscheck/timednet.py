@@ -29,9 +29,12 @@ clocks, pending reactions):
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .lts import RESERVED_LABEL, TICK_LABEL, Interval, Lts
 
@@ -52,26 +55,18 @@ class ExploreError(RuntimeError):
     pass
 
 
+_CMP_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 @dataclass(frozen=True)
 class Cmp:
     var: str
-    op: str  # one of = != < <= > >=
+    op: str  # a key of _CMP_OPS
     value: int
 
     def holds(self, value: int) -> bool:
-        if self.op == "=":
-            return value == self.value
-        if self.op == "!=":
-            return value != self.value
-        if self.op == "<":
-            return value < self.value
-        if self.op == "<=":
-            return value <= self.value
-        if self.op == ">":
-            return value > self.value
-        if self.op == ">=":
-            return value >= self.value
-        raise NetError(f"unknown comparison operator {self.op!r}")
+        return _CMP_OPS[self.op](value, self.value)
 
 
 @dataclass(frozen=True)
@@ -109,10 +104,6 @@ class Process:
     initial: str
     transitions: tuple[Transition, ...]
 
-    @property
-    def is_observer(self) -> bool:
-        return any(type(t.kind) is Reaction for t in self.transitions)
-
 
 @dataclass(frozen=True)
 class VarDecl:
@@ -121,37 +112,44 @@ class VarDecl:
     init: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimedNet:
-    variables: dict[str, VarDecl] = field(default_factory=dict)
-    processes: list[Process] = field(default_factory=list)
-    priorities: list[tuple[str, str]] = field(default_factory=list)
+    """Immutable once built: the fields become tuples and a read-only mapping,
+    so the indexes derived from them in __post_init__ cannot go stale."""
+
+    variables: Mapping[str, VarDecl] = field(default_factory=dict)
+    processes: tuple[Process, ...] = ()
+    priorities: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "variables", MappingProxyType(dict(self.variables)))
+        object.__setattr__(self, "processes", tuple(self.processes))
+        object.__setattr__(self, "priorities", tuple(tuple(pair) for pair in self.priorities))
         self._validate()
-        self._loc_index = [
-            {loc: i for i, loc in enumerate(p.locations)} for p in self.processes
-        ]
-        self._cmax = [self._cmax_table(p) for p in self.processes]
-        self._var_index = {name: i for i, name in enumerate(self.variables)}
+        loc_index = tuple({loc: i for i, loc in enumerate(p.locations)} for p in self.processes)
         # Observed event label -> (process, transition, source location index,
         # window) of each reaction bound to it, in (process, transition) order.
-        self._reactions: dict[str, list[tuple[int, int, int, Interval]]] = {}
+        reactions: dict[str, list[tuple[int, int, int, Interval]]] = {}
         for p, proc in enumerate(self.processes):
             for ti, tr in enumerate(proc.transitions):
                 if type(tr.kind) is Reaction:
-                    self._reactions.setdefault(tr.kind.event, []).append(
-                        (p, ti, self._loc_index[p][tr.source], tr.kind.window)
+                    reactions.setdefault(tr.kind.event, []).append(
+                        (p, ti, loc_index[p][tr.source], tr.kind.window)
                     )
+        object.__setattr__(self, "_loc_index", loc_index)
+        object.__setattr__(self, "_cmax", tuple(self._cmax_table(p) for p in self.processes))
+        object.__setattr__(self, "_var_index", {name: i for i, name in enumerate(self.variables)})
+        object.__setattr__(self, "_reactions", reactions)
 
     @staticmethod
-    def _cmax_table(proc: Process) -> dict[str, int]:
+    def _cmax_table(proc: Process) -> tuple[int, ...]:
+        # By location index: the largest constant its clock is compared with.
         table = {loc: 0 for loc in proc.locations}
         for tr in proc.transitions:
             if type(tr.kind) in (Elapse, Reaction):
                 w = tr.kind.window
                 table[tr.source] = max(table[tr.source], w.lower, w.upper or 0)
-        return table
+        return tuple(table.values())
 
     def _validate(self) -> None:
         for name, decl in self.variables.items():
@@ -186,6 +184,8 @@ class TimedNet:
                     for cmp in kind.guard:
                         if cmp.var not in self.variables:
                             raise NetError(f"guard on unknown variable {cmp.var!r}")
+                        if cmp.op not in _CMP_OPS:
+                            raise NetError(f"unknown comparison operator {cmp.op!r}")
                     for var, value in kind.assigns:
                         decl = self.variables.get(var)
                         if decl is None:
@@ -229,10 +229,6 @@ class TimedNet:
             for lab in (high, low):
                 if lab not in all_labels:
                     raise NetError(f"priority on unknown label {lab!r}")
-
-    def cmax(self, proc_index: int, location_index: int) -> int:
-        proc = self.processes[proc_index]
-        return self._cmax[proc_index][proc.locations[location_index]]
 
 
 # A network state: location index per process, value per variable, clock per
@@ -303,15 +299,15 @@ def _successors(net: TimedNet, state: NetState) -> list[tuple[str, NetState]]:
         if tr.label in suppressed:
             continue
         kind = tr.kind
+        nl = list(locs)
+        nl[p] = net._loc_index[p][tr.target]
+        nc = list(clocks)
         if type(kind) is Event:
             if kind.urgent:
                 tick_blocked = True
             nv = list(vals)
             for var, value in kind.assigns:
                 nv[var_index[var]] = value
-            nl = list(locs)
-            nl[p] = net._loc_index[p][tr.target]
-            nc = list(clocks)
             if not (kind.keepclock and tr.source == tr.target):
                 nc[p] = 0
             npend = tuple(
@@ -321,9 +317,6 @@ def _successors(net: TimedNet, state: NetState) -> list[tuple[str, NetState]]:
             )
             out.append((tr.label, (tuple(nl), tuple(nv), tuple(nc), npend)))
         else:
-            nl = list(locs)
-            nl[p] = net._loc_index[p][tr.target]
-            nc = list(clocks)
             nc[p] = 0
             out.append((tr.label, (tuple(nl), vals, tuple(nc), ())))
             if kind.urgent and clocks[p] == kind.window.upper:
@@ -331,9 +324,7 @@ def _successors(net: TimedNet, state: NetState) -> list[tuple[str, NetState]]:
 
     if not tick_blocked:
         assert not pending
-        nc = tuple(
-            min(clocks[p] + 1, net.cmax(p, locs[p])) for p in range(len(net.processes))
-        )
+        nc = tuple(min(clocks[p] + 1, cmax[locs[p]]) for p, cmax in enumerate(net._cmax))
         out.append((TICK_LABEL, (locs, vals, nc, ())))
     return out
 
@@ -409,8 +400,8 @@ def builtin_present(d1: int, d2: int) -> TimedNet:
     )
     return TimedNet(
         variables={"x": VarDecl(0, 2, 0)},
-        processes=[universal, observer],
-        priorities=[("watch", "a"), ("watch", "b")],
+        processes=(universal, observer),
+        priorities=(("watch", "a"), ("watch", "b")),
     )
 
 
@@ -442,8 +433,8 @@ def builtin_mouse() -> TimedNet:
     )
     return TimedNet(
         variables={"dbl": VarDecl(0, 1, 0)},
-        processes=[push, never_twice],
-        priorities=[("delay", "click")],
+        processes=(push, never_twice),
+        priorities=(("delay", "click"),),
     )
 
 

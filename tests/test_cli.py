@@ -90,6 +90,11 @@ class TestCompile:
         assert main(["compile", "--regex", "(a . b)*", "--mode", "end"]) == 2
         assert "obscheck:" in capsys.readouterr().err
 
+    def test_too_deep_tick_chain_exits_two(self, capsys):
+        chain = " . ".join(["Tick"] * 600)
+        assert main(["compile", "--regex", chain, "--mode", "end"]) == 2
+        assert "recursion limit" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_prints_both_sets(self, capsys):
@@ -131,6 +136,12 @@ class TestCheck:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "--graph", "/nonexistent.aut", "--reach", "error"]) == 2
+
+    def test_too_deep_window_exits_two(self, capsys):
+        argv = ["check", "--model", "builtin:present:600:601", "--pattern", "present"]
+        argv += ["--lo", "600", "--hi", "601", "--hi-open"]
+        assert main(argv) == 2
+        assert "recursion limit" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

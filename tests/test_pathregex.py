@@ -131,6 +131,9 @@ class TestOracles:
     def test_visited_accumulates_prefixes(self):
         g = chain_lts("a", "t")
         assert oracle_visited_states(g, parse_regex("a . t")) == g.set_of([0, 1, 2])
+        g = chain_lts("a", "t", "z")
+        for text in ("a . Tick", "a . Tick . b"):
+            assert oracle_visited_states(g, parse_regex(text)) == g.set_of([0, 1, 2, 3])
 
     def test_union_under_a_sequence(self):
         """The AST admits a union as the head of a sequence even though the
@@ -142,6 +145,7 @@ class TestOracles:
         rng = random.Random(23)
         g = chain_lts("a", "t")
         assert oracle_end_states(g, r) == g.set_of([2])
+        assert oracle_visited_states(g, r) == g.set_of([0, 1, 2])
         for length in range(5):
             for w in it.product(ALPHABET, repeat=length):
                 assert match_word(r, w) == nfa.accepts(w)

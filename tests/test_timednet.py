@@ -14,6 +14,7 @@ from obscheck.timednet import (
     TimedNet,
     Interval,
     Transition,
+    VarDecl,
     builtin_mouse,
     builtin_present,
     describe_state,
@@ -249,6 +250,34 @@ class TestValidation:
                     )
                 ]
             )
+        with pytest.raises(NetError, match="unknown comparison operator"):
+            TimedNet(
+                variables={"v": VarDecl(0, 1, 0)},
+                processes=[
+                    Process(
+                        name="P",
+                        locations=("l",),
+                        initial="l",
+                        transitions=(
+                            Transition("l", "l", "e", Event(guard=(Cmp("v", "==", 0),))),
+                        ),
+                    )
+                ],
+            )
+
+    def test_net_is_frozen_after_validation(self):
+        """The exploration indexes are built once, so nothing they derive
+        from may change afterwards."""
+        net = builtin_present(4, 5)
+        with pytest.raises(AttributeError):
+            net.processes = net.processes[::-1]
+        with pytest.raises(AttributeError):
+            net.processes.reverse()
+        with pytest.raises(AttributeError):
+            net.priorities.append(("watch", "z"))
+        with pytest.raises(TypeError):
+            net.variables["y"] = net.variables["x"]
+        assert explore(net).num_states == explore(builtin_present(4, 5)).num_states
 
 
 class TestParseNet:
