@@ -264,7 +264,3 @@ def main(argv=None) -> int:
         limit = sys.getrecursionlimit()
         print(f"obscheck: input nested too deeply: over the recursion limit of {limit}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -438,26 +438,21 @@ def present_regex(a: str, b: str, interval: Interval) -> PathRegex:
     """Path regex with the same discrete-word language as present_fott.
 
     One branch per admissible tick count; an unbounded interval gets a
-    single branch with the minimum tick count followed by anything.
+    single branch with the minimum tick count followed by anything.  All
+    branches are built on one shared chain `(-b)* . b . (-t)* . Tick^k`,
+    extended by one Tick per branch, so the expression (and what is
+    compiled from it) grows linearly with the window, not quadratically.
     """
     if a == b:
         raise FottError("the observed event and its trigger must differ")
     lo, hi = interval_ticks(interval)
-    no_trigger: PathRegex = Seq(EPS, Star(LabelNot(Atom(b))))
-
-    def branch(k: int, unbounded: bool) -> PathRegex:
-        steps = [Star(LabelNot(Atom(b))), One(Atom(b)), Star(NOT_TICK)]
-        steps.extend([TICK] * k)
-        if unbounded:
-            steps.append(Star(Top()))
-        steps.append(One(Atom(a)))
-        steps.append(Star(Top()))
-        return seq_of(steps)
-
-    regex = no_trigger
+    not_b = Star(LabelNot(Atom(b)))
+    chain = seq_of([TICK] * lo, seq_of([not_b, One(Atom(b)), Star(NOT_TICK)]))
+    tail = (One(Atom(a)), Star(Top()))
+    regex: PathRegex = Seq(EPS, not_b)
     if hi is None:
-        regex = Union(regex, branch(lo, True))
-    else:
-        for k in range(lo, hi + 1):
-            regex = Union(regex, branch(k, False))
+        return Union(regex, seq_of(tail, Seq(chain, Star(Top()))))
+    for _ in range(lo, hi + 1):
+        regex = Union(regex, seq_of(tail, chain))
+        chain = Seq(chain, TICK)
     return regex

@@ -290,6 +290,16 @@ class StateSet:
 # The transition system
 
 
+def _image(bits: int, masks: list[int]) -> int:
+    """Union of the masks of the states in `bits`."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= masks[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
 class Lts:
     """Finite labeled transition graph with a distinguished initial state.
 
@@ -335,8 +345,7 @@ class Lts:
             intern(text)
         self._transitions = tuple(cleaned)
         self._labels = tuple(label_order)
-        self._fwd: dict[str, list[int]] = {}
-        self._bwd: dict[str, list[int]] = {}
+        self._images: dict[tuple[LabelExpr, bool], list[int]] = {}
         self._out: list[tuple[tuple[str, int], ...]] | None = None
 
     @property
@@ -388,51 +397,28 @@ class Lts:
             self._out = [tuple(edges) for edges in out]
         return self._out[state]
 
-    def _fwd_masks(self, label: str) -> list[int]:
-        masks = self._fwd.get(label)
+    def _image_masks(self, expr: LabelExpr, forward: bool) -> list[int]:
+        """Per state, the bit mask of its successors (forward) or predecessors
+        along the labels matching `expr`; built once per expression."""
+        key = (expr, forward)
+        masks = self._images.get(key)
         if masks is None:
+            matches = {label: eval_label_expr(expr, label) for label in self._labels}
             masks = [0] * self._n
-            for src, lab, dst in self._transitions:
-                if lab == label:
-                    masks[src] |= 1 << dst
-            self._fwd[label] = masks
-        return masks
-
-    def _bwd_masks(self, label: str) -> list[int]:
-        masks = self._bwd.get(label)
-        if masks is None:
-            masks = [0] * self._n
-            for src, lab, dst in self._transitions:
-                if lab == label:
-                    masks[dst] |= 1 << src
-            self._bwd[label] = masks
+            for src, label, dst in self._transitions:
+                if matches[label]:
+                    here, there = (src, dst) if forward else (dst, src)
+                    masks[here] |= 1 << there
+            self._images[key] = masks
         return masks
 
     def post_bits(self, bits: int, expr: LabelExpr) -> int:
         """Successors (as a bit mask) of the states in `bits` along matching labels."""
-        out = 0
-        for label in self._labels:
-            if eval_label_expr(expr, label):
-                masks = self._fwd_masks(label)
-                m = bits
-                while m:
-                    low = m & -m
-                    out |= masks[low.bit_length() - 1]
-                    m ^= low
-        return out
+        return _image(bits, self._image_masks(expr, True))
 
     def pre_bits(self, bits: int, expr: LabelExpr) -> int:
         """Predecessors (as a bit mask) of the states in `bits` along matching labels."""
-        out = 0
-        for label in self._labels:
-            if eval_label_expr(expr, label):
-                masks = self._bwd_masks(label)
-                m = bits
-                while m:
-                    low = m & -m
-                    out |= masks[low.bit_length() - 1]
-                    m ^= low
-        return out
+        return _image(bits, self._image_masks(expr, False))
 
     def post(self, s: StateSet, expr: LabelExpr) -> StateSet:
         """{ q' | some q in s has an edge q -l-> q' with l matching expr }."""

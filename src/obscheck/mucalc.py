@@ -320,74 +320,87 @@ def _operand(label: LabelExpr) -> str:
 
 # ---------------------------------------------------------------------------
 # Monotonicity
+#
+# One memoized bottom-up pass, which visits shared subterms once, gives each
+# node its positive and its negative free variables.  Implies and Iff count
+# through their boolean desugaring.
+
+_NONE: frozenset = frozenset()
+_CLOSED = (_NONE, _NONE, False)
+
+# Per connective, each child as (field, polarity factor, path step): a factor
+# of 1 keeps the polarity, -1 flips it and 0 makes it both.
+_CHILDREN = {
+    TrueConst: (),
+    InitConst: (),
+    Not: (("arg", -1, "-"),),
+    And: (("left", 1, "/\\ left"), ("right", 1, "/\\ right")),
+    Or: (("left", 1, "\\/ left"), ("right", 1, "\\/ right")),
+    Implies: (("left", -1, "=> left"), ("right", 1, "=> right")),
+    Iff: (("left", 0, "<=> left"), ("right", 0, "<=> right")),
+    Min: (("body", 1, "min"),),
+    Max: (("body", 1, "max"),),
+    **dict.fromkeys((FwdDiamond, BwdDiamond, SuffixO, SuffixStar), (("arg", 1, "<>"),)),
+}
 
 
-def check_monotone(f: MuFormula) -> list[str] | None:
-    """None if every bound variable sits under an even number of negations on
-    every occurrence path; otherwise the path to the first bad occurrence.
-
-    Implies and Iff are treated through their boolean desugaring: the left of
-    an implication flips polarity and both sides of an equivalence occur in
-    both polarities.
-    """
-    return _polarity(f, 1, frozenset(), [])
-
-
-def _polarity(f: MuFormula, sign: int, bound: frozenset, path: list[str]) -> list[str] | None:
-    # sign: 1 positive, -1 negative, 0 both (inside an <=>)
-    t = type(f)
-    if t in (TrueConst, InitConst):
-        return None
-    if t is Var:
-        if f.name in bound and sign != 1:
-            return path + [f"{f.name}"]
-        return None
-    if t is Not:
-        return _polarity(f.arg, -sign if sign else 0, bound, path + ["-"])
-    if t is And or t is Or:
-        op = "/\\" if t is And else "\\/"
-        return _polarity(f.left, sign, bound, path + [f"{op} left"]) or _polarity(
-            f.right, sign, bound, path + [f"{op} right"]
-        )
-    if t is Implies:
-        return _polarity(f.left, -sign if sign else 0, bound, path + ["=> left"]) or _polarity(
-            f.right, sign, bound, path + ["=> right"]
-        )
-    if t is Iff:
-        return _polarity(f.left, 0, bound, path + ["<=> left"]) or _polarity(
-            f.right, 0, bound, path + ["<=> right"]
-        )
-    if t is FwdDiamond:
-        return _polarity(f.arg, sign, bound, path + ["<>"])
-    if t in (BwdDiamond, SuffixO, SuffixStar):
-        return _polarity(f.arg, sign, bound, path + ["<>"])
-    if t in (Min, Max):
-        kw = "min" if t is Min else "max"
-        return _polarity(f.body, sign, bound | {f.var}, path + [f"{kw} {f.var}"])
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _free_vars(f: MuFormula, memo: dict[int, frozenset]) -> frozenset:
+def _polarities(f: MuFormula, memo: dict[int, tuple]) -> tuple[frozenset, frozenset, bool]:
+    """(positive free variables, negative free variables, has a non-monotone
+    binder); every node without either is given the one tuple _CLOSED."""
     got = memo.get(id(f))
     if got is not None:
         return got
     t = type(f)
     if t is Var:
-        out = frozenset((f.name,))
-    elif t in (TrueConst, InitConst):
-        out = frozenset()
-    elif t in (Not, FwdDiamond):
-        out = _free_vars(f.arg, memo)
-    elif t in (BwdDiamond, SuffixO, SuffixStar):
-        out = _free_vars(f.arg, memo)
-    elif t in (And, Or, Implies, Iff):
-        out = _free_vars(f.left, memo) | _free_vars(f.right, memo)
-    elif t in (Min, Max):
-        out = _free_vars(f.body, memo) - {f.var}
-    else:
+        out = (frozenset((f.name,)), _NONE, False)
+    elif t not in _CHILDREN:
         raise TypeError(f"not a formula: {f!r}")
+    else:
+        pos, neg, bad = out = _CLOSED
+        for field, factor, _ in _CHILDREN[t]:
+            sub = _polarities(getattr(f, field), memo)
+            if sub is not _CLOSED:
+                cpos, cneg, cbad = sub
+                if factor == -1:
+                    cpos, cneg = cneg, cpos
+                elif factor == 0:
+                    cpos = cneg = cpos | cneg
+                pos, neg, bad = out = (pos | cpos, neg | cneg, bad or cbad)
+        if (t is Min or t is Max) and out is not _CLOSED:
+            bad = bad or f.var in neg
+            pos, neg = pos - {f.var}, neg - {f.var}
+            out = (pos, neg, bad) if pos or neg or bad else _CLOSED
     memo[id(f)] = out
     return out
+
+
+def _violation(f: MuFormula, memo: dict[int, tuple]) -> list[str] | None:
+    """Path to the leftmost occurrence of a bound variable that is not positive
+    relative to its binder, or None; descends only into children holding one."""
+    if not _polarities(f, memo)[2]:
+        return None
+    path: list[str] = []
+    signs: dict[str, int] = {}  # bound variable -> polarity of `f` within its binder
+    while type(f) is not Var:
+        for field, factor, step in _CHILDREN[type(f)]:
+            child = getattr(f, field)
+            inner = {x: s * factor for x, s in signs.items()}
+            if type(f) in (Min, Max):
+                step = f"{step} {f.var}"
+                inner[f.var] = 1
+            pos, neg, bad = memo[id(child)]
+            if bad or any(inner.get(x, 1) != 1 for x in pos) or any(inner.get(x, -1) != -1 for x in neg):
+                break
+        path.append(step)
+        f, signs = child, inner
+    path.append(f.name)
+    return path
+
+
+def check_monotone(f: MuFormula) -> list[str] | None:
+    """None if every bound variable sits under an even number of negations,
+    counted from its binder; otherwise the path to the first bad occurrence."""
+    return _violation(f, {})
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +414,12 @@ def eval_mu(g: Lts, f: MuFormula, env: dict[str, StateSet] | None = None) -> Sta
     `env` may bind free variables of an open formula; everything else must
     be closed and monotone.
     """
-    fv_memo: dict[int, frozenset] = {}
-    free = _free_vars(f, fv_memo)
-    given = frozenset(env or ())
-    missing = free - given
+    polarity: dict[int, tuple] = {}
+    pos, neg, _ = _polarities(f, polarity)
+    missing = (pos | neg) - frozenset(env or ())
     if missing:
         raise EvalError(f"unbound variable(s): {', '.join(sorted(missing))}")
-    violation = check_monotone(f)
+    violation = _violation(f, polarity)
     if violation is not None:
         raise EvalError("binder is not monotone in its variable: " + " / ".join(violation))
 
@@ -416,7 +428,7 @@ def eval_mu(g: Lts, f: MuFormula, env: dict[str, StateSet] | None = None) -> Sta
     memo: dict[int, int] = {}
 
     def ev(node: MuFormula, scope: dict[str, int]) -> int:
-        closed = not _free_vars(node, fv_memo)
+        closed = polarity[id(node)] is _CLOSED  # no binder is bad by now
         if closed:
             got = memo.get(id(node))
             if got is not None:

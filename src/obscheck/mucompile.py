@@ -1,8 +1,9 @@
 """Compilation of regular path expressions into mu-calculus formulas.
 
-Two encodings are produced by one structural recursion so that shared
-prefixes become shared subterms (the evaluator memoizes closed subterms,
-which keeps long tick chains linear):
+Two encodings are produced by one recursion, memoized per expression node,
+so shared prefixes (such as `fott.present_regex`'s one tick chain) become
+shared subterms, which the evaluator memoizes: cost is linear in the
+expression's distinct nodes, not in the total length of its branches:
 
     end(eps)        = `0
     end(R . A)      = end(R) o A

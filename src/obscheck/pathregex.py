@@ -73,9 +73,8 @@ EPS = Eps()
 TICK = Tick()
 
 
-def seq_of(steps: Iterable[Step]) -> PathRegex:
-    """Left-nested sequence starting from the empty word."""
-    regex: PathRegex = EPS
+def seq_of(steps: Iterable[Step], regex: PathRegex = EPS) -> PathRegex:
+    """Left-nested sequence of `steps` after `regex` (by default the empty word)."""
     for step in steps:
         regex = Seq(regex, step)
     return regex
@@ -159,15 +158,19 @@ def _parse_operand(cur: Cursor) -> LabelExpr:
 # Tick expansion and word matching
 
 
+# The steps a Tick stands for: `t` followed by `(-t)*`.
+TICK_STEPS = (One(TICK_ATOM), Star(NOT_TICK))
+
+
 def expand_tick(regex: PathRegex) -> PathRegex:
-    """Replace every Tick step by `t` followed by `(-t)*`."""
+    """Replace every Tick step by TICK_STEPS."""
     if type(regex) is Eps:
         return regex
     if type(regex) is Union:
         return Union(expand_tick(regex.left), expand_tick(regex.right))
     head = expand_tick(regex.head)
     if type(regex.step) is Tick:
-        return Seq(Seq(head, One(TICK_ATOM)), Star(NOT_TICK))
+        return seq_of(TICK_STEPS, head)
     return Seq(head, regex.step)
 
 
@@ -278,35 +281,37 @@ def build_nfa(regex: PathRegex) -> Nfa:
     """Compile to an automaton accepting exactly the word language.
 
     All branches share the single initial state 0; the restricted grammar
-    needs no epsilon edges.
+    needs no epsilon edges.  Each sub-expression object is compiled once, so
+    the automaton is as large as the expression's DAG, not its tree; every
+    path into a state still reads a word of the sub-expression that made it.
     """
     edges: list[list[tuple[LabelExpr, int]]] = [[]]
-
-    def fresh() -> int:
-        edges.append([])
-        return len(edges) - 1
+    memo: dict[int, frozenset[int]] = {}
 
     def go(node: PathRegex) -> frozenset[int]:
+        got = memo.get(id(node))
+        if got is not None:
+            return got
         if type(node) is Eps:
-            return frozenset((0,))
-        if type(node) is Union:
-            return go(node.left) | go(node.right)
-        ends = go(node.head)
-        step = node.step
-        if type(step) is One:
-            q = fresh()
-            for f in ends:
-                edges[f].append((step.label, q))
-            return frozenset((q,))
-        if type(step) is Star:
-            q = fresh()
-            for f in ends:
-                edges[f].append((step.label, q))
-            edges[q].append((step.label, q))
-            return ends | {q}
-        raise AssertionError("Tick must be expanded before compilation")
+            ends = frozenset((0,))
+        elif type(node) is Union:
+            ends = go(node.left) | go(node.right)
+        else:
+            ends = go(node.head)
+            for step in TICK_STEPS if type(node.step) is Tick else (node.step,):
+                q = len(edges)
+                edges.append([])
+                for f in ends:
+                    edges[f].append((step.label, q))
+                if type(step) is Star:
+                    edges[q].append((step.label, q))
+                    ends = ends | {q}
+                else:
+                    ends = frozenset((q,))
+        memo[id(node)] = ends
+        return ends
 
-    accepting = go(expand_tick(regex))
+    accepting = go(regex)
     return Nfa(len(edges), 0, accepting, tuple(tuple(e) for e in edges))
 
 

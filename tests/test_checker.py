@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -190,6 +191,23 @@ class TestFullReport:
     def test_accepts_a_net_directly(self):
         report = full_report(builtin_present(4, 5), pattern(4, 5), "error", EVENTS)
         assert report.ok
+
+    def test_wide_window_in_under_a_second(self):
+        t0 = time.perf_counter()
+        report = full_report(builtin_present(100, 200), pattern(100, 200), "error", EVENTS)
+        elapsed = time.perf_counter() - t0
+        assert [(v.name, v.holds) for v in report.verdicts] == [
+            ("eq_tautology", True),
+            ("reach[a]", True),
+            ("reach[b]", True),
+            ("reach[t]", True),
+            ("innocuous", True),
+            ("naive_errors_in_complement", True),
+            ("naive_complement_in_errors", False),
+            ("oracle_agreement", True),
+            ("no_tickless_cycle", True),
+        ]
+        assert elapsed < 1.0
 
     def test_mismatch_fails_overall(self):
         report = full_report(builtin_present(3, 4), pattern(4, 5), "error", EVENTS)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import obscheck
 from obscheck.cli import main
 
 CHECK_45 = [
@@ -159,3 +163,12 @@ class TestDot:
         with pytest.raises(SystemExit) as err:
             main(["--version"])
         assert err.value.code == 0
+
+    def test_runs_as_a_module(self):
+        src = os.path.dirname(os.path.dirname(obscheck.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "obscheck", "--version"], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0
+        assert done.stdout.strip() == f"obscheck {obscheck.__version__}"

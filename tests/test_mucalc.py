@@ -1,4 +1,5 @@
 import random
+import time
 from collections import deque
 
 import pytest
@@ -149,6 +150,32 @@ class TestMonotone:
     def test_iff_counts_both_ways(self):
         assert check_monotone(Min("X", Iff(Var("X"), TRUE))) is not None
 
+    def test_polarity_counts_from_the_binder(self):
+        # Negations above a binder do not bear on its variable.
+        for text in ["-(min X | <a>X \\/ `0)", "(min X | <a>X \\/ `0) <=> T"]:
+            assert check_monotone(parse_mu(text)) is None, text
+        for text in ["min X | -X", "-(min X | -X)"]:
+            path = check_monotone(parse_mu(text))
+            assert path is not None and path[-1] == "X", text
+        assert check_monotone(parse_mu("-(min X | -X)")) == ["-", "min X", "-", "X"]
+
+    def test_inner_binder_resets_polarity(self):
+        assert check_monotone(parse_mu("min X | -(min X | X)")) is None
+        assert check_monotone(parse_mu("min X | -(min Y | Y \\/ -X)")) is None
+        assert check_monotone(parse_mu("max Y | min X | <a>X /\\ -Y")) == [
+            "max Y", "min X", "/\\ right", "-", "Y"
+        ]
+
+    def test_shared_subterms_are_walked_once(self):
+        # 40 nested Or(f, f) under one binder: 2^40 paths through the tree.
+        ok, bad = Var("X"), Not(Var("X"))
+        for _ in range(40):
+            ok, bad = Or(ok, ok), Or(bad, bad)
+        t0 = time.perf_counter()
+        assert check_monotone(Min("X", ok)) is None
+        assert check_monotone(Min("X", bad)) == ["min X"] + ["\\/ left"] * 40 + ["-", "X"]
+        assert time.perf_counter() - t0 < 0.5
+
 
 class TestEval:
     def test_forward_diamond_on_chain(self):
@@ -201,6 +228,15 @@ class TestEval:
         g = chain_lts("a")
         with pytest.raises(EvalError, match="monotone"):
             eval_mu(g, parse_mu("min X | -X"))
+
+    def test_negated_closed_binder_evaluates(self):
+        g = Lts(3, 0, [(0, "a", 1), (1, "b", 2), (2, "a", 0)])
+        inner = eval_mu(g, parse_mu("min X | <a>X \\/ `0"))
+        assert inner == g.set_of([0, 2])
+        assert eval_mu(g, parse_mu("-(min X | <a>X \\/ `0)")) == inner.complement()
+        assert eval_mu(g, parse_mu("(min X | <a>X \\/ `0) <=> T")) == inner
+        with pytest.raises(EvalError, match="monotone"):
+            eval_mu(g, parse_mu("-(min X | -X)"))
 
     def test_unbound_rejected(self):
         g = chain_lts("a")

@@ -1,6 +1,6 @@
 import random
 
-from conftest import chain_lts, random_lts, random_regex
+from conftest import LABELS, chain_lts, random_lts, random_regex, random_step
 from obscheck.fott import Interval, present_regex
 from obscheck.lts import Atom, Lts
 from obscheck.lts import Not as LNot
@@ -10,6 +10,7 @@ from obscheck.mucalc import (
     TRUE,
     FwdDiamond,
     Min,
+    MuFormula,
     Or,
     SuffixO,
     Var,
@@ -25,10 +26,15 @@ from obscheck.mucompile import (
     reach_formula,
 )
 from obscheck.pathregex import (
+    Eps,
+    Seq,
     Union,
+    build_nfa,
+    match_word,
     oracle_end_states,
     oracle_visited_states,
     parse_regex,
+    seq_of,
 )
 from obscheck.timednet import builtin_mouse, builtin_present, explore, explore_full, describe_state
 
@@ -66,6 +72,23 @@ class TestCompileVisited:
         g = explore(builtin_present(4, 5))
         pattern = present_regex("a", "b", Interval(4, 5, upper_open=True))
         assert eval_mu(g, compile_visited(pattern)) == oracle_visited_states(g, pattern)
+
+
+def distinct_nodes(f: MuFormula) -> int:
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += [getattr(node, a) for a in ("arg", "left", "right", "body") if hasattr(node, a)]
+    return len(seen)
+
+
+class TestLinearSize:
+    def test_visited_formula_grows_linearly_with_the_window(self):
+        small = compile_visited(present_regex("a", "b", Interval(30, 60, upper_open=True)))
+        large = compile_visited(present_regex("a", "b", Interval(60, 120, upper_open=True)))
+        assert distinct_nodes(large) <= 2.2 * distinct_nodes(small)
 
 
 class TestErrorCondition:
@@ -122,3 +145,59 @@ class TestOracleEquivalence:
             end_f, visited_f = compile_both(pattern)
             assert eval_mu(g, end_f) == oracle_end_states(g, pattern)
             assert eval_mu(g, visited_f) == oracle_visited_states(g, pattern)
+
+
+def shared_regex(rng: random.Random):
+    """Random regex whose branches extend one chain object, as present_regex
+    builds them; half of the chains start with a union under a sequence."""
+    steps = lambda k: [random_step(rng) for _ in range(rng.randint(0, k))]
+    chain = seq_of(steps(3))
+    if rng.random() < 0.5:
+        chain = Seq(Union(chain, seq_of(steps(2))), random_step(rng))
+    regex = chain
+    for _ in range(rng.randint(1, 3)):
+        regex = Union(regex, seq_of(steps(2), chain))
+        chain = Seq(chain, random_step(rng))
+    return regex
+
+
+def unshared(regex):
+    """A structurally equal copy in which no two branches share a node."""
+    if type(regex) is Eps:
+        return Eps()
+    if type(regex) is Union:
+        return Union(unshared(regex.left), unshared(regex.right))
+    return Seq(unshared(regex.head), regex.step)
+
+
+class TestSharedPrefixes:
+    def test_shared_dag_matches_its_unshared_copy(self):
+        """Compiler, evaluator, product oracles, NFA and matcher give the same
+        answers on an expression whose branches share prefix objects as on
+        its tree-shaped copy."""
+        rng = random.Random(17)
+        for _ in range(150):
+            g = random_lts(rng)
+            shared = shared_regex(rng)
+            copy = unshared(shared)
+            assert copy == shared
+            words = [
+                tuple(rng.choice(LABELS) for _ in range(rng.randint(0, 6))) for _ in range(40)
+            ]
+
+            def routes(r):
+                end_f, visited_f = compile_both(r)
+                nfa = build_nfa(r)
+                return (
+                    eval_mu(g, end_f),
+                    eval_mu(g, visited_f),
+                    oracle_end_states(g, r),
+                    oracle_visited_states(g, r),
+                    [nfa.accepts(w) for w in words],
+                    [match_word(r, w) for w in words],
+                )
+
+            got = routes(shared)
+            assert got == routes(copy), shared
+            assert got[0] == got[2] and got[1] == got[3] and got[4] == got[5]
+            assert build_nfa(shared).num_states <= build_nfa(copy).num_states

@@ -76,6 +76,20 @@ class TestExpandTick:
         assert count == 4
 
 
+class TestSharedChain:
+    def test_branches_extend_one_chain(self):
+        # Union(Union(Union(no_trigger, b4), b5), b6), b_k = chain_k . a . T*
+        regex = present_regex("a", "b", Interval(4, 7, upper_open=True))
+        b4, b5, b6 = regex.left.left.right, regex.left.right, regex.right
+        assert b5.head.head.head is b4.head.head
+        assert b6.head.head.head is b5.head.head
+
+    def test_nfa_grows_linearly_with_the_window(self):
+        small = build_nfa(present_regex("a", "b", Interval(30, 60, upper_open=True)))
+        large = build_nfa(present_regex("a", "b", Interval(60, 120, upper_open=True)))
+        assert large.num_states <= 2.2 * small.num_states
+
+
 class TestMatchWord:
     def test_no_trigger_branch(self):
         assert match_word(pres45(), ("z", "z", "z")) is True
