@@ -8,8 +8,9 @@ word, binary concatenation, and duration-in-interval constraints.
 Evaluation is a small backtracking solver restricted to *anchored*
 formulas: every quantified variable must be connected to a free variable
 through a chain of concatenation equations (or pinned by a literal), so its
-value is always a contiguous piece of an already known word.  Concatenation
-constraints are solved by enumerating split points.
+value is always a contiguous piece of an already known word.  A formula is
+compiled, once per set of assigned names, to a fixed solve plan kept on the
+formula; running it enumerates the split points of concatenations.
 
 The generators at the bottom produce, for the existence pattern
 "event a after the first b within an interval", both the trace formula and
@@ -54,30 +55,11 @@ def delta(word: Sequence[str]) -> int:
 class FottFormula:
     __slots__ = ()
 
-    # Solver memos, stored on the formula itself so they are freed with it.
-
     @cached_property
-    def _conjuncts(self) -> tuple:
-        """The formula as a flat conjunct list, quantifiers dropped."""
-        items: list[FottFormula] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            t = type(node)
-            if t is And:
-                stack.append(node.right)
-                stack.append(node.left)
-            elif t is Exists:
-                stack.append(node.body)
-            else:
-                items.append(node)
-        # And(a, b) pushes b then a, so a pops first: construction order kept,
-        # which is what makes split enumeration prune early.
-        return tuple(items)
-
-    @cached_property
-    def _frees(self) -> tuple[str, ...]:
-        return tuple(sorted(free_variables(self)))
+    def _plans(self) -> dict:
+        """eval_fott's solve plans, one per set of assigned names, stored on
+        the formula itself so that they are freed with it."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -167,19 +149,24 @@ def after_scope(trace: str, event: str, tail: str) -> FottFormula:
 
 
 def free_variables(f: FottFormula) -> frozenset[str]:
-    if type(f) is And:
-        return free_variables(f.left) | free_variables(f.right)
-    if type(f) is Not:
-        return free_variables(f.arg)
-    if type(f) is Exists:
-        return free_variables(f.body) - {f.var}
-    if type(f) is EqLit:
-        return frozenset((f.var,))
-    if type(f) is EqCat:
-        return frozenset((f.whole, f.prefix, f.suffix))
-    if type(f) is DurIn:
-        return frozenset((f.var,))
-    raise TypeError(f"not a trace formula: {f!r}")
+    free: set[str] = set()
+    stack: list[tuple[FottFormula, frozenset[str]]] = [(f, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        t = type(node)
+        if t is And:
+            stack += ((node.left, bound), (node.right, bound))
+        elif t is Not:
+            stack.append((node.arg, bound))
+        elif t is Exists:
+            stack.append((node.body, bound | {node.var}))
+        elif t is EqCat:
+            free.update({node.whole, node.prefix, node.suffix} - bound)
+        elif t is EqLit or t is DurIn:
+            free.update({node.var} - bound)
+        else:
+            raise TypeError(f"not a trace formula: {node!r}")
+    return frozenset(free)
 
 
 def check_anchored(f: FottFormula, free: Sequence[str]) -> None:
@@ -189,23 +176,23 @@ def check_anchored(f: FottFormula, free: Sequence[str]) -> None:
     links: list[tuple[str, str]] = []
     grounded: set[str] = set(free)
 
-    def walk(node: FottFormula) -> None:
+    stack = [f]
+    while stack:
+        node = stack.pop()
         t = type(node)
         if t is And:
-            walk(node.left)
-            walk(node.right)
+            stack += (node.left, node.right)
         elif t is Not:
-            walk(node.arg)
+            stack.append(node.arg)
         elif t is Exists:
             quantified.add(node.var)
-            walk(node.body)
+            stack.append(node.body)
         elif t is EqCat:
             links.append((node.whole, node.prefix))
             links.append((node.whole, node.suffix))
         elif t is EqLit:
             grounded.add(node.var)
 
-    walk(f)
     parent: dict[str, str] = {}
 
     def find(v: str) -> str:
@@ -226,180 +213,223 @@ def check_anchored(f: FottFormula, free: Sequence[str]) -> None:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# Bindings are (base word, lo, hi) windows, so split enumeration never
-# copies; literal words introduce their own base.  The conjunct list of a
-# formula is flattened once (`FottFormula._conjuncts`) and then walked by
-# index: the next constraint is almost always the next ready one, so the
-# scheduler only reorders (and only then copies) when construction order and
-# data flow disagree.
-
-
-def _window_eq(wa, la, ha, wb, lb, hb) -> bool:
-    if ha - la != hb - lb:
-        return False
-    if wa is wb and la == lb:
-        return True
-    for i in range(ha - la):
-        if wa[la + i] != wb[lb + i]:
-            return False
-    return True
+# `eval_fott` compiles a formula, once per set of assigned names, to a solve
+# plan.  Each free variable and each quantifier gets its own slot in a list,
+# so a quantified name never sees an outer binding of the same name.  A block
+# (the formula, or a Not's argument) is a conjunct list in construction order,
+# scheduled by taking, again and again, the first conjunct whose inputs are
+# bound.  That order, and the case of each constraint, depend only on the
+# slots bound on entry, so they are decided once, and a plan is a chain of
+# steps that only compare and bind.  Slots hold (base word, lo, hi) windows,
+# so splitting never copies; each is written before it is read.
 
 
 def eval_fott(f: FottFormula, asg: Mapping[str, Sequence[str]]) -> bool:
     """Standard semantics on the given assignment of the free variables."""
-    env: dict[str, tuple] = {}
-    for var, word in asg.items():
-        w = tuple(word)
-        env[var] = (w, 0, len(w))
-    return _truth(f, env)
+    key = frozenset(asg)
+    plan = f._plans.get(key)
+    if plan is None:
+        plan = f._plans[key] = _compile(f, key)
+    inputs, size, run = plan
+    env: list = [None] * size
+    for var, slot in inputs:
+        w = tuple(asg[var])
+        env[slot] = (w, 0, len(w))
+    return run(env)
 
 
-def _truth(f: FottFormula, env: dict[str, tuple]) -> bool:
-    return _solve(f._conjuncts, 0, env)
+def _compile(f: FottFormula, assigned: frozenset[str]) -> tuple:
+    """The plan of `f` with the `assigned` names bound on entry: the (name,
+    slot) pairs to load, the number of slots, and the first step."""
+    roots = {v: i for i, v in enumerate(sorted(free_variables(f)))}
+    size = len(roots)
+    blocks: list[list[tuple]] = [[]]  # block 0 is f, block k > 0 a Not's argument
+    # The walk takes a Not's argument next, so a block's quantifiers get slots
+    # from its mark on, and what it sees from outside lies below the mark.
+    marks = [size]
+    stack = [(f, roots, 0)]
+    while stack:
+        node, scope, b = stack.pop()
+        t = type(node)
+        if t is And:
+            stack += ((node.right, scope, b), (node.left, scope, b))
+        elif t is Exists:
+            stack.append((node.body, {**scope, node.var: size}, b))
+            size += 1
+        elif t is Not:
+            blocks[b].append((Not, (), len(blocks)))
+            stack.append((node.arg, scope, len(blocks)))
+            blocks.append([])
+            marks.append(size)
+        elif t is EqCat:
+            blocks[b].append((t, (scope[node.whole], scope[node.prefix], scope[node.suffix]), None))
+        elif t is EqLit or t is DurIn:
+            arg = tuple(node.word) if t is EqLit else node.interval
+            blocks[b].append((t, (scope[node.var],), arg))
+        else:
+            raise TypeError(f"not a trace formula: {node!r}")
+    # Innermost blocks first: a Not is ready once its argument's free slots are
+    # bound, and the argument's plan starts with exactly those bound.
+    frees, runs = [None] * len(blocks), [None] * len(blocks)
+    inputs = tuple((v, roots[v]) for v in sorted(assigned) if v in roots)
+    for b in reversed(range(len(blocks))):
+        used: set[int] = set()
+        for kind, slots, arg in blocks[b]:
+            used.update(frees[arg] if kind is Not else slots)
+        frees[b] = frozenset(s for s in used if s < marks[b])
+        bound = {s for _, s in inputs} if b == 0 else set(frees[b])
+        runs[b] = _plan(blocks[b], bound, frees, runs)
+    return inputs, size, runs[0]
 
 
-def _ready(item: FottFormula, env: dict[str, tuple]) -> bool:
-    t = type(item)
-    if t is EqCat:
-        return item.whole in env or (item.prefix in env and item.suffix in env)
-    if t is EqLit:
-        return True
-    if t is DurIn:
-        return item.var in env
-    if t is Not:
-        for v in item._frees:
-            if v not in env:
-                return False
-        return True
-    raise TypeError(f"not a trace formula conjunct: {item!r}")
-
-
-def _solve(items: tuple, i: int, env: dict[str, tuple]) -> bool:
-    if i == len(items):
-        return True
-    item = items[i]
-    if not _ready(item, env):
-        for j in range(i + 1, len(items)):
-            if _ready(items[j], env):
-                items = items[:i] + (items[j],) + items[i:j] + items[j + 1 :]
-                item = items[i]
+def _plan(items: list[tuple], bound: set[int], frees: list, runs: list):
+    """The first step of one block, each conjunct compiled for the slots bound
+    when the schedule reaches it."""
+    ops: list[tuple] = []  # (step maker, its arguments before the next step)
+    rest, run = list(items), _done
+    while rest:
+        for k, (kind, slots, arg) in enumerate(rest):
+            if kind is EqCat:
+                if slots[0] in bound or (slots[1] in bound and slots[2] in bound):
+                    break
+            elif kind is EqLit or (frees[arg] <= bound if kind is Not else slots[0] in bound):
                 break
         else:
-            raise FottError("formula is not anchored: no constraint is ready to solve")
-    t = type(item)
-    if t is EqCat:
-        return _sat_eqcat(item, items, i + 1, env)
-    if t is EqLit:
-        lit = env.get(item.var)
-        if lit is not None:
-            return _window_eq(lit[0], lit[1], lit[2], item.word, 0, len(item.word)) and _solve(
-                items, i + 1, env
-            )
-        env[item.var] = (item.word, 0, len(item.word))
-        try:
-            return _solve(items, i + 1, env)
-        finally:
-            del env[item.var]
-    if t is DurIn:
-        w, lo, hi = env[item.var]
-        ticks = 0
-        for k in range(lo, hi):
-            if w[k] == TICK_LABEL:
-                ticks += 1
-        return item.interval.contains(ticks) and _solve(items, i + 1, env)
-    # Not
-    if _truth(item.arg, env):
-        return False
-    return _solve(items, i + 1, env)
-
-
-def _sat_eqcat(item: EqCat, items: tuple, nxt: int, env: dict[str, tuple]) -> bool:
-    whole = env.get(item.whole)
-    pre = env.get(item.prefix)
-    suf = env.get(item.suffix)
-    if whole is not None:
-        w, lo, hi = whole
-        if pre is not None and suf is not None:
-            pw, plo, phi = pre
-            cut = lo + (phi - plo)
-            return (
-                cut <= hi
-                and _window_eq(w, lo, cut, pw, plo, phi)
-                and _window_eq(w, cut, hi, suf[0], suf[1], suf[2])
-                and _solve(items, nxt, env)
-            )
-        if pre is not None:
-            pw, plo, phi = pre
-            cut = lo + (phi - plo)
-            if cut > hi or not _window_eq(w, lo, cut, pw, plo, phi):
-                return False
-            return _bind_and_solve(item.suffix, (w, cut, hi), items, nxt, env)
-        if suf is not None:
-            sw, slo, shi = suf
-            cut = hi - (shi - slo)
-            if cut < lo or not _window_eq(w, cut, hi, sw, slo, shi):
-                return False
-            return _bind_and_solve(item.prefix, (w, lo, cut), items, nxt, env)
-        if item.prefix == item.suffix:
-            cut = (lo + hi) // 2
-            if (lo + hi) % 2 or not _window_eq(w, lo, cut, w, cut, hi):
-                return False
-            return _bind_and_solve(item.prefix, (w, lo, cut), items, nxt, env)
-        # When the next constraint pins the suffix to start with a literal
-        # character, only the positions of that character can succeed.
-        head_char = None
-        if nxt < len(items):
-            peek = items[nxt]
-            if type(peek) is EqCat and peek.whole == item.suffix:
-                pinned = env.get(peek.prefix)
-                if pinned is not None and pinned[2] - pinned[1] == 1:
-                    head_char = pinned[0][pinned[1]]
-        hit = False
-        if head_char is None:
-            for cut in range(lo, hi + 1):
-                env[item.prefix] = (w, lo, cut)
-                env[item.suffix] = (w, cut, hi)
-                if _solve(items, nxt, env):
-                    hit = True
-                    break
+            run = _stuck
+            break
+        del rest[k]
+        if kind is EqLit:
+            ops.append((_lit_step, slots[0] in bound, slots[0], arg))
+        elif kind is DurIn:
+            ops.append((_dur_step, slots[0], arg.contains))
+        elif kind is Not:
+            ops.append((_not_step, runs[arg]))
         else:
-            cut = lo
-            while cut < hi:
-                try:
-                    cut = w.index(head_char, cut, hi)
-                except ValueError:
-                    break
-                env[item.prefix] = (w, lo, cut)
-                env[item.suffix] = (w, cut, hi)
-                if _solve(items, nxt, env):
-                    hit = True
-                    break
-                cut += 1
-        if item.prefix in env:
-            del env[item.prefix]
-            del env[item.suffix]
-        return hit
-    # whole unbound, both parts bound: concatenate
-    pw, plo, phi = pre
-    sw, slo, shi = suf
-    if pw is sw and phi == slo:
-        window = (pw, plo, shi)
-    else:
+            (whole, pre, suf), head = slots, None
+            if whole not in bound:
+                case = "join"
+            elif pre in bound:
+                case = "check" if suf in bound else "suffix"
+            elif suf in bound:
+                case = "prefix"
+            elif pre == suf:
+                case = "halve"
+            else:
+                case = "split"
+                # When the next conjunct pins the suffix to start with a bound
+                # one-symbol word, only that symbol's positions can succeed.
+                peek = rest[0][1] if rest and rest[0][0] is EqCat else (None, None)
+                head = peek[1] if peek[0] == suf and peek[1] in bound else None
+            ops.append((_cat_step, case, whole, pre, suf, head))
+        bound.update(slots)
+    for make, *args in reversed(ops):
+        run = make(*args, run)
+    return run
+
+
+# The step makers.  A step takes the slot list, checks or binds, and then runs
+# `nxt`, the rest of its block; a split runs it once per cut.
+
+
+def _done(env: list) -> bool:
+    return True
+
+
+def _stuck(env: list) -> bool:
+    raise FottError("formula is not anchored: no constraint is ready to solve")
+
+
+def _lit_step(check: bool, slot: int, word: Word, nxt):
+    window = (word, 0, len(word))
+
+    def bind(env: list) -> bool:
+        env[slot] = window
+        return nxt(env)
+
+    def same(env: list) -> bool:
+        w, lo, hi = env[slot]
+        return w[lo:hi] == word and nxt(env)
+
+    return same if check else bind
+
+
+def _dur_step(slot: int, contains, nxt):
+    def step(env: list) -> bool:
+        w, lo, hi = env[slot]
+        return contains(w[lo:hi].count(TICK_LABEL)) and nxt(env)
+
+    return step
+
+
+def _not_step(sub, nxt):
+    return lambda env: not sub(env) and nxt(env)
+
+
+def _cat_step(case: str, whole: int, pre: int, suf: int, head: int | None, nxt):
+    """The step of `whole = pre . suf`: check all three, bind the suffix, the
+    prefix or both halves (pre == suf) of the bound whole, join the whole, or
+    split it at each cut (each place of the symbol in `head`, if bound)."""
+
+    def check(env: list) -> bool:
+        (w, lo, hi), (pw, plo, phi), (sw, slo, shi) = env[whole], env[pre], env[suf]
+        return w[lo:hi] == pw[plo:phi] + sw[slo:shi] and nxt(env)
+
+    def suffix(env: list) -> bool:
+        (w, lo, hi), (pw, plo, phi) = env[whole], env[pre]
+        cut = lo + phi - plo
+        if cut > hi or w[lo:cut] != pw[plo:phi]:
+            return False
+        env[suf] = (w, cut, hi)
+        return nxt(env)
+
+    def prefix(env: list) -> bool:
+        (w, lo, hi), (sw, slo, shi) = env[whole], env[suf]
+        cut = hi - (shi - slo)
+        if cut < lo or w[cut:hi] != sw[slo:shi]:
+            return False
+        env[pre] = (w, lo, cut)
+        return nxt(env)
+
+    def halve(env: list) -> bool:
+        w, lo, hi = env[whole]
+        cut = (lo + hi) // 2
+        if (lo + hi) % 2 or w[lo:cut] != w[cut:hi]:
+            return False
+        env[pre] = (w, lo, cut)
+        return nxt(env)
+
+    def join(env: list) -> bool:
+        (pw, plo, phi), (sw, slo, shi) = env[pre], env[suf]
         joined = pw[plo:phi] + sw[slo:shi]
-        window = (joined, 0, len(joined))
-    return _bind_and_solve(item.whole, window, items, nxt, env)
+        env[whole] = (joined, 0, len(joined))
+        return nxt(env)
 
+    def split(env: list) -> bool:
+        w, lo, hi = env[whole]
+        if head is not None:
+            hw, hlo, hhi = env[head]
+            if hhi - hlo == 1:
+                symbol, cut = hw[hlo], lo
+                while cut < hi:
+                    try:
+                        cut = w.index(symbol, cut, hi)
+                    except ValueError:
+                        return False
+                    env[pre] = (w, lo, cut)
+                    env[suf] = (w, cut, hi)
+                    if nxt(env):
+                        return True
+                    cut += 1
+                return False
+        for cut in range(lo, hi + 1):
+            env[pre] = (w, lo, cut)
+            env[suf] = (w, cut, hi)
+            if nxt(env):
+                return True
+        return False
 
-def _bind_and_solve(var: str, window: tuple, items: tuple, nxt: int, env: dict[str, tuple]) -> bool:
-    old = env.get(var)
-    env[var] = window
-    try:
-        return _solve(items, nxt, env)
-    finally:
-        if old is None:
-            del env[var]
-        else:
-            env[var] = old
+    cases = dict(check=check, suffix=suffix, prefix=prefix, halve=halve, join=join, split=split)
+    return cases[case]
 
 
 # ---------------------------------------------------------------------------

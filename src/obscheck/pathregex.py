@@ -181,37 +181,41 @@ def _compile_branches(regex: PathRegex):
     """(branches, labels, rows): each branch is a step list of (opcode, label
     index) over a deduplicated table of the label expressions involved;
     `rows`, which match_word fills in, maps each symbol met so far to the
-    indices of the labels it matches."""
+    indices of the labels it matches.
+
+    A Tick is compiled in place from TICK_STEPS, as in build_nfa, so a
+    shared chain (such as `fott.present_regex`'s) is walked once per branch
+    but never rebuilt; the walk is as long as the steps it emits."""
     labels: list[LabelExpr] = []
     index: dict[LabelExpr, int] = {}
+    tick: list[tuple[int, int]] = []  # TICK_STEPS, last first, once a Tick is met
 
-    def label_id(e: LabelExpr) -> int:
-        i = index.get(e)
+    def step_of(step: Step) -> tuple[int, int]:
+        i = index.get(step.label)
         if i is None:
-            index[e] = i = len(labels)
-            labels.append(e)
-        return i
+            index[step.label] = i = len(labels)
+            labels.append(step.label)
+        return (_ONE if type(step) is One else _STAR, i)
 
     def branches(node: PathRegex) -> list[tuple]:
         if type(node) is Union:
             return branches(node.left) + branches(node.right)
         steps: list[tuple[int, int]] = []
         while type(node) is Seq:
-            step = node.step
-            if type(step) is One:
-                steps.append((_ONE, label_id(step.label)))
+            if type(node.step) is Tick:
+                if not tick:
+                    tick.extend(step_of(s) for s in reversed(TICK_STEPS))
+                steps += tick
             else:
-                steps.append((_STAR, label_id(step.label)))
+                steps.append(step_of(node.step))
             node = node.head
+        steps.reverse()
         if type(node) is not Eps:
             # A union under a sequence: fall back to cross products.
-            prefixes = branches(node)
-            steps.reverse()
-            return [tuple(p) + tuple(steps) for p in prefixes]
-        steps.reverse()
+            return [p + tuple(steps) for p in branches(node)]
         return [tuple(steps)]
 
-    return tuple(branches(expand_tick(regex))), tuple(labels), {}
+    return tuple(branches(regex)), tuple(labels), {}
 
 
 def match_word(regex: PathRegex, word: Sequence[str]) -> bool:

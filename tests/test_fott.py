@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from obscheck.fott import (
     DurIn,
+    EqCat,
     EqLit,
     Exists,
     FottError,
@@ -15,6 +16,8 @@ from obscheck.fott import (
     check_anchored,
     delta,
     eval_fott,
+    exists_many,
+    free_variables,
     interval_ticks,
     not_in,
     present_fott,
@@ -97,10 +100,49 @@ class TestDerivedConstructors:
         assert eval_fott(f, {"x": ("b", "b", "a"), "y": ("b", "a")}) is True
         assert eval_fott(f, {"x": ("b", "b", "a"), "y": ("a",)}) is False
 
+    @given(st.lists(st.sampled_from(ALPHABET), max_size=7).map(tuple), st.data())
+    def test_after_scope_agrees_with_direct_suffix(self, x, data):
+        suffixes = st.integers(0, len(x)).map(lambda i: x[i:])
+        y = data.draw(st.one_of(words, suffixes))
+        expected = "b" in x and y == x[x.index("b") + 1 :]
+        assert eval_fott(after_scope("x", "b", "y"), {"x": x, "y": y}) == expected
+
     def test_unanchored_formula_rejected(self):
         loose = Exists("y", and_chain((EqLit("u", ("a",)), DurIn("y", Interval(0, None)))))
         with pytest.raises(FottError, match="unanchored"):
             check_anchored(loose, ("x",))
+
+
+class TestSolvePlans:
+    def test_plans_are_keyed_by_the_assigned_names(self):
+        f = EqCat("x", "y", "w")
+        assert eval_fott(f, {"x": ("a", "b")}) is True
+        assert eval_fott(f, {"x": ("a", "b"), "y": ("b",)}) is False
+        assert eval_fott(f, {"x": ("a", "b"), "y": ("a",)}) is True
+        assert eval_fott(f, {"x": ("a", "b")}) is True
+
+    def test_unreachable_conjunct_raises_only_when_reached(self):
+        f = and_chain((EqLit("x", ("a",)), DurIn("q", Interval(0, None))))
+        assert eval_fott(f, {"x": ("b",)}) is False
+        with pytest.raises(FottError, match="not anchored"):
+            eval_fott(f, {"x": ("a",)})
+
+    def test_quantifier_shadows_an_assigned_name(self):
+        assert eval_fott(Exists("x", EqLit("x", ("a",))), {"x": ("b",)}) is True
+
+    def test_assigned_name_does_not_leak_into_a_quantifier(self):
+        f = not_in("b", "x")
+        assert eval_fott(f, {"x": ("a", "b"), "x'1": ("z",)}) is False
+        assert eval_fott(f, {"x": ("a", "z"), "x'1": ("z",)}) is True
+
+    def test_deep_formulas_are_walked_without_recursion(self):
+        chain = and_chain([EqLit("e", ())] * 5000)
+        assert free_variables(chain) == {"e"}
+        check_anchored(chain, ("e",))
+        nested = exists_many(["v"] * 5000, EqLit("v", ("a",)))
+        assert free_variables(nested) == frozenset()
+        check_anchored(nested, ())
+        assert eval_fott(nested, {"v": ("b",)}) is True
 
 
 class TestPresentRegex:
