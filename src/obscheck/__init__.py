@@ -46,7 +46,6 @@ from .pathregex import (
     PathRegex,
     Word,
     build_nfa,
-    expand_tick,
     match_word,
     oracle_end_states,
     oracle_visited_states,

@@ -2,7 +2,7 @@
 tick windows, file I/O.
 
 The graph is the shared substrate of every check in this package: states are
-dense indices 0..n-1, edges carry interned text labels, and `t` is reserved
+dense indices 0..n-1, edges carry text labels, and `t` is reserved
 for the tick of the logical clock while `z` marks silent internal steps.
 """
 
@@ -304,7 +304,8 @@ class Lts:
     """Finite labeled transition graph with a distinguished initial state.
 
     Immutable after construction; exact duplicate transitions are dropped
-    silently, labels are interned, and `T` is rejected as a transition label.
+    silently (the rest keep their first-seen order), labels are listed in
+    order of first appearance, and `T` is rejected as a transition label.
     """
 
     def __init__(
@@ -320,31 +321,20 @@ class Lts:
             raise ValueError(f"initial state {initial} out of range 0..{num_states - 1}")
         self._n = num_states
         self._initial = initial
-        interned: dict[str, str] = {}
-        label_order: list[str] = []
-
-        def intern(text: str) -> str:
-            if text == RESERVED_LABEL:
-                raise ValueError("'T' is reserved for label expressions, not transitions")
-            got = interned.get(text)
-            if got is None:
-                interned[text] = got = text
-                label_order.append(text)
-            return got
-
-        seen: set[tuple[int, str, int]] = set()
-        cleaned: list[tuple[int, str, int]] = []
-        for src, label, dst in transitions:
+        edges = tuple(dict.fromkeys(transitions))  # first-seen order
+        labels: dict[str, None] = {}
+        for src, label, dst in edges:
             if not (0 <= src < num_states and 0 <= dst < num_states):
                 raise ValueError(f"transition ({src}, {label!r}, {dst}) leaves the state range")
-            triple = (src, intern(label), dst)
-            if triple not in seen:
-                seen.add(triple)
-                cleaned.append(triple)
-        for text in extra_labels:
-            intern(text)
-        self._transitions = tuple(cleaned)
-        self._labels = tuple(label_order)
+            if label not in labels:
+                labels[label] = None
+                if label == RESERVED_LABEL:
+                    break  # reported below, before any later edge is looked at
+        labels.update(dict.fromkeys(extra_labels))
+        if RESERVED_LABEL in labels:
+            raise ValueError("'T' is reserved for label expressions, not transitions")
+        self._transitions = edges
+        self._labels = tuple(labels)
         self._images: dict[tuple[LabelExpr, bool], list[int]] = {}
         self._out: list[tuple[tuple[str, int], ...]] | None = None
 

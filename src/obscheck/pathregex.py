@@ -155,24 +155,11 @@ def _parse_operand(cur: Cursor) -> LabelExpr:
 
 
 # ---------------------------------------------------------------------------
-# Tick expansion and word matching
+# Tick steps and word matching
 
 
 # The steps a Tick stands for: `t` followed by `(-t)*`.
 TICK_STEPS = (One(TICK_ATOM), Star(NOT_TICK))
-
-
-def expand_tick(regex: PathRegex) -> PathRegex:
-    """Replace every Tick step by TICK_STEPS."""
-    if type(regex) is Eps:
-        return regex
-    if type(regex) is Union:
-        return Union(expand_tick(regex.left), expand_tick(regex.right))
-    head = expand_tick(regex.head)
-    if type(regex.step) is Tick:
-        return seq_of(TICK_STEPS, head)
-    return Seq(head, regex.step)
-
 
 _ONE, _STAR = 0, 1
 

@@ -9,28 +9,36 @@ current location).  Observer processes never take part in events: they carry
 urgent internal steps right after the observed event.
 
 Time is discrete: a distinguished tick edge (label `t`) advances every
-process clock by one, clamped at the largest constant relevant to the
-current location.  The clamp is sound only when every elapse transition with
-a finite upper bound is urgent, which construction and parsing enforce.
+process clock by one, clamped at the first value past every window of the
+current location: the largest, over the elapse and reaction windows leaving
+it, of the window's least integer when it is unbounded and one past its
+greatest integer otherwise (0 when it has none).  No window tells apart the
+clock values at or above the clamp, so clamping loses nothing.  Every elapse
+transition with a finite upper bound must be urgent, which construction and
+parsing enforce.
 
-Exploration rules, in priority order, from a state (locations, variables,
-clocks, pending reactions):
+Exploration rules, from a state (locations, variables, clocks, pending
+reactions):
 
   1. pending reactions, if any, are the only possible steps; firing one moves
      its observer, resets its clock, and drops that observer's pending entries;
-  2. otherwise any guard-enabled, non-suppressed event may fire; it applies
-     its assignments and queues every reaction on that event whose elapsed
-     window holds at this instant;
-  3. otherwise-any elapse whose clock lies in its window (and is not
-     suppressed) may fire;
-  4. the tick may fire only with no pending reaction, no firable urgent
-     event, and no urgent elapse sitting at its finite upper bound.
+  2. otherwise every event whose guard holds and every elapse whose clock lies
+     in its window is enabled, and the priorities are taken over the labels
+     of all of them: a label is suppressed when a label declared above it is
+     enabled.  Events and elapses that are not suppressed are offered
+     together.  An event applies its assignments, resets its clock unless it
+     keeps it, and queues every reaction on that event whose elapsed window
+     holds at this instant; an elapse resets its clock;
+  3. the tick may fire only with no pending reaction, no offered urgent event,
+     and no offered urgent elapse sitting at its finite upper bound; a
+     suppressed urgent step does not block the tick.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+import sys
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -58,15 +66,23 @@ class ExploreError(RuntimeError):
 _CMP_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
+_NOTHING: frozenset[str] = frozenset()
+
+# Upper end of an unbounded clock range: clocks are clamped far below it.
+_UNBOUNDED = sys.maxsize
+
+
+def _clock_range(window: Interval) -> tuple[int, int]:
+    """The clock values inside a window, as an inclusive range."""
+    lo, hi = window.integer_range()
+    return lo, _UNBOUNDED if hi is None else hi
+
 
 @dataclass(frozen=True)
 class Cmp:
     var: str
     op: str  # a key of _CMP_OPS
     value: int
-
-    def holds(self, value: int) -> bool:
-        return _CMP_OPS[self.op](value, self.value)
 
 
 @dataclass(frozen=True)
@@ -127,29 +143,60 @@ class TimedNet:
         object.__setattr__(self, "priorities", tuple(tuple(pair) for pair in self.priorities))
         self._validate()
         loc_index = tuple({loc: i for i, loc in enumerate(p.locations)} for p in self.processes)
-        # Observed event label -> (process, transition, source location index,
-        # window) of each reaction bound to it, in (process, transition) order.
-        reactions: dict[str, list[tuple[int, int, int, Interval]]] = {}
+        var_index = {name: i for i, name in enumerate(self.variables)}
+        # Observed event label -> ((process, transition), process, source
+        # location index, lo, hi) of each reaction bound to it, in (process,
+        # transition) order; the first field is its pending entry.
+        reactions: dict[str, list[tuple]] = {}
+        # Pending entry -> (label, target location index) of its reaction.
+        fires: dict[tuple[int, int], tuple[str, int]] = {}
         for p, proc in enumerate(self.processes):
             for ti, tr in enumerate(proc.transitions):
                 if type(tr.kind) is Reaction:
+                    source, target = loc_index[p][tr.source], loc_index[p][tr.target]
                     reactions.setdefault(tr.kind.event, []).append(
-                        (p, ti, loc_index[p][tr.source], tr.kind.window)
+                        ((p, ti), p, source, *_clock_range(tr.kind.window))
                     )
+                    fires[p, ti] = (tr.label, target)
+        # _moves[p][loc]: the event and elapse moves leaving location `loc` of
+        # process p, in transition order, each a tuple
+        #   (label, target, guard, assigns, reactions, resets, lo, hi, blocks_from)
+        # with the guard as (variable, operator, value) and the assigns as
+        # (variable, value) by variable index, the reactions the move queues,
+        # the clock window as the inclusive range lo..hi, and the clock value
+        # from which the offered move blocks the tick (_UNBOUNDED: never).
+        moves = tuple(tuple([] for _ in proc.locations) for proc in self.processes)
+        cmax = tuple([0] * len(proc.locations) for proc in self.processes)
+        for p, proc in enumerate(self.processes):
+            for tr in proc.transitions:
+                kind = tr.kind
+                source, target = loc_index[p][tr.source], loc_index[p][tr.target]
+                if type(kind) is Event:
+                    moves[p][source].append((
+                        tr.label, target,
+                        tuple((var_index[c.var], _CMP_OPS[c.op], c.value) for c in kind.guard),
+                        tuple((var_index[var], value) for var, value in kind.assigns),
+                        tuple(reactions.get(tr.label, ())), not kind.keepclock,
+                        0, _UNBOUNDED, 0 if kind.urgent else _UNBOUNDED,
+                    ))
+                    continue
+                lo, hi = _clock_range(kind.window)
+                cmax[p][source] = max(cmax[p][source], lo if hi == _UNBOUNDED else hi + 1)
+                if type(kind) is Elapse:
+                    moves[p][source].append((
+                        tr.label, target, (), (), (), True,
+                        lo, hi, hi if kind.urgent else _UNBOUNDED,
+                    ))
+        suppresses: dict[str, set[str]] = {}
+        for high, low in self.priorities:
+            suppresses.setdefault(high, set()).add(low)
         object.__setattr__(self, "_loc_index", loc_index)
-        object.__setattr__(self, "_cmax", tuple(self._cmax_table(p) for p in self.processes))
-        object.__setattr__(self, "_var_index", {name: i for i, name in enumerate(self.variables)})
-        object.__setattr__(self, "_reactions", reactions)
-
-    @staticmethod
-    def _cmax_table(proc: Process) -> tuple[int, ...]:
-        # By location index: the largest constant its clock is compared with.
-        table = {loc: 0 for loc in proc.locations}
-        for tr in proc.transitions:
-            if type(tr.kind) in (Elapse, Reaction):
-                w = tr.kind.window
-                table[tr.source] = max(table[tr.source], w.lower, w.upper or 0)
-        return tuple(table.values())
+        object.__setattr__(self, "_moves", tuple(tuple(map(tuple, m)) for m in moves))
+        object.__setattr__(self, "_cmax", tuple(map(tuple, cmax)))
+        object.__setattr__(self, "_fires", fires)
+        object.__setattr__(
+            self, "_suppresses", {high: frozenset(lows) for high, lows in suppresses.items()}
+        )
 
     def _validate(self) -> None:
         for name, decl in self.variables.items():
@@ -262,69 +309,61 @@ def _successors(net: TimedNet, state: NetState) -> list[tuple[str, NetState]]:
     locs, vals, clocks, pending = state
     if pending:
         out = []
-        for p, ti in pending:
-            tr = net.processes[p].transitions[ti]
+        for entry in pending:
+            p = entry[0]
+            label, target = net._fires[entry]
             nl = list(locs)
-            nl[p] = net._loc_index[p][tr.target]
+            nl[p] = target
             nc = list(clocks)
             nc[p] = 0
-            npend = tuple(e for e in pending if e[0] != p)
-            out.append((tr.label, (tuple(nl), vals, tuple(nc), npend)))
+            npend = tuple([e for e in pending if e[0] != p])
+            out.append((label, (tuple(nl), vals, tuple(nc), npend)))
         return out
 
-    var_index = net._var_index
-
-    # First pass: which event/elapse transitions are enabled, before priorities.
-    enabled: list[tuple[int, int, Transition]] = []
-    enabled_labels: set[str] = set()
-    for p, proc in enumerate(net.processes):
-        loc = proc.locations[locs[p]]
-        for ti, tr in enumerate(proc.transitions):
-            if tr.source != loc:
-                continue
-            kind = tr.kind
-            if type(kind) is Event:
-                if all(c.holds(vals[var_index[c.var]]) for c in kind.guard):
-                    enabled.append((p, ti, tr))
-                    enabled_labels.add(tr.label)
-            elif type(kind) is Elapse:
-                if kind.window.contains(clocks[p]):
-                    enabled.append((p, ti, tr))
-                    enabled_labels.add(tr.label)
-    suppressed = {low for high, low in net.priorities if high in enabled_labels}
-
+    # Every enabled move is offered and the priorities then filter what the
+    # labels of all of them suppress.
+    suppresses = net._suppresses
+    suppressed = _NOTHING
     out = []
-    tick_blocked = False
-    for p, ti, tr in enabled:
-        if tr.label in suppressed:
-            continue
-        kind = tr.kind
-        nl = list(locs)
-        nl[p] = net._loc_index[p][tr.target]
-        nc = list(clocks)
-        if type(kind) is Event:
-            if kind.urgent:
-                tick_blocked = True
-            nv = list(vals)
-            for var, value in kind.assigns:
-                nv[var_index[var]] = value
-            if not (kind.keepclock and tr.source == tr.target):
-                nc[p] = 0
-            npend = tuple(
-                (q, rti)
-                for q, rti, source, window in net._reactions.get(tr.label, ())
-                if locs[q] == source and window.contains(clocks[q])
-            )
-            out.append((tr.label, (tuple(nl), tuple(nv), tuple(nc), npend)))
-        else:
-            nc[p] = 0
-            out.append((tr.label, (tuple(nl), vals, tuple(nc), ())))
-            if kind.urgent and clocks[p] == kind.window.upper:
-                tick_blocked = True
+    blockers = []  # labels of the moves that block the tick if offered
+    for p, (clock, moves) in enumerate(zip(clocks, map(tuple.__getitem__, net._moves, locs))):
+        for label, target, guard, assigns, reactions, resets, lo, hi, blocks_from in moves:
+            if not lo <= clock <= hi:
+                continue
+            for var, op, value in guard:
+                if not op(vals[var], value):
+                    break
+            else:
+                if label in suppresses:
+                    suppressed = suppressed | suppresses[label]
+                if clock >= blocks_from:
+                    blockers.append(label)
+                nl = list(locs)
+                nl[p] = target
+                nc = clocks
+                if resets:
+                    nc = list(clocks)
+                    nc[p] = 0
+                    nc = tuple(nc)
+                nv = vals
+                if assigns:
+                    nv = list(vals)
+                    for var, value in assigns:
+                        nv[var] = value
+                    nv = tuple(nv)
+                npend = tuple([
+                    entry
+                    for entry, q, source, rlo, rhi in reactions
+                    if locs[q] == source and rlo <= clocks[q] <= rhi
+                ]) if reactions else ()
+                out.append((label, (tuple(nl), nv, nc, npend)))
+    if suppressed:
+        out = [step for step in out if step[0] not in suppressed]
+        blockers = [label for label in blockers if label not in suppressed]
 
-    if not tick_blocked:
-        assert not pending
-        nc = tuple(min(clocks[p] + 1, cmax[locs[p]]) for p, cmax in enumerate(net._cmax))
+    if not blockers:
+        # A clock never passes the clamp of its location, so it stops there.
+        nc = tuple([c + 1 if c < cmax[loc] else c for c, cmax, loc in zip(clocks, net._cmax, locs)])
         out.append((TICK_LABEL, (locs, vals, nc, ())))
     return out
 

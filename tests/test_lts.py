@@ -123,6 +123,9 @@ class TestPostPre:
                     assert fwd == bwd
 
 
+RESERVED = "'T' is reserved for label expressions, not transitions"
+
+
 class TestLtsConstruction:
     def test_duplicate_transitions_dropped(self):
         g = Lts(2, 0, [(0, "a", 1), (0, "a", 1)])
@@ -137,6 +140,31 @@ class TestLtsConstruction:
             Lts(2, 0, [(0, "a", 2)])
         with pytest.raises(ValueError):
             Lts(2, 5, [])
+
+    def test_duplicates_dropped_in_first_seen_order(self):
+        g = Lts(3, 0, [(1, "b", 2), (0, "a", 1), (1, "b", 2), (2, "a", 0), (0, "a", 1)])
+        assert g.transitions == ((1, "b", 2), (0, "a", 1), (2, "a", 0))
+
+    def test_labels_in_first_appearance_order(self):
+        g = Lts(3, 0, [(0, "b", 1), (1, "a", 2), (2, "b", 0)], extra_labels=["c", "a", "d", "c"])
+        assert g.labels == ("b", "a", "c", "d")
+
+    @pytest.mark.parametrize(
+        "edges, extra, message",
+        [
+            ([(0, "T", 1)], [], RESERVED),
+            ([(0, "a", 2)], [], "transition (0, 'a', 2) leaves the state range"),
+            ([(0, "T", 2)], [], "transition (0, 'T', 2) leaves the state range"),
+            ([(0, "a", 1), (0, "T", 1), (0, "b", 5)], [], RESERVED),
+            ([(0, "a", 1), (0, "b", 5), (0, "T", 1)], [], "transition (0, 'b', 5) leaves the state range"),
+            ([(0, "a", 1)], ["T"], RESERVED),
+            ([(0, "a", 7)], ["T"], "transition (0, 'a', 7) leaves the state range"),
+        ],
+    )
+    def test_first_fault_is_reported(self, edges, extra, message):
+        with pytest.raises(ValueError) as err:
+            Lts(2, 0, edges, extra_labels=extra)
+        assert str(err.value) == message
 
 
 class TestAutFormat:

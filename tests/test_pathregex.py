@@ -18,13 +18,14 @@ from obscheck.pathregex import (
     Tick,
     Union,
     build_nfa,
-    expand_tick,
     match_word,
     oracle_end_states,
     oracle_visited_states,
     parse_regex,
 )
-from obscheck.timednet import builtin_present, explore_full, describe_state
+from obscheck.mucalc import eval_mu
+from obscheck.mucompile import compile_both
+from obscheck.timednet import builtin_present, describe_state, explore, explore_full
 
 ALPHABET = ("a", "b", "t", "z")
 
@@ -56,24 +57,36 @@ class TestParse:
         assert parse_regex("eps . a") == Seq(EPS, One(Atom("a")))
 
 
-class TestExpandTick:
-    def test_single_tick(self):
-        got = expand_tick(Seq(EPS, Tick()))
-        assert got == Seq(Seq(EPS, One(Atom("t"))), Star(LNot(Atom("t"))))
+class TestTickSteps:
+    """A Tick step stands for `t . (-t)*`: the NFA, the word matcher and the
+    compiled formulas all read it so."""
 
-    def test_without_tick_unchanged(self):
-        r = parse_regex("(-b)* . b")
-        assert expand_tick(r) == r
+    def test_single_tick(self):
+        assert_same_meaning(Seq(EPS, Tick()), parse_regex("t . (-t)*"))
+
+    def test_tick_inside_a_sequence(self):
+        assert_same_meaning(parse_regex("(-b)* . b . Tick . a"), parse_regex("(-b)* . b . t . (-t)* . a"))
 
     def test_window_branch_has_four_tick_blocks(self):
-        flat = expand_tick(pres45().right)
-        count = 0
-        node = flat
-        while isinstance(node, Seq):
-            if node.step == One(Atom("t")):
-                count += 1
-            node = node.head
-        assert count == 4
+        blocks = " . ".join(["t . (-t)*"] * 4)
+        spelled = parse_regex(f"(-b)* . b . (-t)* . {blocks} . a . T*")
+        assert_same_meaning(pres45().right, spelled)
+
+
+def assert_same_meaning(regex, spelled, max_length=7):
+    """`regex` and `spelled` accept the same words up to `max_length`, by
+    build_nfa and by match_word, and their compiled end and visited formulas
+    give the same sets on seeded random graphs and on the present model."""
+    nfa, spelled_nfa = build_nfa(regex), build_nfa(spelled)
+    for length in range(max_length + 1):
+        for w in itertools.product(ALPHABET, repeat=length):
+            assert nfa.accepts(w) == spelled_nfa.accepts(w) == match_word(regex, w) == match_word(spelled, w), w
+    rng = random.Random(5)
+    graphs = [random_lts(rng) for _ in range(40)] + [explore(builtin_present(4, 5))]
+    formulas, spelled_formulas = compile_both(regex), compile_both(spelled)
+    for g in graphs:
+        for f, spelled_f in zip(formulas, spelled_formulas):
+            assert eval_mu(g, f) == eval_mu(g, spelled_f)
 
 
 class TestSharedChain:

@@ -1,9 +1,14 @@
+import hashlib
+import operator
+from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obscheck.checker import find_tickless_cycle, internal_label_expr
-from obscheck.lts import Atom
+from obscheck.lts import Atom, save_aut
 from obscheck.timednet import (
     Cmp,
     Elapse,
@@ -11,6 +16,7 @@ from obscheck.timednet import (
     ExploreError,
     NetError,
     Process,
+    Reaction,
     TimedNet,
     Interval,
     Transition,
@@ -169,6 +175,246 @@ class TestExploreSemantics:
                 assert labels == reaction_labels
 
 
+class TestClockClamp:
+    """A clock stops at the first value past every window of its location,
+    so a clamped clock is never inside a window it has left."""
+
+    def test_open_lower_bound_is_reached(self):
+        g = explore(parse_net("process P\ninit s0\nfrom s0 elapse ]2,w[ label go to s1"))
+        assert _walk(g, ["t", "t"]) is not None and "go" not in _labels_at(g, _walk(g, ["t", "t"]))
+        assert "go" in _labels_at(g, _walk(g, ["t", "t", "t"]))
+
+    def test_probe_window_closes_after_its_upper_bound(self):
+        net = parse_net(
+            "process Sys\ninit l\nfrom l on e to l\n"
+            "process Obs\ninit w\nfrom w probe e when elapsed in [0,1] label r to w"
+        )
+        g = explore(net)
+        for ticks in (0, 1):
+            assert _labels_at(g, _walk(g, ["t"] * ticks + ["e"])) == {"r"}
+        for ticks in (2, 3, 4):
+            assert "r" not in _labels_at(g, _walk(g, ["t"] * ticks + ["e"]))
+
+
+def _walk(g, labels):
+    """The state reached from the initial one along `labels`, each of which
+    must label exactly one edge on the way."""
+    state = g.initial
+    for label in labels:
+        (state,) = [dst for lab, dst in g.out_edges(state) if lab == label]
+    return state
+
+
+def _labels_at(g, state):
+    return {lab for lab, _ in g.out_edges(state)}
+
+
+# SHA-256 of save_aut(explore(net)), recorded before exploration read the
+# networks through compiled move tables.
+BUILTIN_DIGESTS = {
+    "present_4_5": "dd00e309f5c9598099fa5aa294b8e2ac3ccccee8317810367e6b832073d3af6a",
+    "present_12_20": "1a6fd8fdf0d159c3eb8f635c5d659e53014f4d0249f4097b1a84d8c2f976b5e6",
+    "mouse": "b83adc09b1eb26a8f280f8f21b96d6546ed6f2e877deca88dec8502ab9172050",
+}
+
+
+@pytest.mark.parametrize(
+    "name, net",
+    [
+        ("present_4_5", builtin_present(4, 5)),
+        ("present_12_20", builtin_present(12, 20)),
+        ("mouse", builtin_mouse()),
+    ],
+)
+def test_builtin_graphs_are_unchanged(name, net):
+    digest = hashlib.sha256(save_aut(explore(net)).encode()).hexdigest()
+    assert digest == BUILTIN_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# A name-based reference for exploration, written from the rules in the
+# timednet module docstring, compared with explore_full on random networks.
+
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _replace(seq, i, value):
+    out = list(seq)
+    out[i] = value
+    return tuple(out)
+
+
+def _clamp(proc, loc):
+    out = 0
+    for tr in proc.transitions:
+        if tr.source == loc and type(tr.kind) in (Elapse, Reaction):
+            lo, hi = tr.kind.window.integer_range()
+            out = max(out, lo if hi is None else hi + 1)
+    return out
+
+
+def reference_successors(net, state):
+    locs, vals, clocks, pending = state
+    procs = net.processes
+    here = [proc.locations[i] for proc, i in zip(procs, locs)]
+    if pending:
+        out = []
+        for p, ti in pending:
+            tr = procs[p].transitions[ti]
+            nl = _replace(locs, p, procs[p].locations.index(tr.target))
+            rest = tuple(e for e in pending if e[0] != p)
+            out.append((tr.label, (nl, vals, _replace(clocks, p, 0), rest)))
+        return out
+    env = dict(zip(net.variables, vals))
+    enabled = []
+    for p, proc in enumerate(procs):
+        for tr in proc.transitions:
+            if tr.source != here[p]:
+                continue
+            if type(tr.kind) is Event:
+                if all(_OPS[c.op](env[c.var], c.value) for c in tr.kind.guard):
+                    enabled.append((p, tr))
+            elif type(tr.kind) is Elapse and tr.kind.window.contains(clocks[p]):
+                enabled.append((p, tr))
+    labels = {tr.label for _, tr in enabled}
+    suppressed = {low for high, low in net.priorities if high in labels}
+    out = []
+    blocked = False
+    for p, tr in enabled:
+        if tr.label in suppressed:
+            continue
+        nl = _replace(locs, p, procs[p].locations.index(tr.target))
+        if type(tr.kind) is Event:
+            new_env = dict(env, **dict(tr.kind.assigns))
+            nv = tuple(new_env[name] for name in net.variables)
+            nc = clocks if tr.kind.keepclock else _replace(clocks, p, 0)
+            queued = tuple(
+                (q, qi)
+                for q, qproc in enumerate(procs)
+                for qi, qtr in enumerate(qproc.transitions)
+                if type(qtr.kind) is Reaction
+                and qtr.kind.event == tr.label
+                and qtr.source == here[q]
+                and qtr.kind.window.contains(clocks[q])
+            )
+            out.append((tr.label, (nl, nv, nc, queued)))
+            blocked |= tr.kind.urgent
+        else:
+            out.append((tr.label, (nl, vals, _replace(clocks, p, 0), ())))
+            blocked |= tr.kind.urgent and clocks[p] == tr.kind.window.upper
+    if not blocked:
+        nc = tuple(min(c + 1, _clamp(proc, loc)) for c, proc, loc in zip(clocks, procs, here))
+        out.append(("t", (locs, vals, nc, ())))
+    return out
+
+
+def reference_explore(net, max_states):
+    """(states in BFS order, transitions), or None past `max_states`."""
+    init = (
+        tuple(proc.locations.index(proc.initial) for proc in net.processes),
+        tuple(decl.init for decl in net.variables.values()),
+        (0,) * len(net.processes),
+        (),
+    )
+    index = {init: 0}
+    order = [init]
+    transitions = []
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for label, succ in reference_successors(net, order[i]):
+            if succ not in index:
+                if len(order) >= max_states:
+                    return None
+                index[succ] = len(order)
+                order.append(succ)
+                queue.append(index[succ])
+            transitions.append((i, label, index[succ]))
+    return tuple(order), transitions
+
+
+@st.composite
+def networks(draw):
+    """Valid networks of one or two ordinary processes and up to two
+    observers probing their events, over at most two small variables."""
+    variables = {
+        f"v{i}": VarDecl(0, hi, draw(st.integers(0, hi)))
+        for i, hi in enumerate(draw(st.lists(st.integers(0, 2), max_size=2)))
+    }
+    events = ("a", "b", "c")
+
+    def cmp():
+        var = draw(st.sampled_from(sorted(variables)))
+        return Cmp(var, draw(st.sampled_from(sorted(_OPS))), draw(st.integers(-1, 3)))
+
+    def window(urgent):
+        lo = draw(st.integers(0, 3))
+        if urgent:
+            return Interval(lo, lo + draw(st.integers(0, 2)))
+        return Interval(lo, None, lower_open=draw(st.booleans()))
+
+    def probe_window():
+        lo = draw(st.integers(0, 2))
+        hi = draw(st.one_of(st.none(), st.integers(lo, lo + 2)))
+        lower_open = draw(st.booleans())
+        w = Interval(lo, hi, lower_open=lower_open, upper_open=hi is not None and draw(st.booleans()))
+        return w if w.integer_range() is not None else Interval(lo, hi)
+
+    processes = []
+    used = set()
+    fired = []  # the event labels of the ordinary processes, which probes observe
+
+    def process(name, observer):
+        locs = [f"l{i}" for i in range(draw(st.integers(1, 3)))]
+        transitions = []
+        for _ in range(draw(st.integers(1, 4))):
+            source, target = draw(st.sampled_from(locs)), draw(st.sampled_from(locs))
+            roll = draw(st.integers(0, 4))
+            if observer and roll < 3:
+                label = draw(st.sampled_from(("r", "s")))
+                kind = Reaction(draw(st.sampled_from(fired)), probe_window())
+            elif not observer and roll < 3:
+                label = draw(st.sampled_from(events))
+                fired.append(label)
+                assigned = draw(st.sets(st.sampled_from(sorted(variables)), max_size=2)) if variables else ()
+                kind = Event(
+                    guard=tuple(cmp() for _ in range(draw(st.integers(0, 2 if variables else 0)))),
+                    assigns=tuple((var, draw(st.integers(0, variables[var].hi))) for var in sorted(assigned)),
+                    urgent=draw(st.booleans()),
+                    keepclock=source == target and draw(st.booleans()),
+                )
+            else:
+                label = draw(st.sampled_from(("d", "e")))
+                urgent = draw(st.booleans())
+                kind = Elapse(window(urgent), urgent=urgent)
+            used.add(label)
+            transitions.append(Transition(source, target, label, kind))
+        return Process(name, tuple(locs), locs[0], tuple(transitions))
+
+    for p in range(draw(st.integers(1, 2))):
+        processes.append(process(f"P{p}", observer=False))
+    if fired:
+        for o in range(draw(st.integers(0, 2))):
+            processes.append(process(f"O{o}", observer=True))
+    labels = st.sampled_from(sorted(used))
+    priorities = draw(st.lists(st.tuples(labels, labels), max_size=3))
+    return TimedNet(variables=variables, processes=tuple(processes), priorities=priorities)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(networks())
+def test_exploration_agrees_with_the_reference(net):
+    expected = reference_explore(net, 2000)
+    if expected is None:
+        with pytest.raises(ExploreError):
+            explore_full(net, 2000)
+        return
+    g, states = explore_full(net, 2000)
+    assert states == expected[0]
+    assert g.transitions == tuple(dict.fromkeys(expected[1]))
+
+
 class TestValidation:
     def test_nonurgent_bounded_elapse_rejected(self):
         with pytest.raises(NetError, match="urgent"):
@@ -184,8 +430,6 @@ class TestValidation:
             )
 
     def test_observer_with_events_rejected(self):
-        from obscheck.timednet import Reaction
-
         with pytest.raises(NetError, match="observers"):
             TimedNet(
                 processes=[
@@ -202,8 +446,6 @@ class TestValidation:
             )
 
     def test_unknown_probe_event_rejected(self):
-        from obscheck.timednet import Reaction
-
         with pytest.raises(NetError, match="unknown event"):
             TimedNet(
                 processes=[
