@@ -337,6 +337,7 @@ class Lts:
         self._labels = tuple(labels)
         self._images: dict[tuple[LabelExpr, bool], list[int]] = {}
         self._out: list[tuple[tuple[str, int], ...]] | None = None
+        self._sorted: list[tuple[int, str, int]] | None = None
 
     @property
     def num_states(self) -> int:
@@ -386,6 +387,13 @@ class Lts:
                 out[src].append((label, dst))
             self._out = [tuple(edges) for edges in out]
         return self._out[state]
+
+    def _sorted_transitions(self) -> list[tuple[int, str, int]]:
+        """The transitions sorted by (source, label text, target), the order
+        save_aut and to_dot write; sorted once and shared, never modified."""
+        if self._sorted is None:
+            self._sorted = sorted(self._transitions)
+        return self._sorted
 
     def _image_masks(self, expr: LabelExpr, forward: bool) -> list[int]:
         """Per state, the bit mask of its successors (forward) or predecessors
@@ -463,9 +471,9 @@ def load_aut(text: str) -> Lts:
 def save_aut(g: Lts) -> str:
     """Canonical text: transitions sorted by (source, label text, target)."""
     lines = [f"des ({g.initial}, {len(g.transitions)}, {g.num_states})"]
-    for src, label, dst in sorted(g.transitions):
-        lines.append(f'({src}, "{label}", {dst})')
-    return "\n".join(lines) + "\n"
+    lines += [f'({src}, "{label}", {dst})' for src, label, dst in g._sorted_transitions()]
+    lines.append("")  # a last empty line ends the text with a newline, without a copy
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +491,17 @@ def to_dot(g: Lts, highlight: StateSet | None = None) -> str:
     if highlight is not None and highlight.width != g.num_states:
         raise ValueError("highlight set belongs to a different graph")
     lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=circle];"]
-    for state in range(g.num_states):
+    filled = 0 if highlight is None else highlight.bits
+    for state in StateSet(g.num_states, filled | (1 << g.initial)):  # ascending
         attrs = []
         if state == g.initial:
             attrs.append("shape=doublecircle")
-        if highlight is not None and state in highlight:
+        if (filled >> state) & 1:
             attrs.append("style=filled")
-        if attrs:
-            lines.append(f"  {state} [{', '.join(attrs)}];")
-    for src, label, dst in sorted(g.transitions):
-        lines.append(f"  {src} -> {dst} [label={_dot_quote(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"  {state} [{', '.join(attrs)}];")
+    quoted = {label: _dot_quote(label) for label in g.labels}
+    lines += [
+        f"  {src} -> {dst} [label={quoted[label]}];" for src, label, dst in g._sorted_transitions()
+    ]
+    lines += ["}", ""]
+    return "\n".join(lines)

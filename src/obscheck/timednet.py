@@ -32,6 +32,16 @@ reactions):
   3. the tick may fire only with no pending reaction, no offered urgent event,
      and no offered urgent elapse sitting at its finite upper bound; a
      suppressed urgent step does not block the tick.
+
+The search keys, stores and builds each state as one int, its state code:
+one bit per reaction entry (the pending set, in (process, transition)
+order from the lowest bit up), then one field per process holding
+`location | clock << location_bits`, then one field per variable holding
+`value - lo`.  Each step is a mask and an or on that int, read from rows
+compiled the first time the search meets a process field value; the rows
+live as long as one exploration call, and none is built ahead of time, so
+nothing is sized by a window bound.  `explore` never decodes a state code;
+`explore_full` decodes each one once into a `NetState`.
 """
 
 from __future__ import annotations
@@ -39,7 +49,6 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -67,6 +76,9 @@ _CMP_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 _NOTHING: frozenset[str] = frozenset()
+
+# The reactions of a row that queues none; shared, and never written to.
+_NO_REACTIONS: dict[str, int] = {}
 
 # Upper end of an unbounded clock range: clocks are clamped far below it.
 _UNBOUNDED = sys.maxsize
@@ -144,31 +156,22 @@ class TimedNet:
         self._validate()
         loc_index = tuple({loc: i for i, loc in enumerate(p.locations)} for p in self.processes)
         var_index = {name: i for i, name in enumerate(self.variables)}
-        # Observed event label -> ((process, transition), process, source
-        # location index, lo, hi) of each reaction bound to it, in (process,
-        # transition) order; the first field is its pending entry.
-        reactions: dict[str, list[tuple]] = {}
-        # Pending entry -> (label, target location index) of its reaction.
-        fires: dict[tuple[int, int], tuple[str, int]] = {}
-        for p, proc in enumerate(self.processes):
-            for ti, tr in enumerate(proc.transitions):
-                if type(tr.kind) is Reaction:
-                    source, target = loc_index[p][tr.source], loc_index[p][tr.target]
-                    reactions.setdefault(tr.kind.event, []).append(
-                        ((p, ti), p, source, *_clock_range(tr.kind.window))
-                    )
-                    fires[p, ti] = (tr.label, target)
         # _moves[p][loc]: the event and elapse moves leaving location `loc` of
         # process p, in transition order, each a tuple
-        #   (label, target, guard, assigns, reactions, resets, lo, hi, blocks_from)
+        #   (label, target, guard, assigns, resets, event, lo, hi, blocks_from)
         # with the guard as (variable, operator, value) and the assigns as
-        # (variable, value) by variable index, the reactions the move queues,
-        # the clock window as the inclusive range lo..hi, and the clock value
-        # from which the offered move blocks the tick (_UNBOUNDED: never).
+        # (variable, value) by variable index, whether it is an event (only
+        # events queue the reactions on their label), the clock window as the
+        # inclusive range lo..hi, and the clock value from which the offered
+        # move blocks the tick (_UNBOUNDED: never).
         moves = tuple(tuple([] for _ in proc.locations) for proc in self.processes)
         cmax = tuple([0] * len(proc.locations) for proc in self.processes)
+        # _reactions: every reaction, in (process, transition) order, as
+        #   (process, transition, event, source, lo, hi, label, target)
+        # with the elapsed window as the inclusive range lo..hi.
+        reactions = []
         for p, proc in enumerate(self.processes):
-            for tr in proc.transitions:
+            for ti, tr in enumerate(proc.transitions):
                 kind = tr.kind
                 source, target = loc_index[p][tr.source], loc_index[p][tr.target]
                 if type(kind) is Event:
@@ -176,24 +179,25 @@ class TimedNet:
                         tr.label, target,
                         tuple((var_index[c.var], _CMP_OPS[c.op], c.value) for c in kind.guard),
                         tuple((var_index[var], value) for var, value in kind.assigns),
-                        tuple(reactions.get(tr.label, ())), not kind.keepclock,
-                        0, _UNBOUNDED, 0 if kind.urgent else _UNBOUNDED,
+                        not kind.keepclock, True, 0, _UNBOUNDED, 0 if kind.urgent else _UNBOUNDED,
                     ))
                     continue
                 lo, hi = _clock_range(kind.window)
                 cmax[p][source] = max(cmax[p][source], lo if hi == _UNBOUNDED else hi + 1)
                 if type(kind) is Elapse:
                     moves[p][source].append((
-                        tr.label, target, (), (), (), True,
+                        tr.label, target, (), (), True, False,
                         lo, hi, hi if kind.urgent else _UNBOUNDED,
                     ))
+                else:
+                    reactions.append((p, ti, kind.event, source, lo, hi, tr.label, target))
         suppresses: dict[str, set[str]] = {}
         for high, low in self.priorities:
             suppresses.setdefault(high, set()).add(low)
         object.__setattr__(self, "_loc_index", loc_index)
         object.__setattr__(self, "_moves", tuple(tuple(map(tuple, m)) for m in moves))
         object.__setattr__(self, "_cmax", tuple(map(tuple, cmax)))
-        object.__setattr__(self, "_fires", fires)
+        object.__setattr__(self, "_reactions", tuple(reactions))
         object.__setattr__(
             self, "_suppresses", {high: frozenset(lows) for high, lows in suppresses.items()}
         )
@@ -253,8 +257,8 @@ class TimedNet:
                     else:
                         if w.upper is not None:
                             raise NetError(
-                                "an elapse with a finite upper bound must be urgent "
-                                "(clock clamping is unsound otherwise)"
+                                "an elapse with a finite upper bound must be urgent; "
+                                "only an unbounded elapse may be skipped by letting time pass"
                             )
                 elif type(kind) is Reaction:
                     has_reaction = True
@@ -305,79 +309,167 @@ def describe_state(net: TimedNet, state: NetState) -> dict:
     }
 
 
-def _successors(net: TimedNet, state: NetState) -> list[tuple[str, NetState]]:
-    locs, vals, clocks, pending = state
-    if pending:
-        out = []
-        for entry in pending:
-            p = entry[0]
-            label, target = net._fires[entry]
-            nl = list(locs)
-            nl[p] = target
-            nc = list(clocks)
-            nc[p] = 0
-            npend = tuple([e for e in pending if e[0] != p])
-            out.append((label, (tuple(nl), vals, tuple(nc), npend)))
-        return out
+class _Layout:
+    """The bit fields of one network's state code, as the module docstring
+    orders them, each the fewest bits that hold every value it can take."""
 
-    # Every enabled move is offered and the priorities then filter what the
-    # labels of all of them suppress.
+    def __init__(self, net: TimedNet):
+        self.reactions = net._reactions
+        offset = len(net._reactions)
+        self.procs = []  # (offset, location bits, width) per process
+        for moves, cmax in zip(net._moves, net._cmax):
+            loc_bits = (len(moves) - 1).bit_length()
+            width = loc_bits + max(cmax).bit_length()
+            self.procs.append((offset, loc_bits, width))
+            offset += width
+        self.vars = []  # (offset, width, lo) per variable
+        for decl in net.variables.values():
+            width = (decl.hi - decl.lo).bit_length()
+            self.vars.append((offset, width, decl.lo))
+            offset += width
+
+    def encode(self, state: NetState) -> int:
+        """The code of a state with no pending reaction, such as the initial one."""
+        locs, vals, clocks, pending = state
+        assert not pending
+        code = 0
+        for (offset, loc_bits, _), loc, clock in zip(self.procs, locs, clocks):
+            code |= (loc | clock << loc_bits) << offset
+        for (offset, _, lo), value in zip(self.vars, vals):
+            code |= (value - lo) << offset
+        return code
+
+    def decode(self, code: int) -> NetState:
+        fields = [
+            ((code >> offset) & ((1 << width) - 1), loc_bits) for offset, loc_bits, width in self.procs
+        ]
+        return (
+            tuple(field & ((1 << loc_bits) - 1) for field, loc_bits in fields),
+            tuple(((code >> offset) & ((1 << width) - 1)) + lo for offset, width, lo in self.vars),
+            tuple(field >> loc_bits for field, loc_bits in fields),
+            tuple((p, ti) for i, (p, ti, *_) in enumerate(self.reactions) if (code >> i) & 1),
+        )
+
+
+def _search(net: TimedNet, max_states: int) -> tuple[Lts, list[int]]:
+    """Breadth-first state graph over state codes, plus the code of each state.
+
+    A process's moves, reactions and tick increment depend only on its own
+    field, so each field value met is compiled once into a row, kept for
+    this call: its admitted moves as constant (keep, put) masks, with each
+    guard as (offset, mask, operator, value - lo); its tick increment (0 at
+    the clamp); and per observed event the pending bits it queues.  A step is
+    then `(s & keep) | put`, and the tick is `s + increment`.
+    """
+    layout = _Layout(net)
+    procs, var_fields = layout.procs, layout.vars
+
+    def field_mask(offset: int, width: int) -> int:
+        return ((1 << width) - 1) << offset
+
+    # Per process, its reactions as (bit, event, source, lo, hi) and the
+    # mask of their pending bits.  Firing a pending bit is the step
+    # (label, keep, put): it moves its observer, resets that observer's
+    # clock and drops all of that observer's pending entries.
+    reactions = [[] for _ in procs]
+    owned = [0] * len(procs)
+    for bit, (p, _, event, source, lo, hi, _, _) in enumerate(net._reactions):
+        reactions[p].append((bit, event, source, lo, hi))
+        owned[p] |= 1 << bit
+    fire = []
+    for p, _, _, _, _, _, label, target in net._reactions:
+        offset, _, width = procs[p]
+        fire.append((label, ~(field_mask(offset, width) | owned[p]), target << offset))
+    pending_mask = (1 << len(fire)) - 1
+    watchers: dict[str, list[int]] = {}  # event label -> processes reacting to it
+    for p, by_process in enumerate(reactions):
+        for event in dict.fromkeys(event for _, event, _, _, _ in by_process):
+            watchers.setdefault(event, []).append(p)
+
+    def compile_move(p, label, target, guard, assigns, resets, event, lo, hi, blocks_from):
+        offset, loc_bits, width = procs[p]
+        keep = ~field_mask(offset, width if resets else loc_bits)
+        put = target << offset
+        for var, value in assigns:
+            voffset, vwidth, vlo = var_fields[var]
+            keep &= ~field_mask(voffset, vwidth)
+            put = (put & ~field_mask(voffset, vwidth)) | (value - vlo) << voffset
+        guards = tuple(
+            (var_fields[var][0], (1 << var_fields[var][1]) - 1, op, value - var_fields[var][2])
+            for var, op, value in guard
+        )
+        reactors = tuple(watchers.get(label, ())) if event else ()
+        return lo, hi, blocks_from, label, keep, put, guards, reactors
+
+    compiled = [
+        [[compile_move(p, *move) for move in moves] for moves in by_loc]
+        for p, by_loc in enumerate(net._moves)
+    ]
+    ticks = [1 << (offset + loc_bits) for offset, loc_bits, _ in procs]  # one tick of each clock
+
+    def build_row(p: int, field: int):
+        loc_bits = procs[p][1]
+        loc, clock = field & ((1 << loc_bits) - 1), field >> loc_bits
+        moves = tuple(
+            (label, keep, put, guards, reactors, clock >= blocks_from)
+            for lo, hi, blocks_from, label, keep, put, guards, reactors in compiled[p][loc]
+            if lo <= clock <= hi
+        )
+        queues: dict[str, int] = {}
+        for bit, event, source, lo, hi in reactions[p]:
+            if source == loc and lo <= clock <= hi:
+                queues[event] = queues.get(event, 0) | 1 << bit
+        inc = ticks[p] if clock < net._cmax[p][loc] else 0
+        return moves, inc, queues or _NO_REACTIONS
+
+    readers = [(p, offset, (1 << width) - 1, {}) for p, (offset, _, width) in enumerate(procs)]
     suppresses = net._suppresses
-    suppressed = _NOTHING
-    out = []
-    blockers = []  # labels of the moves that block the tick if offered
-    for p, (clock, moves) in enumerate(zip(clocks, map(tuple.__getitem__, net._moves, locs))):
-        for label, target, guard, assigns, reactions, resets, lo, hi, blocks_from in moves:
-            if not lo <= clock <= hi:
-                continue
-            for var, op, value in guard:
-                if not op(vals[var], value):
-                    break
-            else:
-                if label in suppresses:
-                    suppressed = suppressed | suppresses[label]
-                if clock >= blocks_from:
-                    blockers.append(label)
-                nl = list(locs)
-                nl[p] = target
-                nc = clocks
-                if resets:
-                    nc = list(clocks)
-                    nc[p] = 0
-                    nc = tuple(nc)
-                nv = vals
-                if assigns:
-                    nv = list(vals)
-                    for var, value in assigns:
-                        nv[var] = value
-                    nv = tuple(nv)
-                npend = tuple([
-                    entry
-                    for entry, q, source, rlo, rhi in reactions
-                    if locs[q] == source and rlo <= clocks[q] <= rhi
-                ]) if reactions else ()
-                out.append((label, (tuple(nl), nv, nc, npend)))
-    if suppressed:
-        out = [step for step in out if step[0] not in suppressed]
-        blockers = [label for label in blockers if label not in suppressed]
-
-    if not blockers:
-        # A clock never passes the clamp of its location, so it stops there.
-        nc = tuple([c + 1 if c < cmax[loc] else c for c, cmax, loc in zip(clocks, net._cmax, locs)])
-        out.append((TICK_LABEL, (locs, vals, nc, ())))
-    return out
-
-
-def explore_full(net: TimedNet, max_states: int = 100_000) -> tuple[Lts, tuple[NetState, ...]]:
-    """Breadth-first state graph plus the network state behind each index."""
-    init = initial_state(net)
-    index: dict[NetState, int] = {init: 0}
-    order: list[NetState] = [init]
-    transitions: list[tuple[int, str, int]] = []
-    queue = deque((0,))
-    while queue:
-        i = queue.popleft()
-        for label, succ in _successors(net, order[i]):
+    init = layout.encode(initial_state(net))
+    index = {init: 0}
+    order = [init]
+    transitions = []
+    for i, s in enumerate(order):  # the loop reaches every state appended below
+        out = []
+        if s & pending_mask:
+            bits = s & pending_mask
+            while bits:
+                low = bits & -bits
+                label, keep, put = fire[low.bit_length() - 1]
+                out.append((label, (s & keep) | put))
+                bits ^= low
+        else:
+            here = []
+            inc = 0
+            for p, offset, mask, rows in readers:
+                field = (s >> offset) & mask
+                row = rows.get(field)
+                if row is None:
+                    row = rows[field] = build_row(p, field)
+                here.append(row)
+                inc += row[1]
+            # Every enabled move is offered and the priorities then filter
+            # what the labels of all of them suppress.
+            suppressed = _NOTHING
+            blockers = []  # labels of the moves that block the tick if offered
+            for moves, _, _ in here:
+                for label, keep, put, guards, reactors, blocks in moves:
+                    for offset, mask, op, value in guards:
+                        if not op((s >> offset) & mask, value):
+                            break
+                    else:
+                        if label in suppresses:
+                            suppressed = suppressed | suppresses[label]
+                        if blocks:
+                            blockers.append(label)
+                        for q in reactors:
+                            put |= here[q][2].get(label, 0)
+                        out.append((label, (s & keep) | put))
+            if suppressed:
+                out = [step for step in out if step[0] not in suppressed]
+                blockers = [label for label in blockers if label not in suppressed]
+            if not blockers:
+                out.append((TICK_LABEL, s + inc))
+        for label, succ in out:
             j = index.get(succ)
             if j is None:
                 j = len(order)
@@ -385,14 +477,19 @@ def explore_full(net: TimedNet, max_states: int = 100_000) -> tuple[Lts, tuple[N
                     raise ExploreError(f"state count exceeded the ceiling of {max_states}")
                 index[succ] = j
                 order.append(succ)
-                queue.append(j)
             transitions.append((i, label, j))
-    return Lts(len(order), 0, transitions), tuple(order)
+    return Lts(len(order), 0, transitions), order
+
+
+def explore_full(net: TimedNet, max_states: int = 100_000) -> tuple[Lts, tuple[NetState, ...]]:
+    """Breadth-first state graph plus the network state behind each index."""
+    g, codes = _search(net, max_states)
+    return g, tuple(map(_Layout(net).decode, codes))
 
 
 def explore(net: TimedNet, max_states: int = 100_000) -> Lts:
     """Deterministic discrete-time state graph of the network."""
-    return explore_full(net, max_states)[0]
+    return _search(net, max_states)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,15 @@ class TestAutFormat:
         assert save_aut(g) == 'des (0, 2, 3)\n(0, "a", 1)\n(1, "t", 2)\n'
         assert save_aut(load_aut(save_aut(g))) == save_aut(g)
 
+    def test_save_sorts_edges_given_out_of_source_order(self):
+        g = Lts(3, 1, [(2, "t", 0), (0, "b", 2), (1, "a", 2), (0, "a", 2), (0, "a", 1)])
+        expected = (
+            'des (1, 5, 3)\n(0, "a", 1)\n(0, "a", 2)\n(0, "b", 2)\n(1, "a", 2)\n(2, "t", 0)\n'
+        )
+        assert save_aut(g) == expected
+        assert save_aut(g) == expected  # the second call reads the kept sort
+        assert g.transitions[0] == (2, "t", 0)
+
     def test_round_trip_over_generated_graph(self):
         g = explore(builtin_present(4, 5))
         assert load_aut(save_aut(g)) == g
@@ -216,3 +225,36 @@ class TestDot:
         text = to_dot(g)
         assert "0 [shape=doublecircle];" in text
         assert "->" not in text
+
+    def test_highlight_containing_the_initial_state(self):
+        g = chain_lts("a", "t")
+        assert to_dot(g, g.set_of([2, 0])) == (
+            "digraph lts {\n  rankdir=LR;\n  node [shape=circle];\n"
+            "  0 [shape=doublecircle, style=filled];\n"
+            "  2 [style=filled];\n"
+            "  0 -> 1 [label=a];\n  1 -> 2 [label=t];\n}\n"
+        )
+
+    def test_highlight_without_the_initial_state(self):
+        g = Lts(4, 2, [(0, "a", 1), (2, "b", 3)])
+        assert to_dot(g, g.set_of([3, 1])) == (
+            "digraph lts {\n  rankdir=LR;\n  node [shape=circle];\n"
+            "  1 [style=filled];\n"
+            "  2 [shape=doublecircle];\n"
+            "  3 [style=filled];\n"
+            "  0 -> 1 [label=a];\n  2 -> 3 [label=b];\n}\n"
+        )
+
+    def test_edges_given_out_of_source_order(self):
+        g = Lts(3, 0, [(2, "t", 0), (1, "b", 2), (0, "b", 1), (0, "a", 2)], extra_labels=["c"])
+        expected = (
+            "digraph lts {\n  rankdir=LR;\n  node [shape=circle];\n"
+            "  0 [shape=doublecircle];\n"
+            "  0 -> 2 [label=a];\n  0 -> 1 [label=b];\n"
+            "  1 -> 2 [label=b];\n  2 -> 0 [label=t];\n}\n"
+        )
+        assert to_dot(g) == expected
+        assert save_aut(g).splitlines()[1:] == [
+            '(0, "a", 2)', '(0, "b", 1)', '(1, "b", 2)', '(2, "t", 0)'
+        ]
+        assert to_dot(g) == expected  # after save_aut, from the shared sort

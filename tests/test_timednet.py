@@ -1,5 +1,6 @@
 import hashlib
 import operator
+import time
 from collections import deque
 from pathlib import Path
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obscheck.checker import find_tickless_cycle, internal_label_expr
-from obscheck.lts import Atom, save_aut
+from obscheck.cli import main
+from obscheck.lts import Atom, save_aut, to_dot
 from obscheck.timednet import (
     Cmp,
     Elapse,
@@ -217,6 +219,14 @@ BUILTIN_DIGESTS = {
     "mouse": "b83adc09b1eb26a8f280f8f21b96d6546ed6f2e877deca88dec8502ab9172050",
 }
 
+# SHA-256 of to_dot(explore(net)), recorded before exploration ran on state
+# codes and before save_aut and to_dot shared one sort.
+BUILTIN_DOT_DIGESTS = {
+    "present_4_5": "a16b0efc53dfc9f3ee97b402f2daa0e7cf4260180fa47c7db26995810b84b515",
+    "present_12_20": "0b97a5cdeaaf1c4d04fb4c706e831fa54a1083c60bf8d4acba2eb280ead30afa",
+    "mouse": "01cf551f273b9938d1118d36e7eca6efd680c58a5bb02fe17125ef6bdea01661",
+}
+
 
 @pytest.mark.parametrize(
     "name, net",
@@ -227,8 +237,10 @@ BUILTIN_DIGESTS = {
     ],
 )
 def test_builtin_graphs_are_unchanged(name, net):
-    digest = hashlib.sha256(save_aut(explore(net)).encode()).hexdigest()
+    g = explore(net)
+    digest = hashlib.sha256(save_aut(g).encode()).hexdigest()
     assert digest == BUILTIN_DIGESTS[name]
+    assert hashlib.sha256(to_dot(g).encode()).hexdigest() == BUILTIN_DOT_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +425,121 @@ def test_exploration_agrees_with_the_reference(net):
     g, states = explore_full(net, 2000)
     assert states == expected[0]
     assert g.transitions == tuple(dict.fromkeys(expected[1]))
+
+
+def assert_agrees(net, max_states=2000):
+    """explore_full matches the reference, and explore gives its graph."""
+    expected = reference_explore(net, max_states)
+    assert expected is not None
+    g, states = explore_full(net, max_states)
+    assert states == expected[0]
+    assert g.transitions == tuple(dict.fromkeys(expected[1]))
+    plain = explore(net, max_states)
+    assert plain == g and plain.transitions == g.transitions
+    return g, states
+
+
+class TestStateCode:
+    """Fixed networks at the edges of the state code's bit fields."""
+
+    def test_negative_domain(self):
+        g, states = assert_agrees(parse_net(
+            "var x : -3..-1 = -2\n"
+            "process P\ninit l\n"
+            "from l on up when x < -1 do x := -1 to l\n"
+            "from l on down when x >= -2 do x := -3 to l\n"
+        ))
+        assert {vals for _, vals, _, _ in states} == {(-3,), (-2,), (-1,)}
+
+    def test_one_value_domain(self):
+        g, states = assert_agrees(parse_net(
+            "var x : 5..5 = 5\nvar y : 0..1 = 0\n"
+            "process P\ninit l\n"
+            "from l on e when x = 5 do x := 5, y := 1 to l\n"
+            "from l on f when x != 5 do y := 0 to l\n"
+        ))
+        assert {vals for _, vals, _, _ in states} == {(5, 0), (5, 1)}
+        assert "f" not in g.labels
+
+    def test_codes_wider_than_64_bits(self):
+        big = 10**15
+        g, states = assert_agrees(parse_net(
+            f"var x : 0..{big} = {big}\nvar y : 0..{big} = 0\n"
+            "process P\ninit l\n"
+            f"from l on e when x = {big} do x := 0, y := {big} to m\n"
+            f"from m on f when y > {big - 1} do x := {big - 1} to l\n"
+            "from l elapse [3,w[ label d to l\n"
+        ))
+        assert {vals for _, vals, _, _ in states} == {(big, 0), (0, big), (big - 1, big)}
+
+    def test_keepclock_loop_above_zero(self):
+        g, states = assert_agrees(parse_net(
+            "process P\ninit l\n"
+            "from l on k keepclock to l\n"
+            "from l elapse [2,w[ label go to m\n"
+            "from m on back to l\n"
+        ))
+        after = _walk(g, ["t", "k"])
+        assert after == _walk(g, ["t"]) and states[after][2] == (1,)
+
+    def test_three_pending_reactions_fire_in_order(self):
+        net = parse_net(
+            "process Sys\ninit l\nfrom l on e to l\n"
+            "process O0\ninit w\nfrom w probe e label r0 to w\n"
+            "from w probe e when elapsed in [0,0] label s0 to v\n"
+            "process O1\ninit w\nfrom w probe e label r1 to v\n"
+            "process O2\ninit w\nfrom w probe e label r2 to w\n"
+        )
+        g, states = assert_agrees(net)
+        pending = _walk(g, ["e"])
+        assert states[pending][3] == ((1, 0), (1, 1), (2, 0), (3, 0))
+        assert [lab for lab, _ in g.out_edges(pending)] == ["r0", "s0", "r1", "r2"]
+        # firing one of O0's reactions drops both of its entries
+        assert states[_walk(g, ["e", "s0"])][3] == ((2, 0), (3, 0))
+
+    def test_elapse_sharing_a_probed_label_queues_nothing(self):
+        assert_agrees(parse_net(
+            "process Sys\ninit l\nfrom l on e to l\n"
+            "process Clock\ninit k\nfrom k elapse [1,w[ label e to k\n"
+            "process Obs\ninit w\nfrom w probe e label r to w\n"
+        ))
+
+    def test_ceiling_at_the_boundary(self):
+        net = builtin_present(4, 5)
+        n = explore(net).num_states
+        assert_agrees(net, n)
+        assert reference_explore(net, n - 1) is None
+        with pytest.raises(ExploreError):
+            explore(net, n - 1)
+        with pytest.raises(ExploreError):
+            explore_full(net, n - 1)
+
+    @pytest.mark.parametrize("net", [builtin_present(4, 5), builtin_present(12, 20), builtin_mouse()])
+    def test_builtins_agree(self, net):
+        assert_agrees(net)
+
+
+class TestNothingSizedByAWindow:
+    TEXT = (
+        "process P\ninit l\n"
+        "from l elapse [1000000000,1000000000] urgent label go to m\n"
+        "from m on e to l\n"
+    )
+
+    def test_explore_reaches_the_ceiling(self):
+        start = time.perf_counter()
+        with pytest.raises(ExploreError):
+            explore(parse_net(self.TEXT), 50)
+        assert time.perf_counter() - start < 1
+
+    def test_gen_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "wide.net"
+        path.write_text(self.TEXT)
+        start = time.perf_counter()
+        assert main(["gen", "--model", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "ceiling" in err and "Traceback" not in err
 
 
 class TestValidation:
