@@ -48,6 +48,7 @@ from .pathregex import (
     build_nfa,
     match_word,
     oracle_end_states,
+    oracle_states,
     oracle_visited_states,
     parse_regex,
 )

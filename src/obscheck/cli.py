@@ -26,7 +26,7 @@ from .fott import FottError, Interval, present_regex
 from .lts import Atom, Lts, load_aut, parse_label_expr, save_aut, to_dot
 from .mucalc import EvalError, eval_mu, is_tautology, parse_mu, print_mu
 from .mucompile import compile_end, compile_visited
-from .pathregex import oracle_end_states, oracle_visited_states, parse_regex
+from .pathregex import oracle_states, parse_regex
 from .timednet import ExploreError, NetError, builtin_mouse, builtin_present, explore, parse_net
 
 
@@ -151,9 +151,9 @@ def _cmd_compile(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _graph_from_args(args)
-    regex = parse_regex(args.regex)
-    print("end: " + _states_line(oracle_end_states(g, regex)))
-    print("visited: " + _states_line(oracle_visited_states(g, regex)))
+    end, visited = oracle_states(g, parse_regex(args.regex))
+    print("end: " + _states_line(end))
+    print("visited: " + _states_line(visited))
     return 0
 
 

@@ -10,6 +10,8 @@ least/greatest fixpoints, and the two derived suffix operators
 
 which the compiler from path expressions leans on.  Derived forms are kept
 in the tree (printing preserves them) and only normalized during evaluation.
+`f * A` is evaluated semi-naively: each round images only the states the
+previous round added, so each state a star reaches is imaged once.
 """
 
 from __future__ import annotations
@@ -455,16 +457,17 @@ def eval_mu(g: Lts, f: MuFormula, env: dict[str, StateSet] | None = None) -> Sta
         elif t is BwdDiamond or t is SuffixO:
             out = g.post_bits(ev(node.arg, scope), node.label)
         elif t is SuffixStar:
-            cur = ev(node.arg, scope)
+            # Semi-naive: only the states added last round are imaged again.
+            cur = frontier = ev(node.arg, scope)
             rounds = 0
             while True:
-                nxt = cur | g.post_bits(cur, node.label)
-                if nxt == cur:
+                frontier = g.post_bits(frontier, node.label) & ~cur
+                if not frontier:
                     break
                 rounds += 1
                 if rounds > n:
                     raise AssertionError("fixpoint exceeded the state-count bound")
-                cur = nxt
+                cur |= frontier
             out = cur
         elif t is Min or t is Max:
             cur = 0 if t is Min else mask

@@ -335,19 +335,29 @@ def _product_bits(g: Lts, nfa: Nfa) -> tuple[int, int]:
     return end, visited
 
 
-def oracle_end_states(g: Lts, regex: PathRegex) -> StateSet:
-    """States reachable from the initial state after firing a matching word."""
-    return StateSet(g.num_states, _product_bits(g, build_nfa(regex))[0])
+def oracle_states(g: Lts, regex: PathRegex) -> tuple[StateSet, StateSet]:
+    """(end, visited) from one NFA x graph product.
 
+    End: the states reachable from the initial state after firing a
+    matching word.  Visited: the states reachable while firing one, which is
+    the union of the end states over every syntactic prefix of the
+    (left-nested) expression.
 
-def oracle_visited_states(g: Lts, regex: PathRegex) -> StateSet:
-    """States reachable while firing a matching word: the union of the end
-    states over every syntactic prefix of the (left-nested) expression.
-
-    One product gives that union.  Each NFA state ends a syntactic prefix,
+    The product gives that union.  Each NFA state ends a syntactic prefix,
     where the `t` state inside an expanded Tick counts as an end of that
     Tick's prefix (its `(-t)*` may take no step).  A word leads into a state
     only if it matches the prefix that state ends, and each word of a prefix
     leads into one of its ends, so the union is the set of graph states over
     all reached pairs."""
-    return StateSet(g.num_states, _product_bits(g, build_nfa(regex))[1])
+    end, visited = _product_bits(g, build_nfa(regex))
+    return StateSet(g.num_states, end), StateSet(g.num_states, visited)
+
+
+def oracle_end_states(g: Lts, regex: PathRegex) -> StateSet:
+    """The end half of `oracle_states`."""
+    return oracle_states(g, regex)[0]
+
+
+def oracle_visited_states(g: Lts, regex: PathRegex) -> StateSet:
+    """The visited half of `oracle_states`."""
+    return oracle_states(g, regex)[1]

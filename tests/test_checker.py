@@ -4,6 +4,7 @@ import time
 import pytest
 
 from conftest import ZENO_NET, chain_lts
+from obscheck import checker, lts, pathregex
 from obscheck.checker import (
     Report,
     Verdict,
@@ -220,6 +221,67 @@ class TestFullReport:
         assert not report.verdict("innocuous").holds
         assert not report.verdict("no_tickless_cycle").holds
         assert not report.ok
+
+
+MATCHED_VERDICTS = [
+    ("eq_tautology", True),
+    ("reach[a]", True),
+    ("reach[b]", True),
+    ("reach[t]", True),
+    ("innocuous", True),
+    ("naive_errors_in_complement", True),
+    ("naive_complement_in_errors", False),
+    ("oracle_agreement", True),
+    ("no_tickless_cycle", True),
+]
+
+
+class TestFullReportWork:
+    def test_image_work_grows_linearly_with_the_window(self, monkeypatch):
+        """The states fed to the post/pre image, summed over one report,
+        about double when the window doubles."""
+        imaged = [0]
+        image = lts._image
+
+        def counting_image(bits, masks):
+            imaged[0] += bin(bits).count("1")
+            return image(bits, masks)
+
+        monkeypatch.setattr(lts, "_image", counting_image)
+        work = []
+        for lo in (75, 150, 300):
+            net, regex = builtin_present(lo, 2 * lo), pattern(lo, 2 * lo)
+            imaged[0] = 0
+            report = full_report(net, regex, "error", EVENTS)
+            work.append(imaged[0])
+            assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS, lo
+        assert work[1] <= 2.2 * work[0] and work[2] <= 2.2 * work[1], work
+
+    def test_one_compile_and_one_product_per_report(self, present45_graph, monkeypatch):
+        compiles, products = [], []
+        compile_both, product = checker.compile_both, pathregex._product_bits
+        monkeypatch.setattr(checker, "compile_both", lambda r: compiles.append(r) or compile_both(r))
+        monkeypatch.setattr(pathregex, "_product_bits", lambda g, nfa: products.append(nfa) or product(g, nfa))
+        report = full_report(present45_graph, pattern(4, 5), "error", EVENTS)
+        assert len(compiles) == 1 and len(products) == 1
+        assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS
+        assert list(report.timings) == ["eq", "innocuous", "naive_inclusion", "oracle_agreement", "tickless_cycle"]
+
+    def test_direct_checks_compile_and_run_their_own(self, present45_graph, monkeypatch):
+        """Called on their own, the eq and naive checks still compile the
+        pattern and run the product themselves, and give the report's verdicts."""
+        calls = []
+        compile_both, product = checker.compile_both, pathregex._product_bits
+        monkeypatch.setattr(checker, "compile_both", lambda r: calls.append("compile") or compile_both(r))
+        monkeypatch.setattr(pathregex, "_product_bits", lambda g, nfa: calls.append("product") or product(g, nfa))
+        for g, lo, hi in ((present45_graph, 4, 5), (explore(builtin_present(3, 4)), 4, 5)):
+            calls.clear()
+            eq = check_eq(g, pattern(lo, hi), "error")
+            naive = check_inclusion_naive(g, pattern(lo, hi), "error")
+            assert calls == ["compile", "product"]
+            full = full_report(g, pattern(lo, hi), "error", EVENTS)
+            for v in eq.verdicts + naive.verdicts:
+                assert full.verdict(v.name) == v
 
 
 class TestReportShape:

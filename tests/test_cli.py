@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import obscheck
+from obscheck import pathregex
 from obscheck.cli import main
 
 CHECK_45 = [
@@ -107,6 +108,18 @@ class TestOracle:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "end: 0"
         assert out[1] == "visited: 0"
+
+    def test_exact_text_on_the_present_model(self, capsys):
+        code = main(["oracle", "--model", "builtin:present:4:5", "--regex", "(-b)* . b . (-t)*"])
+        assert code == 0
+        assert capsys.readouterr().out == "end: 2 3 4 5\nvisited: 0 1 2 3 4 5\n"
+
+    def test_runs_one_product(self, capsys, monkeypatch):
+        calls = []
+        product = pathregex._product_bits
+        monkeypatch.setattr(pathregex, "_product_bits", lambda g, nfa: calls.append(1) or product(g, nfa))
+        assert main(["oracle", "--model", "builtin:present:4:5", "--regex", "(-b)* . b"]) == 0
+        assert len(calls) == 1
 
 
 class TestCheck:

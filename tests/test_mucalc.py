@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 
 from conftest import chain_lts, random_label_expr, random_lts
+from obscheck import lts
 from obscheck.lts import Atom, Lts, StateSet, Top, eval_label_expr
 from obscheck.lts import Not as LNot
 from obscheck.lts import Or as LOr
@@ -287,6 +288,76 @@ class TestEval:
 
 def _bits_set(g, bits):
     return StateSet(g.num_states, bits)
+
+
+def _closure(g, base, expr):
+    """States reachable from `base` along edges matching `expr`, by BFS."""
+    seen = set(base)
+    queue = deque(seen)
+    while queue:
+        s = queue.popleft()
+        for lab, dst in g.out_edges(s):
+            if dst not in seen and eval_label_expr(expr, lab):
+                seen.add(dst)
+                queue.append(dst)
+    return g.set_of(seen)
+
+
+class TestSemiNaiveStar:
+    """`f * A` against a BFS closure computed here, for closed and open `f`."""
+
+    def test_closed_and_open_args_match_bfs(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            g = random_lts(rng, max_states=12)
+            expr, inner = random_label_expr(rng), random_label_expr(rng)
+            base = g.set_of(s for s in range(g.num_states) if rng.random() < 0.3)
+            env = {"S": base}
+            args = [
+                INIT,
+                BwdDiamond(TRUE, inner),
+                FwdDiamond(inner, TRUE),
+                Var("S"),
+                Or(Var("S"), BwdDiamond(Var("S"), inner)),
+                SuffixStar(Var("S"), inner),
+            ]
+            for arg in args:
+                got = eval_mu(g, SuffixStar(arg, expr), env=env)
+                assert got == _closure(g, eval_mu(g, arg, env=env), expr), print_mu(arg)
+
+    def test_star_under_a_binder_matches_bfs(self):
+        # min X | `0 * A \/ X<B> * A: the star's argument changes every round.
+        rng = random.Random(37)
+        for _ in range(60):
+            g = random_lts(rng, max_states=10)
+            a, b = random_label_expr(rng), random_label_expr(rng)
+            got = eval_mu(g, Min("X", SuffixStar(Or(INIT, BwdDiamond(Var("X"), b)), a)))
+            expected = _closure(g, {g.initial}, a)
+            while True:
+                stepped = {d for s in expected for lab, d in g.out_edges(s) if eval_label_expr(b, lab)}
+                grown = _closure(g, set(expected) | stepped, a)
+                if grown == expected:
+                    break
+                expected = grown
+            assert got == expected
+
+    def test_chain_takes_one_round_per_state(self, monkeypatch):
+        """On a chain of n states, `0 * a needs n - 1 productive rounds, which
+        stays inside the state-count bound, and images each state once."""
+        n = 300
+        g = chain_lts(*["a"] * (n - 1))
+        imaged, calls = [0], [0]
+        image = lts._image
+
+        def counting_image(bits, masks):
+            calls[0] += 1
+            imaged[0] += bin(bits).count("1")
+            return image(bits, masks)
+
+        monkeypatch.setattr(lts, "_image", counting_image)
+        assert eval_mu(g, SuffixStar(INIT, Atom("a"))).is_all
+        assert calls[0] == n  # n - 1 productive rounds and the empty last one
+        assert imaged[0] == n
 
 
 class TestTautology:

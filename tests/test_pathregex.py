@@ -20,6 +20,7 @@ from obscheck.pathregex import (
     build_nfa,
     match_word,
     oracle_end_states,
+    oracle_states,
     oracle_visited_states,
     parse_regex,
 )
@@ -176,6 +177,14 @@ class TestOracles:
         for length in range(5):
             for w in it.product(ALPHABET, repeat=length):
                 assert match_word(r, w) == nfa.accepts(w)
+
+    def test_one_product_gives_both_sets(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            g, r = random_lts(rng), random_regex(rng)
+            end, visited = oracle_states(g, r)
+            assert (end, visited) == (oracle_end_states(g, r), oracle_visited_states(g, r))
+            assert end.issubset(visited) and g.initial in visited
 
     def test_union_distributes(self):
         rng = random.Random(17)
