@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .lts import TICK, TICK_LABEL, LabelExpr, Lts, StateSet, Or as LabelOr, Not as LabelNot
 from .lts import eval_label_expr, format_label_expr
-from .mucalc import Iff, MuFormula, Not, eval_mu, is_tautology
+from .mucalc import EvalMemo, Iff, MuFormula, Not, eval_mu, is_tautology
 from .mucompile import (
     compile_both,
     error_condition,
@@ -198,21 +198,29 @@ def find_tickless_cycle(g: Lts, internal: LabelExpr) -> list[str] | None:
 
 
 def check_eq(
-    g: Lts, pattern: PathRegex, err_label: str, *, _visited_f: MuFormula | None = None
+    g: Lts,
+    pattern: PathRegex,
+    err_label: str,
+    *,
+    _visited_f: MuFormula | None = None,
+    _memo: EvalMemo | None = None,
 ) -> Report:
     """Tautology check: visited-by-pattern iff not in the error condition.
-    On failure the two directions are reported separately with witnesses.
+    On failure the two directions are reported separately with witnesses,
+    read from the sets the tautology already evaluated.
 
-    `_visited_f`, if given, is the pattern's compiled visited formula."""
+    `_visited_f`, if given, is the pattern's compiled visited formula;
+    `_memo`, if given, is the report's evaluation memo on `g`."""
     report = Report()
     t0 = time.perf_counter()
     visited_f = compile_both(pattern)[1] if _visited_f is None else _visited_f
+    memo = EvalMemo(g) if _memo is None else _memo
     err_f = error_condition(err_label)
-    taut = is_tautology(g, Iff(visited_f, Not(err_f)))
+    taut = is_tautology(g, Iff(visited_f, Not(err_f)), _memo=memo)
     report.verdicts.append(Verdict("eq_tautology", taut.holds, witness_state=taut.witness))
     if not taut.holds:
-        visited = eval_mu(g, visited_f)
-        errors = eval_mu(g, err_f)
+        visited = eval_mu(g, visited_f, _memo=memo)
+        errors = eval_mu(g, err_f, _memo=memo)
         missed = visited.complement() - errors
         sound = missed.is_empty
         report.verdicts.append(
@@ -235,9 +243,13 @@ def check_eq(
     return report
 
 
-def check_innocuous(g: Lts, events: list[LabelExpr], internal: LabelExpr) -> Report:
+def check_innocuous(
+    g: Lts, events: list[LabelExpr], internal: LabelExpr, *, _memo: EvalMemo | None = None
+) -> Report:
     """From every state, every observed event and the tick must stay reachable
-    through internal steps alone."""
+    through internal steps alone.
+
+    `_memo`, if given, is the report's evaluation memo on `g`."""
     if not events:
         raise ValueError("innocuousness needs at least one event")
     report = Report()
@@ -245,7 +257,7 @@ def check_innocuous(g: Lts, events: list[LabelExpr], internal: LabelExpr) -> Rep
     all_hold = True
     first_witness = None
     for event in events:
-        taut = is_tautology(g, reach_formula(event, internal))
+        taut = is_tautology(g, reach_formula(event, internal), _memo=_memo)
         name = f"reach[{format_label_expr(event)}]"
         report.verdicts.append(Verdict(name, taut.holds, witness_state=taut.witness))
         if not taut.holds:
@@ -258,7 +270,12 @@ def check_innocuous(g: Lts, events: list[LabelExpr], internal: LabelExpr) -> Rep
 
 
 def check_inclusion_naive(
-    g: Lts, pattern: PathRegex, err_label: str, *, _visited: StateSet | None = None
+    g: Lts,
+    pattern: PathRegex,
+    err_label: str,
+    *,
+    _visited: StateSet | None = None,
+    _memo: EvalMemo | None = None,
 ) -> Report:
     """The automata-only check: compare the states reached through the error
     transition against the complement of the pattern's visited set, both ways.
@@ -268,11 +285,12 @@ def check_inclusion_naive(
     condition: the whole point of the exercise is that the converse inclusion
     fails on time-divergent runs where the error step never fires.
 
-    `_visited`, if given, is the pattern's oracle visited set.
+    `_visited`, if given, is the pattern's oracle visited set; `_memo`, if
+    given, is the report's evaluation memo on `g`.
     """
     report = Report()
     t0 = time.perf_counter()
-    errors = eval_mu(g, error_entry_region(err_label))
+    errors = eval_mu(g, error_entry_region(err_label), _memo=_memo)
     visited = oracle_visited_states(g, pattern) if _visited is None else _visited
     not_present = visited.complement()
 
@@ -366,26 +384,29 @@ def full_report(
 
     The pattern is compiled once and its NFA x graph product run once; the
     time of each counts toward the first check that uses it (`eq` and
-    `naive_inclusion`)."""
+    `naive_inclusion`).  Every formula is evaluated through one memo that
+    lives as long as the call, so each closed subformula is evaluated once
+    per report: the cross-check finds both of its formulas already there."""
     g = explore(source) if isinstance(source, TimedNet) else source
     if internal is None:
         internal = internal_label_expr(events)
     report = Report()
+    memo = EvalMemo(g)
 
     t0 = time.perf_counter()
     end_f, visited_f = compile_both(pattern)
-    report.extend(check_eq(g, pattern, err_label, _visited_f=visited_f))
+    report.extend(check_eq(g, pattern, err_label, _visited_f=visited_f, _memo=memo))
     report.timings["eq"] = time.perf_counter() - t0
 
-    report.extend(check_innocuous(g, events, internal))
+    report.extend(check_innocuous(g, events, internal, _memo=memo))
 
     t0 = time.perf_counter()
     end, visited = oracle_states(g, pattern)
-    report.extend(check_inclusion_naive(g, pattern, err_label, _visited=visited))
+    report.extend(check_inclusion_naive(g, pattern, err_label, _visited=visited, _memo=memo))
     report.timings["naive_inclusion"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    agree = eval_mu(g, end_f) == end and eval_mu(g, visited_f) == visited
+    agree = eval_mu(g, end_f, _memo=memo) == end and eval_mu(g, visited_f, _memo=memo) == visited
     report.verdicts.append(Verdict("oracle_agreement", agree))
     report.timings["oracle_agreement"] = time.perf_counter() - t0
 

@@ -409,14 +409,47 @@ def check_monotone(f: MuFormula) -> list[str] | None:
 # Evaluation
 
 
-def eval_mu(g: Lts, f: MuFormula, env: dict[str, StateSet] | None = None) -> StateSet:
+class EvalMemo:
+    """State sets of closed subformulas, and polarities of every node, on one
+    graph, shared by the `eval_mu` calls that are given it, so a subterm the
+    calls share is evaluated once.
+
+    Entries are keyed by node id; every root evaluated through the memo is
+    kept alive with it, so no id is reused while the memo lives.  It is meant
+    to live for one batch of related checks (one report), not longer.
+    """
+
+    __slots__ = ("graph", "polarity", "bits", "roots")
+
+    def __init__(self, g: Lts):
+        self.graph = g
+        self.polarity: dict[int, tuple] = {}
+        self.bits: dict[int, int] = {}
+        self.roots: list[MuFormula] = []
+
+
+def eval_mu(
+    g: Lts,
+    f: MuFormula,
+    env: dict[str, StateSet] | None = None,
+    *,
+    _memo: EvalMemo | None = None,
+) -> StateSet:
     """Set of states where `f` holds; fixpoints by iteration, at most one
     growth step per state (hard failure beyond that bound).
 
     `env` may bind free variables of an open formula; everything else must
-    be closed and monotone.
+    be closed and monotone.  Closed subformulas are evaluated once per call,
+    or, through `_memo`, once per memo.
     """
-    polarity: dict[int, tuple] = {}
+    if _memo is None:
+        polarity: dict[int, tuple] = {}
+        memo: dict[int, int] = {}
+    else:
+        if _memo.graph is not g:
+            raise ValueError("evaluation memo belongs to a different graph")
+        _memo.roots.append(f)
+        polarity, memo = _memo.polarity, _memo.bits
     pos, neg, _ = _polarities(f, polarity)
     missing = (pos | neg) - frozenset(env or ())
     if missing:
@@ -427,7 +460,6 @@ def eval_mu(g: Lts, f: MuFormula, env: dict[str, StateSet] | None = None) -> Sta
 
     n = g.num_states
     mask = (1 << n) - 1
-    memo: dict[int, int] = {}
 
     def ev(node: MuFormula, scope: dict[str, int]) -> int:
         closed = polarity[id(node)] is _CLOSED  # no binder is bad by now
@@ -506,9 +538,10 @@ class TautologyResult:
     witness: int | None = None
 
 
-def is_tautology(g: Lts, f: MuFormula) -> TautologyResult:
-    """Does `f` hold on every state?  On failure, the least state outside."""
-    sat = eval_mu(g, f)
+def is_tautology(g: Lts, f: MuFormula, *, _memo: EvalMemo | None = None) -> TautologyResult:
+    """Does `f` hold on every state?  On failure, the least state outside.
+    `_memo` is passed on to `eval_mu`."""
+    sat = eval_mu(g, f, _memo=_memo)
     if sat.is_all:
         return TautologyResult(True, None)
     outside = sat.complement()

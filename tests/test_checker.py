@@ -1,5 +1,7 @@
+import gc
 import json
 import time
+import weakref
 
 import pytest
 
@@ -236,6 +238,21 @@ MATCHED_VERDICTS = [
 ]
 
 
+MISMATCH_VERDICTS = [
+    ("eq_tautology", False),
+    ("eq_soundness", False),
+    ("eq_correctness", True),
+    ("reach[a]", True),
+    ("reach[b]", True),
+    ("reach[t]", True),
+    ("innocuous", True),
+    ("naive_errors_in_complement", True),
+    ("naive_complement_in_errors", False),
+    ("oracle_agreement", True),
+    ("no_tickless_cycle", True),
+]
+
+
 class TestFullReportWork:
     def test_image_work_grows_linearly_with_the_window(self, monkeypatch):
         """The states fed to the post/pre image, summed over one report,
@@ -282,6 +299,81 @@ class TestFullReportWork:
             full = full_report(g, pattern(lo, hi), "error", EVENTS)
             for v in eq.verdicts + naive.verdicts:
                 assert full.verdict(v.name) == v
+
+    @pytest.fixture
+    def image_calls(self, monkeypatch):
+        calls = [0]
+        image = lts._image
+
+        def counting_image(bits, masks):
+            calls[0] += 1
+            return image(bits, masks)
+
+        monkeypatch.setattr(lts, "_image", counting_image)
+        return calls
+
+    @pytest.mark.parametrize(
+        "model, window, most, verdicts",
+        [
+            ((30, 60), (30, 60), 500, MATCHED_VERDICTS),
+            ((20, 40), (20, 39), 350, MISMATCH_VERDICTS),
+        ],
+    )
+    def test_image_calls_per_report(self, image_calls, monkeypatch, model, window, most, verdicts):
+        """Each closed subformula is imaged once per report, so the oracle
+        cross-check, whose two formulas the equivalence check has already
+        evaluated, images nothing."""
+        g = explore(builtin_present(*model))
+        before_cross_check = []
+        naive = checker.check_inclusion_naive
+
+        def snapshot_after(*args, **kwargs):
+            out = naive(*args, **kwargs)
+            before_cross_check.append(image_calls[0])
+            return out
+
+        monkeypatch.setattr(checker, "check_inclusion_naive", snapshot_after)
+        report = full_report(g, pattern(*window), "error", EVENTS)
+        assert [(v.name, v.holds) for v in report.verdicts] == verdicts
+        assert image_calls[0] <= most
+        assert before_cross_check == [image_calls[0]]
+
+    def test_direct_check_eq_reads_its_failure_sets_off_the_tautology(self, image_calls, monkeypatch):
+        g = explore(builtin_present(20, 40))
+        after_tautology = []
+        tautology = checker.is_tautology
+
+        def snapshot_after(*args, **kwargs):
+            out = tautology(*args, **kwargs)
+            after_tautology.append(image_calls[0])
+            return out
+
+        monkeypatch.setattr(checker, "is_tautology", snapshot_after)
+        report = check_eq(g, pattern(20, 39), "error")
+        assert [(v.name, v.holds) for v in report.verdicts] == MISMATCH_VERDICTS[:3]
+        assert report.verdict("eq_soundness").witness_state == report.verdict("eq_tautology").witness_state
+        assert after_tautology == [image_calls[0]] and image_calls[0] > 0
+
+    def test_formulas_die_with_the_report(self, present45_graph, monkeypatch):
+        refs = []
+        compile_both = checker.compile_both
+
+        def capture(regex):
+            end_f, visited_f = compile_both(regex)
+            refs.append(weakref.ref(visited_f))
+            return end_f, visited_f
+
+        monkeypatch.setattr(checker, "compile_both", capture)
+        report = full_report(present45_graph, pattern(4, 5), "error", EVENTS)
+        assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
+
+    def test_window_600_at_the_default_recursion_limit(self):
+        """Served from the memo, the cross-check no longer walks the end
+        formula's tick chain a second time, which used to overflow here."""
+        report = full_report(builtin_present(600, 601), pattern(600, 601), "error", EVENTS)
+        assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS
 
 
 class TestReportShape:

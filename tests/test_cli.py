@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import obscheck
-from obscheck import pathregex
+from obscheck import mucalc, pathregex
 from obscheck.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 CHECK_45 = [
     "check",
@@ -154,11 +157,47 @@ class TestCheck:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "--graph", "/nonexistent.aut", "--reach", "error"]) == 2
 
-    def test_too_deep_window_exits_two(self, capsys):
+    def test_window_600_gives_the_verdicts(self, capsys):
         argv = ["check", "--model", "builtin:present:600:601", "--pattern", "present"]
         argv += ["--lo", "600", "--hi", "601", "--hi-open"]
-        assert main(argv) == 2
-        assert "recursion limit" in capsys.readouterr().err
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if not line.startswith("  trace: ")] == [
+            "eq_tautology: HOLDS",
+            "reach[a]: HOLDS",
+            "reach[b]: HOLDS",
+            "reach[t]: HOLDS",
+            "innocuous: HOLDS",
+            "naive_errors_in_complement: HOLDS",
+            "naive_complement_in_errors: FAILS (witness state 1807)",
+            "oracle_agreement: HOLDS",
+            "no_tickless_cycle: HOLDS",
+            "overall: PASS",
+        ]
+
+    def test_recursion_error_exits_two_without_a_traceback(self, capsys, monkeypatch):
+        def overflow(f, memo):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(mucalc, "_polarities", overflow)
+        assert main(CHECK_45) == 2
+        captured = capsys.readouterr()
+        assert "recursion limit" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize(
+        "model, window, expected, code",
+        [
+            ("builtin:present:20:40", ["--lo", "20", "--hi", "39"], "check_20_40_vs_20_39", 1),
+            ("builtin:present:12:20", ["--lo", "12", "--hi", "20"], "check_12_20", 0),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    def test_exact_text(self, capsys, model, window, expected, code, fmt):
+        """Witness states and the naive lasso, byte for byte."""
+        argv = ["check", "--model", model, "--pattern", "present", *window, "--hi-open"]
+        assert main(argv + (["--json"] if fmt == "json" else [])) == code
+        assert capsys.readouterr().out == (DATA / f"{expected}.{fmt}").read_text()
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

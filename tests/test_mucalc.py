@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from collections import deque
@@ -15,6 +16,7 @@ from obscheck.mucalc import (
     And,
     BwdDiamond,
     EvalError,
+    EvalMemo,
     FwdDiamond,
     Iff,
     Implies,
@@ -358,6 +360,57 @@ class TestSemiNaiveStar:
         assert eval_mu(g, SuffixStar(INIT, Atom("a"))).is_all
         assert calls[0] == n  # n - 1 productive rounds and the empty last one
         assert imaged[0] == n
+
+
+class TestSharedMemo:
+    """One `EvalMemo` serves many `eval_mu` calls on one graph."""
+
+    def test_memo_of_another_graph_is_rejected(self):
+        g, other = chain_lts("a"), chain_lts("a")
+        memo = EvalMemo(g)
+        assert eval_mu(g, TRUE, _memo=memo).is_all
+        with pytest.raises(ValueError, match="different graph"):
+            eval_mu(other, TRUE, _memo=memo)
+        with pytest.raises(ValueError, match="different graph"):
+            is_tautology(other, TRUE, _memo=memo)
+
+    def test_dropped_formulas_never_alias_later_ones(self):
+        """Formulas are built, evaluated through one memo and dropped, one by
+        one; memo entries are keyed by node id, so a freed formula whose id a
+        later one reused would hand that one its stale state set."""
+        rng = random.Random(61)
+        g = random_lts(rng, max_states=12)
+        memo = EvalMemo(g)
+        checked = 0
+        gc.freeze()  # so each collection below walks only the loop's objects
+        try:
+            while checked < 300:
+                f = random_formula(rng, rng.randint(1, 5), ())
+                if check_monotone(f) is None:
+                    assert eval_mu(g, f, _memo=memo) == eval_mu(g, f), print_mu(f)
+                    checked += 1
+                del f
+                gc.collect()
+        finally:
+            gc.unfreeze()
+
+    def test_closed_subterms_are_shared_across_calls(self, monkeypatch):
+        g = chain_lts("a", "b", "a")
+        star = SuffixStar(INIT, Top())
+        memo = EvalMemo(g)
+        calls = [0]
+        image = lts._image
+
+        def counting_image(bits, masks):
+            calls[0] += 1
+            return image(bits, masks)
+
+        monkeypatch.setattr(lts, "_image", counting_image)
+        assert eval_mu(g, star, _memo=memo).is_all
+        first = calls[0]
+        assert is_tautology(g, Or(Not(star), star), _memo=memo).holds
+        assert eval_mu(g, And(star, Var("S")), env={"S": g.set_of([1])}, _memo=memo) == g.set_of([1])
+        assert calls[0] == first
 
 
 class TestTautology:
