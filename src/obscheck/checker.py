@@ -92,64 +92,37 @@ def internal_label_expr(events: list[LabelExpr]) -> LabelExpr:
 # Graph walks
 
 
+def _path(g: Lts, start: int, goal: StateSet, allow=None) -> tuple[int, list[str]] | None:
+    """BFS from `start` along the edges whose label passes the `allow`
+    predicate (every edge, if None); (state, labels) of a shortest path of
+    one edge or more into `goal`."""
+    seen = {start}
+    parent: dict[int, tuple[int, str]] = {}
+    queue = deque((start,))
+    while queue:
+        s = queue.popleft()
+        for label, dst in g.out_edges(s):
+            if allow is not None and not allow(label):
+                continue
+            if dst in goal:
+                trace = [label]
+                while s != start:
+                    s, lab = parent[s]
+                    trace.append(lab)
+                trace.reverse()
+                return dst, trace
+            if dst not in seen:
+                seen.add(dst)
+                parent[dst] = (s, label)
+                queue.append(dst)
+    return None
+
+
 def _shortest_path(g: Lts, targets: StateSet) -> tuple[int, list[str]] | None:
     """BFS from the initial state; (state, labels) for the first target hit."""
     if g.initial in targets:
         return g.initial, []
-    seen = {g.initial}
-    parent: dict[int, tuple[int, str]] = {}
-    queue = deque((g.initial,))
-    while queue:
-        s = queue.popleft()
-        for label, dst in g.out_edges(s):
-            if dst not in seen:
-                seen.add(dst)
-                parent[dst] = (s, label)
-                if dst in targets:
-                    trace = []
-                    cur = dst
-                    while cur != g.initial:
-                        cur, lab = parent[cur]
-                        trace.append(lab)
-                    trace.reverse()
-                    return dst, trace
-                queue.append(dst)
-    return None
-
-
-def _cycle_from(g: Lts, start: int, allow) -> list[str] | None:
-    """Shortest nonempty cycle through `start` using edges whose label passes
-    the `allow` predicate."""
-    parent: dict[int, tuple[int, str]] = {}
-    seen = set()
-    queue = deque()
-    for label, dst in g.out_edges(start):
-        if not allow(label):
-            continue
-        if dst == start:
-            return [label]
-        if dst not in seen:
-            seen.add(dst)
-            parent[dst] = (start, label)
-            queue.append(dst)
-    while queue:
-        s = queue.popleft()
-        for label, dst in g.out_edges(s):
-            if not allow(label):
-                continue
-            if dst == start:
-                trace = [label]
-                cur = s
-                while cur != start:
-                    cur, lab = parent[cur]
-                    trace.append(lab)
-                trace.reverse()
-                return trace
-            if dst not in seen:
-                seen.add(dst)
-                parent[dst] = (s, label)
-                queue.append(dst)
-    return None
+    return _path(g, g.initial, targets)
 
 
 def find_tickless_cycle(g: Lts, internal: LabelExpr) -> list[str] | None:
@@ -197,6 +170,11 @@ def find_tickless_cycle(g: Lts, internal: LabelExpr) -> list[str] | None:
 # Individual checks
 
 
+def _empty_verdict(name: str, bad: StateSet) -> Verdict:
+    """Holds when `bad` is empty; otherwise its first state is the witness."""
+    return Verdict(name, bad.is_empty, witness_state=None if bad.is_empty else next(iter(bad)))
+
+
 def check_eq(
     g: Lts,
     pattern: PathRegex,
@@ -221,24 +199,8 @@ def check_eq(
     if not taut.holds:
         visited = eval_mu(g, visited_f, _memo=memo)
         errors = eval_mu(g, err_f, _memo=memo)
-        missed = visited.complement() - errors
-        sound = missed.is_empty
-        report.verdicts.append(
-            Verdict(
-                "eq_soundness",
-                sound,
-                witness_state=None if sound else next(iter(missed)),
-            )
-        )
-        overlap = visited & errors
-        correct = overlap.is_empty
-        report.verdicts.append(
-            Verdict(
-                "eq_correctness",
-                correct,
-                witness_state=None if correct else next(iter(overlap)),
-            )
-        )
+        report.verdicts.append(_empty_verdict("eq_soundness", visited.complement() - errors))
+        report.verdicts.append(_empty_verdict("eq_correctness", visited & errors))
     report.timings["eq"] = time.perf_counter() - t0
     return report
 
@@ -294,32 +256,11 @@ def check_inclusion_naive(
     visited = oracle_visited_states(g, pattern) if _visited is None else _visited
     not_present = visited.complement()
 
-    extra = errors - not_present
-    d1 = extra.is_empty
-    report.verdicts.append(
-        Verdict(
-            "naive_errors_in_complement",
-            d1,
-            witness_state=None if d1 else next(iter(extra)),
-        )
-    )
-
-    missed = not_present - errors
-    d2 = missed.is_empty
-    if d2:
-        report.verdicts.append(Verdict("naive_complement_in_errors", True))
-    else:
-        witness = next(iter(missed))
-        trace, split = _lasso(g, witness, err_label)
-        report.verdicts.append(
-            Verdict(
-                "naive_complement_in_errors",
-                False,
-                witness_state=witness,
-                witness_trace=trace,
-                lasso_split=split,
-            )
-        )
+    report.verdicts.append(_empty_verdict("naive_errors_in_complement", errors - not_present))
+    complete = _empty_verdict("naive_complement_in_errors", not_present - errors)
+    if not complete.holds:
+        complete.witness_trace, complete.lasso_split = _lasso(g, complete.witness_state, err_label)
+    report.verdicts.append(complete)
     report.timings["naive_inclusion"] = time.perf_counter() - t0
     return report
 
@@ -327,16 +268,17 @@ def check_inclusion_naive(
 def _lasso(g: Lts, witness: int, err_label: str) -> tuple[list[str] | None, int | None]:
     """Shortest path to the witness plus a cycle through it avoiding the error
     label; an all-tick cycle is preferred when one exists."""
-    hit = _shortest_path(g, g.set_of((witness,)))
+    here = g.set_of((witness,))
+    hit = _shortest_path(g, here)
     if hit is None:
         return None, None
     _, prefix = hit
-    cycle = _cycle_from(g, witness, lambda lab: lab == TICK_LABEL)
+    cycle = _path(g, witness, here, lambda lab: lab == TICK_LABEL)
     if cycle is None:
-        cycle = _cycle_from(g, witness, lambda lab: lab != err_label)
+        cycle = _path(g, witness, here, lambda lab: lab != err_label)
     if cycle is None:
         return prefix, None
-    return prefix + cycle, len(prefix)
+    return prefix + cycle[1], len(prefix)
 
 
 def check_reachable(g: Lts, target: LabelExpr, via: str = "enabled") -> Report:
@@ -349,11 +291,7 @@ def check_reachable(g: Lts, target: LabelExpr, via: str = "enabled") -> Report:
         raise ValueError("via must be 'enabled' or 'entered'")
     report = Report()
     t0 = time.perf_counter()
-    src_bits = 0
-    for src, label, _ in g.transitions:
-        if eval_label_expr(target, label):
-            src_bits |= 1 << src
-    hit = _shortest_path(g, StateSet(g.num_states, src_bits))
+    hit = _shortest_path(g, StateSet(g.num_states, g.pre_bits((1 << g.num_states) - 1, target)))
     if hit is not None and via == "entered":
         # Extend the path to a state with a matching outgoing edge by that edge.
         state, trace = hit

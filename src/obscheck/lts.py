@@ -222,10 +222,6 @@ class StateSet:
         return cls(width, 0)
 
     @classmethod
-    def full(cls, width: int) -> "StateSet":
-        return cls(width, (1 << width) - 1)
-
-    @classmethod
     def of(cls, width: int, states: Iterable[int]) -> "StateSet":
         bits = 0
         for s in states:

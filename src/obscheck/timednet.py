@@ -33,15 +33,14 @@ reactions):
      and no offered urgent elapse sitting at its finite upper bound; a
      suppressed urgent step does not block the tick.
 
-The search keys, stores and builds each state as one int, its state code:
-one bit per reaction entry (the pending set, in (process, transition)
-order from the lowest bit up), then one field per process holding
-`location | clock << location_bits`, then one field per variable holding
-`value - lo`.  Each step is a mask and an or on that int, read from rows
-compiled the first time the search meets a process field value; the rows
-live as long as one exploration call, and none is built ahead of time, so
-nothing is sized by a window bound.  `explore` never decodes a state code;
-`explore_full` decodes each one once into a `NetState`.
+Each `explore` or `explore_full` call compiles the network once (`_Compiled`,
+whose docstring defines the state code and the move format) and then keys,
+stores and builds each state as one int, its state code.  Each step is a mask
+and an or on that int, read from rows built the first time the search meets a
+process field value; the compiled tables and the rows live as long as the
+call, and none is built ahead of time, so nothing is sized by a window bound.
+`explore` never decodes a state code; `explore_full` decodes each one once
+into a `NetState`.
 """
 
 from __future__ import annotations
@@ -142,8 +141,8 @@ class VarDecl:
 
 @dataclass(frozen=True)
 class TimedNet:
-    """Immutable once built: the fields become tuples and a read-only mapping,
-    so the indexes derived from them in __post_init__ cannot go stale."""
+    """Immutable once built: the fields become tuples and a read-only mapping.
+    Building one validates it; exploration compiles it afresh on each call."""
 
     variables: Mapping[str, VarDecl] = field(default_factory=dict)
     processes: tuple[Process, ...] = ()
@@ -154,53 +153,6 @@ class TimedNet:
         object.__setattr__(self, "processes", tuple(self.processes))
         object.__setattr__(self, "priorities", tuple(tuple(pair) for pair in self.priorities))
         self._validate()
-        loc_index = tuple({loc: i for i, loc in enumerate(p.locations)} for p in self.processes)
-        var_index = {name: i for i, name in enumerate(self.variables)}
-        # _moves[p][loc]: the event and elapse moves leaving location `loc` of
-        # process p, in transition order, each a tuple
-        #   (label, target, guard, assigns, resets, event, lo, hi, blocks_from)
-        # with the guard as (variable, operator, value) and the assigns as
-        # (variable, value) by variable index, whether it is an event (only
-        # events queue the reactions on their label), the clock window as the
-        # inclusive range lo..hi, and the clock value from which the offered
-        # move blocks the tick (_UNBOUNDED: never).
-        moves = tuple(tuple([] for _ in proc.locations) for proc in self.processes)
-        cmax = tuple([0] * len(proc.locations) for proc in self.processes)
-        # _reactions: every reaction, in (process, transition) order, as
-        #   (process, transition, event, source, lo, hi, label, target)
-        # with the elapsed window as the inclusive range lo..hi.
-        reactions = []
-        for p, proc in enumerate(self.processes):
-            for ti, tr in enumerate(proc.transitions):
-                kind = tr.kind
-                source, target = loc_index[p][tr.source], loc_index[p][tr.target]
-                if type(kind) is Event:
-                    moves[p][source].append((
-                        tr.label, target,
-                        tuple((var_index[c.var], _CMP_OPS[c.op], c.value) for c in kind.guard),
-                        tuple((var_index[var], value) for var, value in kind.assigns),
-                        not kind.keepclock, True, 0, _UNBOUNDED, 0 if kind.urgent else _UNBOUNDED,
-                    ))
-                    continue
-                lo, hi = _clock_range(kind.window)
-                cmax[p][source] = max(cmax[p][source], lo if hi == _UNBOUNDED else hi + 1)
-                if type(kind) is Elapse:
-                    moves[p][source].append((
-                        tr.label, target, (), (), True, False,
-                        lo, hi, hi if kind.urgent else _UNBOUNDED,
-                    ))
-                else:
-                    reactions.append((p, ti, kind.event, source, lo, hi, tr.label, target))
-        suppresses: dict[str, set[str]] = {}
-        for high, low in self.priorities:
-            suppresses.setdefault(high, set()).add(low)
-        object.__setattr__(self, "_loc_index", loc_index)
-        object.__setattr__(self, "_moves", tuple(tuple(map(tuple, m)) for m in moves))
-        object.__setattr__(self, "_cmax", tuple(map(tuple, cmax)))
-        object.__setattr__(self, "_reactions", tuple(reactions))
-        object.__setattr__(
-            self, "_suppresses", {high: frozenset(lows) for high, lows in suppresses.items()}
-        )
 
     def _validate(self) -> None:
         for name, decl in self.variables.items():
@@ -287,13 +239,6 @@ class TimedNet:
 NetState = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
-def initial_state(net: TimedNet) -> NetState:
-    locs = tuple(net._loc_index[p][proc.initial] for p, proc in enumerate(net.processes))
-    vals = tuple(decl.init for decl in net.variables.values())
-    clocks = (0,) * len(net.processes)
-    return (locs, vals, clocks, ())
-
-
 def describe_state(net: TimedNet, state: NetState) -> dict:
     locs, vals, clocks, pending = state
     return {
@@ -309,35 +254,118 @@ def describe_state(net: TimedNet, state: NetState) -> dict:
     }
 
 
-class _Layout:
-    """The bit fields of one network's state code, as the module docstring
-    orders them, each the fewest bits that hold every value it can take."""
+def _field_mask(offset: int, width: int) -> int:
+    return ((1 << width) - 1) << offset
+
+
+class _Compiled:
+    """One network compiled for exploration, built once per `explore` or
+    `explore_full` call; this is the one place the state code and the move
+    format are defined.
+
+    A state code is one int: one bit per reaction (the pending set, in
+    (process, transition) order from the lowest bit up), then one field per
+    process holding `location | clock << location_bits`, then one field per
+    variable holding `value - lo`, each field the fewest bits that hold every
+    value it can take.  The tables:
+
+    - `procs[p]`: (offset, location bits, width) of process p's field, and
+      `vars[v]`: (offset, width, lo) of variable v's field;
+    - `init`: the code of the initial state;
+    - `moves[p][loc]`: the event and elapse moves leaving location `loc` of
+      process p, in transition order, each
+        (lo, hi, blocks_from, label, keep, put, guards, reactors):
+      the clock window as the inclusive range lo..hi, the clock value from
+      which the offered move blocks the tick (_UNBOUNDED: never), the step
+      `(s & keep) | put`, each guard as (offset, mask, operator, value - lo)
+      on a variable field, and the processes whose reactions on the label may
+      be queued (none for an elapse);
+    - `fire[bit]`: the step (label, keep, put) of a pending bit: it moves its
+      observer, resets that observer's clock and drops all of that
+      observer's pending bits;
+    - `probes[p]`: process p's reactions as (bit, event, source, lo, hi);
+    - `clamps[p][loc]`: the clock value at which ticks stop counting in that
+      location, and `ticks[p]`: one tick of process p's clock, as an addend;
+    - `suppresses`: per label, the labels declared below it;
+    - `pending[bit]`: the (process, transition) of a reaction bit.
+    """
 
     def __init__(self, net: TimedNet):
-        self.reactions = net._reactions
-        offset = len(net._reactions)
-        self.procs = []  # (offset, location bits, width) per process
-        for moves, cmax in zip(net._moves, net._cmax):
-            loc_bits = (len(moves) - 1).bit_length()
-            width = loc_bits + max(cmax).bit_length()
+        processes = net.processes
+        loc_index = [{loc: i for i, loc in enumerate(proc.locations)} for proc in processes]
+        self.clamps = [[0] * len(proc.locations) for proc in processes]
+        self.probes = [[] for _ in processes]
+        self.pending = []
+        for p, proc in enumerate(processes):
+            for ti, tr in enumerate(proc.transitions):
+                kind = tr.kind
+                if type(kind) is Event:
+                    continue
+                source = loc_index[p][tr.source]
+                lo, hi = _clock_range(kind.window)
+                self.clamps[p][source] = max(self.clamps[p][source], lo if hi == _UNBOUNDED else hi + 1)
+                if type(kind) is Reaction:
+                    self.probes[p].append((len(self.pending), kind.event, source, lo, hi))
+                    self.pending.append((p, ti))
+
+        offset = len(self.pending)
+        self.procs, self.ticks = [], []
+        self.init = 0
+        for p, (proc, clamps) in enumerate(zip(processes, self.clamps)):
+            loc_bits = (len(proc.locations) - 1).bit_length()
+            width = loc_bits + max(clamps).bit_length()
             self.procs.append((offset, loc_bits, width))
+            self.ticks.append(1 << (offset + loc_bits))
+            self.init |= loc_index[p][proc.initial] << offset
             offset += width
-        self.vars = []  # (offset, width, lo) per variable
+        self.vars = []
         for decl in net.variables.values():
             width = (decl.hi - decl.lo).bit_length()
             self.vars.append((offset, width, decl.lo))
+            self.init |= (decl.init - decl.lo) << offset
             offset += width
 
-    def encode(self, state: NetState) -> int:
-        """The code of a state with no pending reaction, such as the initial one."""
-        locs, vals, clocks, pending = state
-        assert not pending
-        code = 0
-        for (offset, loc_bits, _), loc, clock in zip(self.procs, locs, clocks):
-            code |= (loc | clock << loc_bits) << offset
-        for (offset, _, lo), value in zip(self.vars, vals):
-            code |= (value - lo) << offset
-        return code
+        var_fields = dict(zip(net.variables, self.vars))
+        watchers: dict[str, list[int]] = {}  # event label -> processes reacting to it
+        for p, probes in enumerate(self.probes):
+            for event in dict.fromkeys(event for _, event, _, _, _ in probes):
+                watchers.setdefault(event, []).append(p)
+        self.fire = []
+        self.moves = [[[] for _ in proc.locations] for proc in processes]
+        for p, proc in enumerate(processes):
+            offset, loc_bits, width = self.procs[p]
+            owned = sum(1 << bit for bit, *_ in self.probes[p])
+            for tr in proc.transitions:
+                kind = tr.kind
+                put = loc_index[p][tr.target] << offset
+                if type(kind) is Reaction:
+                    self.fire.append((tr.label, ~(_field_mask(offset, width) | owned), put))
+                    continue
+                if type(kind) is Event:
+                    lo, hi, blocks_from = 0, _UNBOUNDED, 0 if kind.urgent else _UNBOUNDED
+                    keep = ~_field_mask(offset, loc_bits if kind.keepclock else width)
+                    for var, value in kind.assigns:
+                        voffset, vwidth, vlo = var_fields[var]
+                        keep &= ~_field_mask(voffset, vwidth)
+                        put = (put & ~_field_mask(voffset, vwidth)) | (value - vlo) << voffset
+                    guards = tuple(
+                        (var_fields[c.var][0], (1 << var_fields[c.var][1]) - 1,
+                         _CMP_OPS[c.op], c.value - var_fields[c.var][2])
+                        for c in kind.guard
+                    )
+                    reactors = tuple(watchers.get(tr.label, ()))
+                else:
+                    lo, hi = _clock_range(kind.window)
+                    blocks_from = hi if kind.urgent else _UNBOUNDED
+                    keep, guards, reactors = ~_field_mask(offset, width), (), ()
+                self.moves[p][loc_index[p][tr.source]].append(
+                    (lo, hi, blocks_from, tr.label, keep, put, guards, reactors)
+                )
+
+        suppresses: dict[str, set[str]] = {}
+        for high, low in net.priorities:
+            suppresses.setdefault(high, set()).add(low)
+        self.suppresses = {high: frozenset(lows) for high, lows in suppresses.items()}
 
     def decode(self, code: int) -> NetState:
         fields = [
@@ -347,86 +375,42 @@ class _Layout:
             tuple(field & ((1 << loc_bits) - 1) for field, loc_bits in fields),
             tuple(((code >> offset) & ((1 << width) - 1)) + lo for offset, width, lo in self.vars),
             tuple(field >> loc_bits for field, loc_bits in fields),
-            tuple((p, ti) for i, (p, ti, *_) in enumerate(self.reactions) if (code >> i) & 1),
+            tuple(pt for i, pt in enumerate(self.pending) if (code >> i) & 1),
         )
 
 
-def _search(net: TimedNet, max_states: int) -> tuple[Lts, list[int]]:
+def _search(compiled: _Compiled, max_states: int) -> tuple[Lts, list[int]]:
     """Breadth-first state graph over state codes, plus the code of each state.
 
     A process's moves, reactions and tick increment depend only on its own
     field, so each field value met is compiled once into a row, kept for
-    this call: its admitted moves as constant (keep, put) masks, with each
-    guard as (offset, mask, operator, value - lo); its tick increment (0 at
-    the clamp); and per observed event the pending bits it queues.  A step is
-    then `(s & keep) | put`, and the tick is `s + increment`.
+    this call: its admitted moves, each with whether it blocks the tick at
+    this clock; its tick increment (0 at the clamp); and per observed event
+    the pending bits it queues.
     """
-    layout = _Layout(net)
-    procs, var_fields = layout.procs, layout.vars
-
-    def field_mask(offset: int, width: int) -> int:
-        return ((1 << width) - 1) << offset
-
-    # Per process, its reactions as (bit, event, source, lo, hi) and the
-    # mask of their pending bits.  Firing a pending bit is the step
-    # (label, keep, put): it moves its observer, resets that observer's
-    # clock and drops all of that observer's pending entries.
-    reactions = [[] for _ in procs]
-    owned = [0] * len(procs)
-    for bit, (p, _, event, source, lo, hi, _, _) in enumerate(net._reactions):
-        reactions[p].append((bit, event, source, lo, hi))
-        owned[p] |= 1 << bit
-    fire = []
-    for p, _, _, _, _, _, label, target in net._reactions:
-        offset, _, width = procs[p]
-        fire.append((label, ~(field_mask(offset, width) | owned[p]), target << offset))
-    pending_mask = (1 << len(fire)) - 1
-    watchers: dict[str, list[int]] = {}  # event label -> processes reacting to it
-    for p, by_process in enumerate(reactions):
-        for event in dict.fromkeys(event for _, event, _, _, _ in by_process):
-            watchers.setdefault(event, []).append(p)
-
-    def compile_move(p, label, target, guard, assigns, resets, event, lo, hi, blocks_from):
-        offset, loc_bits, width = procs[p]
-        keep = ~field_mask(offset, width if resets else loc_bits)
-        put = target << offset
-        for var, value in assigns:
-            voffset, vwidth, vlo = var_fields[var]
-            keep &= ~field_mask(voffset, vwidth)
-            put = (put & ~field_mask(voffset, vwidth)) | (value - vlo) << voffset
-        guards = tuple(
-            (var_fields[var][0], (1 << var_fields[var][1]) - 1, op, value - var_fields[var][2])
-            for var, op, value in guard
-        )
-        reactors = tuple(watchers.get(label, ())) if event else ()
-        return lo, hi, blocks_from, label, keep, put, guards, reactors
-
-    compiled = [
-        [[compile_move(p, *move) for move in moves] for moves in by_loc]
-        for p, by_loc in enumerate(net._moves)
-    ]
-    ticks = [1 << (offset + loc_bits) for offset, loc_bits, _ in procs]  # one tick of each clock
+    procs, moves_at, probes = compiled.procs, compiled.moves, compiled.probes
+    clamps, ticks = compiled.clamps, compiled.ticks
 
     def build_row(p: int, field: int):
         loc_bits = procs[p][1]
         loc, clock = field & ((1 << loc_bits) - 1), field >> loc_bits
         moves = tuple(
             (label, keep, put, guards, reactors, clock >= blocks_from)
-            for lo, hi, blocks_from, label, keep, put, guards, reactors in compiled[p][loc]
+            for lo, hi, blocks_from, label, keep, put, guards, reactors in moves_at[p][loc]
             if lo <= clock <= hi
         )
         queues: dict[str, int] = {}
-        for bit, event, source, lo, hi in reactions[p]:
+        for bit, event, source, lo, hi in probes[p]:
             if source == loc and lo <= clock <= hi:
                 queues[event] = queues.get(event, 0) | 1 << bit
-        inc = ticks[p] if clock < net._cmax[p][loc] else 0
+        inc = ticks[p] if clock < clamps[p][loc] else 0
         return moves, inc, queues or _NO_REACTIONS
 
     readers = [(p, offset, (1 << width) - 1, {}) for p, (offset, _, width) in enumerate(procs)]
-    suppresses = net._suppresses
-    init = layout.encode(initial_state(net))
-    index = {init: 0}
-    order = [init]
+    fire, suppresses = compiled.fire, compiled.suppresses
+    pending_mask = (1 << len(fire)) - 1
+    index = {compiled.init: 0}
+    order = [compiled.init]
     transitions = []
     for i, s in enumerate(order):  # the loop reaches every state appended below
         out = []
@@ -483,13 +467,14 @@ def _search(net: TimedNet, max_states: int) -> tuple[Lts, list[int]]:
 
 def explore_full(net: TimedNet, max_states: int = 100_000) -> tuple[Lts, tuple[NetState, ...]]:
     """Breadth-first state graph plus the network state behind each index."""
-    g, codes = _search(net, max_states)
-    return g, tuple(map(_Layout(net).decode, codes))
+    compiled = _Compiled(net)
+    g, codes = _search(compiled, max_states)
+    return g, tuple(map(compiled.decode, codes))
 
 
 def explore(net: TimedNet, max_states: int = 100_000) -> Lts:
     """Deterministic discrete-time state graph of the network."""
-    return _search(net, max_states)[0]
+    return _search(_Compiled(net), max_states)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,16 @@ class TestNaiveInclusion:
             state = _step(g, state, lab)
         assert state == v.witness_state
 
+    def test_unreachable_witness_has_no_lasso(self):
+        g = Lts(2, 0, [(0, "a", 0)])
+        v = check_inclusion_naive(g, parse_regex("T*"), "error").verdict("naive_complement_in_errors")
+        assert (v.holds, v.witness_state, v.witness_trace, v.lasso_split) == (False, 1, None, None)
+
+    def test_witness_on_no_cycle_gets_its_path_alone(self):
+        g = Lts(2, 0, [(0, "a", 1)])
+        v = check_inclusion_naive(g, parse_regex("eps"), "error").verdict("naive_complement_in_errors")
+        assert (v.holds, v.witness_state, v.witness_trace, v.lasso_split) == (False, 1, ["a"], None)
+
     def test_internal_consistency_with_error_condition(self, present45_graph):
         """The full error condition is sandwiched between the entered-error
         region and the complement of the visited set when the equivalence

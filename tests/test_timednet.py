@@ -519,6 +519,42 @@ class TestStateCode:
         assert_agrees(net)
 
 
+INIT_NOT_FIRST = (
+    "var x : -2..3 = 1\nvar y : 0..1 = 0\n"
+    "process P\nfrom a on e do y := 1 to b\ninit b\nfrom b on f to a\n"
+    "process O\ninit w\nfrom w probe e label r to w\n"
+)
+
+
+class TestCompiledPerCall:
+    """Exploration compiles the network afresh on each call and keeps
+    nothing on it."""
+
+    @pytest.mark.parametrize("net", [builtin_present(4, 5), builtin_mouse(), parse_net(INIT_NOT_FIRST)])
+    def test_net_holds_only_its_fields(self, net):
+        explore(net)
+        assert set(vars(net)) == {"variables", "processes", "priorities"}
+
+    @pytest.mark.parametrize(
+        "net, locs, vals",
+        [
+            (builtin_present(4, 5), (0, 0), (0,)),
+            (builtin_mouse(), (0, 0), (0,)),
+            (parse_net((DATA / "present_4_5.net").read_text()), (0, 0), (0,)),
+            (parse_net(INIT_NOT_FIRST), (1, 0), (1, 0)),
+        ],
+    )
+    def test_state_zero_is_the_initial_state(self, net, locs, vals):
+        assert explore_full(net)[1][0] == (locs, vals, (0,) * len(locs), ())
+
+    def test_exploring_twice_gives_the_same_graph(self):
+        net = builtin_present(12, 20)
+        g, states = explore_full(net)
+        again, states_again = explore_full(net)
+        assert again.transitions == g.transitions and states_again == states
+        assert explore(net).transitions == g.transitions
+
+
 class TestNothingSizedByAWindow:
     TEXT = (
         "process P\ninit l\n"
@@ -635,8 +671,7 @@ class TestValidation:
             )
 
     def test_net_is_frozen_after_validation(self):
-        """The exploration indexes are built once, so nothing they derive
-        from may change afterwards."""
+        """What was validated is what every exploration compiles."""
         net = builtin_present(4, 5)
         with pytest.raises(AttributeError):
             net.processes = net.processes[::-1]

@@ -1,0 +1,53 @@
+"""The benchmark's tracer wraps obscheck functions by name; these tests check
+that every name it wraps still exists, without importing the benchmark."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _wrapped_names() -> list[tuple[str, str]]:
+    """(layer, qualname) of every SPANNED entry and of every
+    `patch.replace(layer, qualname, ...)` call with literal names."""
+    tree = ast.parse(TRACING.read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SPANNED" for t in node.targets
+        ):
+            for layer, qualnames in ast.literal_eval(node.value).items():
+                names += [(layer, qualname) for qualname in qualnames]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "replace"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "patch"
+            and all(isinstance(arg, ast.Constant) for arg in node.args[:2])
+        ):
+            names.append((node.args[0].value, node.args[1].value))
+    return list(dict.fromkeys(names))
+
+
+WRAPPED = _wrapped_names()
+
+
+def test_the_tracer_wraps_both_kinds():
+    layers = {layer for layer, _ in WRAPPED}
+    assert {"timednet", "checker", "lts"} <= layers
+    assert ("timednet", "explore_full") in WRAPPED and ("lts", "Lts.post_bits") in WRAPPED
+
+
+@pytest.mark.parametrize("layer, qualname", WRAPPED)
+def test_wrapped_name_resolves(layer, qualname):
+    """Resolved as the tracer resolves it: attributes down the dotted path,
+    then the last part looked up in its owner's own namespace."""
+    owner = importlib.import_module(f"obscheck.{layer}")
+    *path, attr = qualname.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert callable(owner.__dict__[attr])
