@@ -30,7 +30,7 @@ class PathRegex:
     def _matcher(self):
         # match_word's compiled form, kept on the expression so that it is
         # freed with it.
-        return _compile_branches(self)
+        return _compile_matcher(self)
 
 
 class Step:
@@ -161,84 +161,101 @@ def _parse_operand(cur: Cursor) -> LabelExpr:
 # The steps a Tick stands for: `t` followed by `(-t)*`.
 TICK_STEPS = (One(TICK_ATOM), Star(NOT_TICK))
 
-_ONE, _STAR = 0, 1
 
+def _compile_matcher(regex: PathRegex):
+    """(start, accept, stars, labels, text, rows): match_word's tables over
+    the step positions of the expression's branches.
 
-def _compile_branches(regex: PathRegex):
-    """(branches, labels, rows): each branch is a step list of (opcode, label
-    index) over a deduplicated table of the label expressions involved;
-    `rows`, which match_word fills in, maps each symbol met so far to the
-    indices of the labels it matches.
+    Each branch is the step list it spells, with a Tick compiled in place
+    from TICK_STEPS as in build_nfa; a union under a sequence is expanded
+    into the cross product of its branches with the steps after it.  Every
+    step of every branch is one bit, and each branch has one more bit past
+    its end; a branch's bits run up from its first step, and the branches
+    follow one another.  `start` has the first bit of each branch, closed as
+    match_word closes its state; `accept` has the bit past each end, and
+    `stars` every star step.
 
-    A Tick is compiled in place from TICK_STEPS, as in build_nfa, so a
-    shared chain (such as `fott.present_regex`'s) is walked once per branch
-    but never rebuilt; the walk is as long as the steps it emits."""
+    `text` spells the positions from the highest bit down, one character
+    each: "\\0" past a branch end, else `chr(1 + 2 * j)` for a one-step over
+    `labels[j]` and `chr(2 + 2 * j)` for a star over it (so at most 557,056
+    distinct labels).  A mask is then one `str.translate` of it into binary
+    digits and one `int(..., 2)`, linear in the number of positions whatever
+    the number of labels.  `rows`, which match_word fills in, maps each
+    symbol met so far to the masks of the one-steps and of the stars whose
+    labels match it."""
     labels: list[LabelExpr] = []
     index: dict[LabelExpr, int] = {}
-    tick: list[tuple[int, int]] = []  # TICK_STEPS, last first, once a Tick is met
 
-    def step_of(step: Step) -> tuple[int, int]:
-        i = index.get(step.label)
-        if i is None:
-            index[step.label] = i = len(labels)
+    def char_of(step: Step) -> str:
+        j = index.get(step.label)
+        if j is None:
+            index[step.label] = j = len(labels)
             labels.append(step.label)
-        return (_ONE if type(step) is One else _STAR, i)
+        return chr(1 + 2 * j + (type(step) is Star))
 
-    def branches(node: PathRegex) -> list[tuple]:
-        if type(node) is Union:
-            return branches(node.left) + branches(node.right)
-        steps: list[tuple[int, int]] = []
-        while type(node) is Seq:
-            if type(node.step) is Tick:
-                if not tick:
-                    tick.extend(step_of(s) for s in reversed(TICK_STEPS))
-                steps += tick
-            else:
-                steps.append(step_of(node.step))
-            node = node.head
-        steps.reverse()
-        if type(node) is not Eps:
-            # A union under a sequence: fall back to cross products.
-            return [p + tuple(steps) for p in branches(node)]
-        return [tuple(steps)]
+    def branches(node: PathRegex) -> list[str]:
+        # Each branch of `node`, spelled last step first.  The union spine is
+        # walked with a stack, so its length is not bound by recursion depth.
+        out: list[str] = []
+        todo = [node]
+        tick = ""  # TICK_STEPS spelled last first, once a Tick is met
+        while todo:
+            node = todo.pop()
+            if type(node) is Union:
+                todo += (node.left, node.right)
+                continue
+            parts: list[str] = []
+            while type(node) is Seq:
+                if type(node.step) is Tick:
+                    tick = tick or "".join(char_of(step) for step in reversed(TICK_STEPS))
+                    parts.append(tick)
+                else:
+                    parts.append(char_of(node.step))
+                node = node.head
+            steps = "".join(parts)
+            if type(node) is Eps:
+                out.append(steps)
+            else:  # a union under a sequence
+                out += [steps + head for head in branches(node)]
+        return out
 
-    return tuple(branches(regex)), tuple(labels), {}
+    text = "\0" + "\0".join(branches(regex))
+    accept = int(text.translate("1" + "00" * len(labels)), 2)
+    stars = int(text.translate("0" + "01" * len(labels)), 2)
+    # A branch starts one bit above the end of the branch below it, and the
+    # lowest at bit 0; the xor drops the bit above the top branch's end.
+    start = (accept << 1 | 1) ^ (1 << len(text))
+    start |= ((start & stars) + stars) ^ stars
+    return start, accept, stars, tuple(labels), text, {}
 
 
 def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
     """Word membership, decided directly on the expression (no automaton).
 
-    Each branch is folded over a bit mask of reachable end positions in the
-    word; a star closes the position set under its matching symbols.
+    The state is the set of branch positions that the symbols read so far
+    can lead to, kept as one int over the positions of all branches
+    (Shift-And).  Each symbol is one step, whatever the number of branches:
+    a one-step whose label matches moves its bit to the next position, a
+    star whose label matches keeps it, and a bit on a star then also spreads
+    past the run of stars it stands in, since a star may take no step.  The
+    word matches if the state ends with a bit past some branch's end.
     """
-    branches, labels, rows = regex._matcher
-    # Mask of word positions each label expression matches.
-    masks = [0] * len(labels)
-    for i, symbol in enumerate(word):
+    start, accept, stars, labels, text, rows = regex._matcher
+    state = start
+    for symbol in word:
         row = rows.get(symbol)
         if row is None:
-            row = rows[symbol] = tuple(j for j, e in enumerate(labels) if eval_label_expr(e, symbol))
-        bit = 1 << i
-        for j in row:
-            masks[j] |= bit
-    accept = 1 << len(word)
-    for branch in branches:
-        pos = 1
-        for opcode, j in branch:
-            if opcode == _ONE:
-                pos = (pos & masks[j]) << 1
-                if not pos:
-                    break
-            else:
-                mask = masks[j]
-                while True:
-                    grown = pos | ((pos & mask) << 1)
-                    if grown == pos:
-                        break
-                    pos = grown
-        if pos & accept:
-            return True
-    return False
+            table = "0" + "".join(["11" if eval_label_expr(label, symbol) else "00" for label in labels])
+            matched = int(text.translate(table), 2)
+            row = rows[symbol] = (matched & ~stars, matched & stars)
+        state = ((state & row[0]) << 1) | (state & row[1])
+        if not state:
+            return False
+        # Adding `stars` carries each bit on a star up through the rest of
+        # its run of stars and on to the position after the run; the xor
+        # leaves the bits the carry went through.
+        state |= ((state & stars) + stars) ^ stars
+    return state & accept != 0
 
 
 # ---------------------------------------------------------------------------

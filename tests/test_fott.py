@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obscheck.fott import (
@@ -190,3 +190,19 @@ class TestPresentRegex:
         for length in range(6):
             for w in itertools.product(ALPHABET, repeat=length):
                 assert match_word(regex, w) == eval_fott(formula, {"x": w}), w
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.booleans(),
+        st.one_of(st.integers(0, 3), st.none()),
+        st.booleans(),
+        st.lists(words, min_size=1, max_size=10),
+    )
+    def test_regex_and_formula_agree_on_random_intervals(self, lo, lo_open, width, hi_open, sample):
+        interval = Interval(lo, None if width is None else lo + width, lo_open, hi_open)
+        assume(interval.integer_range() is not None)
+        regex = present_regex("a", "b", interval)
+        formula = present_fott("a", "b", interval)
+        for w in sample:
+            assert match_word(regex, w) == eval_fott(formula, {"x": w}), w

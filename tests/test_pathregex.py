@@ -4,14 +4,19 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_lts, random_lts, random_regex
 from obscheck._scan import ParseError
 from obscheck.fott import Interval, eval_fott, present_fott, present_regex
-from obscheck.lts import Atom
+from obscheck.lts import And as LAnd
+from obscheck.lts import Atom, Top
 from obscheck.lts import Not as LNot
+from obscheck.lts import Or as LOr
 from obscheck.pathregex import (
     EPS,
+    TICK,
     One,
     Seq,
     Star,
@@ -130,6 +135,24 @@ class TestMatchWord:
             for w in itertools.product(ALPHABET, repeat=length):
                 assert match_word(regex, w) == eval_fott(formula, {"x": w})
 
+    def test_long_union_is_walked_without_recursion(self):
+        regex = parse_regex(" \\/ ".join(f"a{i}" for i in range(3000)))
+        assert match_word(regex, ("a2999",)) is True
+        assert match_word(regex, ("b",)) is False
+
+    @pytest.mark.parametrize("lo, hi", [(50, 100), (200, 400)])
+    def test_wide_windows_at_their_edges(self, lo, hi):
+        """Masks that span many int digits: the tick count decides, on either
+        side of each end of the window; a missing event fails, and one more
+        trigger in front changes nothing."""
+        regex = present_regex("a", "b", Interval(lo, hi, upper_open=True))
+        for k in (lo - 1, lo, hi - 1, hi):
+            word = ("z", "b") + ("t",) * k + ("a",)
+            assert match_word(regex, word) is (lo <= k < hi), k
+            assert match_word(regex, ("b",) + word) is (lo <= k < hi), k
+            assert match_word(regex, word[:-1]) is False, k
+            assert match_word(regex, ("b",) + word[:-1]) is False, k
+
     def test_expressions_are_freed_after_use(self):
         """Matching and evaluating keep no state that outlives the
         expressions: once dropped, they are collected."""
@@ -212,3 +235,66 @@ class TestOracles:
                 expected.add(i)
         assert set(outside) == expected
         assert len(outside) == 6
+
+
+def holds(label, symbol):
+    """Label membership, spelled out apart from obscheck.lts."""
+    kind = type(label)
+    if kind is Atom:
+        return label.name == symbol
+    if kind is Top:
+        return True
+    if kind is LNot:
+        return not holds(label.arg, symbol)
+    if kind is LAnd:
+        return holds(label.left, symbol) and holds(label.right, symbol)
+    assert kind is LOr
+    return holds(label.left, symbol) or holds(label.right, symbol)
+
+
+def naive_match(regex, word):
+    """Whether `word` spells `regex`, by trying every way to split it, last
+    step first, on the expression itself."""
+
+    def spells(node, end):  # does word[:end] spell `node`?
+        if type(node) is Union:
+            return spells(node.left, end) or spells(node.right, end)
+        if type(node) is not Seq:  # eps
+            return end == 0
+        step = node.step
+        if type(step) is Tick:  # `t` then any run of other symbols
+            return any(
+                word[k] == "t" and "t" not in word[k + 1 : end] and spells(node.head, k)
+                for k in range(end)
+            )
+        if type(step) is One:
+            return end > 0 and holds(step.label, word[end - 1]) and spells(node.head, end - 1)
+        while not spells(node.head, end):  # a star: give it one more symbol
+            if end == 0 or not holds(step.label, word[end - 1]):
+                return False
+            end -= 1
+        return True
+
+    return spells(regex, len(word))
+
+
+label_exprs = st.recursive(
+    st.sampled_from(ALPHABET).map(Atom) | st.just(Top()),
+    lambda inner: inner.map(LNot) | st.builds(LAnd, inner, inner) | st.builds(LOr, inner, inner),
+    max_leaves=4,
+)
+steps = label_exprs.map(One) | label_exprs.map(Star) | st.just(Star(Top())) | st.just(TICK)
+# Sequences may extend unions, which the concrete syntax never writes.
+regexes = st.recursive(
+    st.just(EPS),
+    lambda inner: st.builds(Seq, inner, steps) | st.builds(Union, inner, inner),
+    max_leaves=8,
+)
+words = st.lists(st.sampled_from(ALPHABET), max_size=7).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(regexes, st.lists(words, min_size=1, max_size=8))
+def test_match_word_agrees_with_naive_backtracking(regex, sample):
+    for word in sample:
+        assert match_word(regex, word) == naive_match(regex, word), word
