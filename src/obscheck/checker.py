@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .lts import TICK, TICK_LABEL, LabelExpr, Lts, StateSet, Or as LabelOr, Not as LabelNot
 from .lts import eval_label_expr, format_label_expr
-from .mucalc import EvalMemo, Iff, MuFormula, Not, eval_mu, is_tautology
+from .mucalc import EvalMemo, eval_mu
 from .mucompile import (
     compile_both,
     error_condition,
@@ -175,69 +175,49 @@ def _empty_verdict(name: str, bad: StateSet) -> Verdict:
     return Verdict(name, bad.is_empty, witness_state=None if bad.is_empty else next(iter(bad)))
 
 
-def check_eq(
-    g: Lts,
-    pattern: PathRegex,
-    err_label: str,
-    *,
-    _visited_f: MuFormula | None = None,
-    _memo: EvalMemo | None = None,
-) -> Report:
-    """Tautology check: visited-by-pattern iff not in the error condition.
-    On failure the two directions are reported separately with witnesses,
-    read from the sets the tautology already evaluated.
+def check_eq(g: Lts, pattern: PathRegex, err_label: str, *, _visited: StateSet | None = None) -> Report:
+    """Tautology check: visited-by-pattern iff not in the error condition,
+    read off two state sets.  Unsound states are neither visited nor in
+    error, incorrect ones are both; on failure each kind is reported with its
+    own witness, and the tautology's is the least state of either kind.
 
-    `_visited_f`, if given, is the pattern's compiled visited formula;
-    `_memo`, if given, is the report's evaluation memo on `g`."""
+    `_visited`, if given, is the pattern's compiled visited set on `g`."""
     report = Report()
     t0 = time.perf_counter()
-    visited_f = compile_both(pattern)[1] if _visited_f is None else _visited_f
-    memo = EvalMemo(g) if _memo is None else _memo
-    err_f = error_condition(err_label)
-    taut = is_tautology(g, Iff(visited_f, Not(err_f)), _memo=memo)
-    report.verdicts.append(Verdict("eq_tautology", taut.holds, witness_state=taut.witness))
+    visited = eval_mu(g, compile_both(pattern)[1]) if _visited is None else _visited
+    errors = eval_mu(g, error_condition(err_label))
+    unsound, incorrect = visited.complement() - errors, visited & errors
+    taut = _empty_verdict("eq_tautology", unsound | incorrect)
+    report.verdicts.append(taut)
     if not taut.holds:
-        visited = eval_mu(g, visited_f, _memo=memo)
-        errors = eval_mu(g, err_f, _memo=memo)
-        report.verdicts.append(_empty_verdict("eq_soundness", visited.complement() - errors))
-        report.verdicts.append(_empty_verdict("eq_correctness", visited & errors))
+        report.verdicts.append(_empty_verdict("eq_soundness", unsound))
+        report.verdicts.append(_empty_verdict("eq_correctness", incorrect))
     report.timings["eq"] = time.perf_counter() - t0
     return report
 
 
-def check_innocuous(
-    g: Lts, events: list[LabelExpr], internal: LabelExpr, *, _memo: EvalMemo | None = None
-) -> Report:
+def check_innocuous(g: Lts, events: list[LabelExpr], internal: LabelExpr) -> Report:
     """From every state, every observed event and the tick must stay reachable
-    through internal steps alone.
-
-    `_memo`, if given, is the report's evaluation memo on `g`."""
+    through internal steps alone.  Each `reach[e]` fails at the least state
+    outside its reach formula's set; `innocuous` fails with the first of
+    them."""
     if not events:
         raise ValueError("innocuousness needs at least one event")
     report = Report()
     t0 = time.perf_counter()
-    all_hold = True
-    first_witness = None
-    for event in events:
-        taut = is_tautology(g, reach_formula(event, internal), _memo=_memo)
-        name = f"reach[{format_label_expr(event)}]"
-        report.verdicts.append(Verdict(name, taut.holds, witness_state=taut.witness))
-        if not taut.holds:
-            all_hold = False
-            if first_witness is None:
-                first_witness = taut.witness
-    report.verdicts.append(Verdict("innocuous", all_hold, witness_state=first_witness))
+    reach = [
+        _empty_verdict(f"reach[{format_label_expr(e)}]", eval_mu(g, reach_formula(e, internal)).complement())
+        for e in events
+    ]
+    witnesses = [v.witness_state for v in reach if not v.holds]
+    report.verdicts += reach
+    report.verdicts.append(Verdict("innocuous", not witnesses, witness_state=witnesses[0] if witnesses else None))
     report.timings["innocuous"] = time.perf_counter() - t0
     return report
 
 
 def check_inclusion_naive(
-    g: Lts,
-    pattern: PathRegex,
-    err_label: str,
-    *,
-    _visited: StateSet | None = None,
-    _memo: EvalMemo | None = None,
+    g: Lts, pattern: PathRegex, err_label: str, *, _visited: StateSet | None = None
 ) -> Report:
     """The automata-only check: compare the states reached through the error
     transition against the complement of the pattern's visited set, both ways.
@@ -247,12 +227,11 @@ def check_inclusion_naive(
     condition: the whole point of the exercise is that the converse inclusion
     fails on time-divergent runs where the error step never fires.
 
-    `_visited`, if given, is the pattern's oracle visited set; `_memo`, if
-    given, is the report's evaluation memo on `g`.
+    `_visited`, if given, is the pattern's oracle visited set on `g`.
     """
     report = Report()
     t0 = time.perf_counter()
-    errors = eval_mu(g, error_entry_region(err_label), _memo=_memo)
+    errors = eval_mu(g, error_entry_region(err_label))
     visited = oracle_visited_states(g, pattern) if _visited is None else _visited
     not_present = visited.complement()
 
@@ -322,9 +301,8 @@ def full_report(
 
     The pattern is compiled once and its NFA x graph product run once; the
     time of each counts toward the first check that uses it (`eq` and
-    `naive_inclusion`).  Every formula is evaluated through one memo that
-    lives as long as the call, so each closed subformula is evaluated once
-    per report: the cross-check finds both of its formulas already there."""
+    `naive_inclusion`).  Its two formulas share one evaluation memo that
+    lives as long as the call; each check is handed the visited set it needs."""
     g = explore(source) if isinstance(source, TimedNet) else source
     if internal is None:
         internal = internal_label_expr(events)
@@ -333,18 +311,19 @@ def full_report(
 
     t0 = time.perf_counter()
     end_f, visited_f = compile_both(pattern)
-    report.extend(check_eq(g, pattern, err_label, _visited_f=visited_f, _memo=memo))
+    visited_mu = eval_mu(g, visited_f, _memo=memo)
+    report.extend(check_eq(g, pattern, err_label, _visited=visited_mu))
     report.timings["eq"] = time.perf_counter() - t0
 
-    report.extend(check_innocuous(g, events, internal, _memo=memo))
+    report.extend(check_innocuous(g, events, internal))
 
     t0 = time.perf_counter()
     end, visited = oracle_states(g, pattern)
-    report.extend(check_inclusion_naive(g, pattern, err_label, _visited=visited, _memo=memo))
+    report.extend(check_inclusion_naive(g, pattern, err_label, _visited=visited))
     report.timings["naive_inclusion"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    agree = eval_mu(g, end_f, _memo=memo) == end and eval_mu(g, visited_f, _memo=memo) == visited
+    agree = eval_mu(g, end_f, _memo=memo) == end and visited_mu == visited
     report.verdicts.append(Verdict("oracle_agreement", agree))
     report.timings["oracle_agreement"] = time.perf_counter() - t0
 

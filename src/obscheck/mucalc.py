@@ -416,7 +416,7 @@ class EvalMemo:
 
     Entries are keyed by node id; every root evaluated through the memo is
     kept alive with it, so no id is reused while the memo lives.  It is meant
-    to live for one batch of related checks (one report), not longer.
+    to live for one batch of related formulas on one graph, not longer.
     """
 
     __slots__ = ("graph", "polarity", "bits", "roots")
@@ -538,10 +538,9 @@ class TautologyResult:
     witness: int | None = None
 
 
-def is_tautology(g: Lts, f: MuFormula, *, _memo: EvalMemo | None = None) -> TautologyResult:
-    """Does `f` hold on every state?  On failure, the least state outside.
-    `_memo` is passed on to `eval_mu`."""
-    sat = eval_mu(g, f, _memo=_memo)
+def is_tautology(g: Lts, f: MuFormula) -> TautologyResult:
+    """Does `f` hold on every state?  On failure, the least state outside."""
+    sat = eval_mu(g, f)
     if sat.is_all:
         return TautologyResult(True, None)
     outside = sat.complement()

@@ -1,11 +1,12 @@
 import gc
 import json
+import random
 import time
 import weakref
 
 import pytest
 
-from conftest import ZENO_NET, chain_lts
+from conftest import ZENO_NET, chain_lts, random_label_expr, random_lts, random_regex
 from obscheck import checker, lts, pathregex
 from obscheck.checker import (
     Report,
@@ -20,8 +21,8 @@ from obscheck.checker import (
 )
 from obscheck.fott import Interval, present_regex
 from obscheck.lts import Atom, Lts, parse_label_expr
-from obscheck.mucalc import eval_mu
-from obscheck.mucompile import error_condition
+from obscheck.mucalc import Iff, Implies, Not, eval_mu, is_tautology
+from obscheck.mucompile import compile_both, error_condition, reach_formula
 from obscheck.pathregex import oracle_visited_states, parse_regex
 from obscheck.timednet import builtin_mouse, builtin_present, explore, parse_net
 
@@ -330,9 +331,9 @@ class TestFullReportWork:
         ],
     )
     def test_image_calls_per_report(self, image_calls, monkeypatch, model, window, most, verdicts):
-        """Each closed subformula is imaged once per report, so the oracle
-        cross-check, whose two formulas the equivalence check has already
-        evaluated, images nothing."""
+        """The pattern's two formulas share one memo per report, so the oracle
+        cross-check, whose two sets the report has already evaluated, images
+        nothing."""
         g = explore(builtin_present(*model))
         before_cross_check = []
         naive = checker.check_inclusion_naive
@@ -348,21 +349,19 @@ class TestFullReportWork:
         assert image_calls[0] <= most
         assert before_cross_check == [image_calls[0]]
 
-    def test_direct_check_eq_reads_its_failure_sets_off_the_tautology(self, image_calls, monkeypatch):
-        g = explore(builtin_present(20, 40))
-        after_tautology = []
-        tautology = checker.is_tautology
-
-        def snapshot_after(*args, **kwargs):
-            out = tautology(*args, **kwargs)
-            after_tautology.append(image_calls[0])
-            return out
-
-        monkeypatch.setattr(checker, "is_tautology", snapshot_after)
-        report = check_eq(g, pattern(20, 39), "error")
+    def test_direct_check_eq_images_as_much_as_the_tautology(self, image_calls):
+        """Read off the visited and error sets, a direct `check_eq` does the
+        image work of the `visited <=> -errors` tautology alone, and its
+        failure witnesses agree with the tautology's."""
+        g, regex = explore(builtin_present(20, 40)), pattern(20, 39)
+        iff = Iff(compile_both(regex)[1], Not(error_condition("error")))
+        taut = is_tautology(g, iff)
+        tautology_calls, image_calls[0] = image_calls[0], 0
+        report = check_eq(g, regex, "error")
         assert [(v.name, v.holds) for v in report.verdicts] == MISMATCH_VERDICTS[:3]
+        assert image_calls[0] == tautology_calls == 231
+        assert report.verdict("eq_tautology").witness_state == taut.witness
         assert report.verdict("eq_soundness").witness_state == report.verdict("eq_tautology").witness_state
-        assert after_tautology == [image_calls[0]] and image_calls[0] > 0
 
     def test_formulas_die_with_the_report(self, present45_graph, monkeypatch):
         refs = []
@@ -384,6 +383,46 @@ class TestFullReportWork:
         formula's tick chain a second time, which used to overflow here."""
         report = full_report(builtin_present(600, 601), pattern(600, 601), "error", EVENTS)
         assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS
+
+
+class TestSetVerdicts:
+    """The checks read their verdicts off state sets; on random graphs,
+    patterns and error labels these equal the verdicts of the formula route,
+    and a report's verdicts equal those of the checks run on their own."""
+
+    def test_set_verdicts_match_the_formula_route(self):
+        rng = random.Random(1201)
+        failed = set()
+        for _ in range(200):
+            g, regex = random_lts(rng), random_regex(rng)
+            err = rng.choice(g.labels)
+            events = [Atom(lab) for lab in rng.sample(g.labels, rng.randint(1, len(g.labels)))]
+            internal = rng.choice([internal_label_expr(events), random_label_expr(rng)])
+
+            visited_f, err_f = compile_both(regex)[1], error_condition(err)
+            eq = check_eq(g, regex, err)
+            expected = [("eq_tautology", is_tautology(g, Iff(visited_f, Not(err_f))))]
+            if not expected[0][1].holds:
+                expected.append(("eq_soundness", is_tautology(g, Implies(Not(visited_f), err_f))))
+                expected.append(("eq_correctness", is_tautology(g, Implies(visited_f, Not(err_f)))))
+            assert [(v.name, v.holds, v.witness_state) for v in eq.verdicts] == [
+                (name, taut.holds, taut.witness) for name, taut in expected
+            ]
+
+            innocuous = check_innocuous(g, events, internal)
+            reach = [is_tautology(g, reach_formula(e, internal)) for e in events]
+            witnesses = [taut.witness for taut in reach if not taut.holds]
+            assert [(v.holds, v.witness_state) for v in innocuous.verdicts] == [
+                (taut.holds, taut.witness) for taut in reach
+            ] + [(not witnesses, witnesses[0] if witnesses else None)]
+
+            naive = check_inclusion_naive(g, regex, err)
+            report = full_report(g, regex, err, events, internal)
+            for v in eq.verdicts + innocuous.verdicts + naive.verdicts:
+                assert report.verdict(v.name) == v
+                if not v.holds:
+                    failed.add(v.name)
+        assert {"eq_soundness", "eq_correctness", "innocuous", "naive_errors_in_complement"} <= failed
 
 
 class TestReportShape:

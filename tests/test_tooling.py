@@ -1,11 +1,16 @@
 """The benchmark's tracer wraps obscheck functions by name; these tests check
-that every name it wraps still exists, without importing the benchmark."""
+that every name it wraps still exists, without importing the benchmark.  A
+last test keeps count of the private keyword arguments of the public API."""
 
 import ast
 import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import obscheck
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,3 +56,31 @@ def test_wrapped_name_resolves(layer, qualname):
     for part in path:
         owner = getattr(owner, part)
     assert callable(owner.__dict__[attr])
+
+
+def test_private_parameters_of_the_public_api():
+    """Underscore parameters are hooks for sharing work between calls; the
+    public functions and methods of obscheck carry exactly these."""
+    found = []
+    for info in pkgutil.iter_modules(obscheck.__path__):
+        module = importlib.import_module(f"obscheck.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            functions = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        functions.append((f"{name}.{attr}", member))
+            for qualname, function in functions:
+                found += [
+                    f"{info.name}.{qualname}.{param}"
+                    for param in inspect.signature(function).parameters
+                    if param.startswith("_")
+                ]
+    assert sorted(found) == [
+        "checker.check_eq._visited",
+        "checker.check_inclusion_naive._visited",
+        "mucalc.eval_mu._memo",
+    ]
