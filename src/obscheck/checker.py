@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .lts import TICK, TICK_LABEL, LabelExpr, Lts, StateSet, Or as LabelOr, Not as LabelNot
 from .lts import eval_label_expr, format_label_expr
-from .mucalc import EvalMemo, eval_mu
+from .mucalc import eval_all, eval_mu
 from .mucompile import (
     compile_both,
     error_condition,
@@ -175,17 +175,20 @@ def _empty_verdict(name: str, bad: StateSet) -> Verdict:
     return Verdict(name, bad.is_empty, witness_state=None if bad.is_empty else next(iter(bad)))
 
 
-def check_eq(g: Lts, pattern: PathRegex, err_label: str, *, _visited: StateSet | None = None) -> Report:
+def check_eq(g: Lts, pattern: PathRegex, err_label: str) -> Report:
     """Tautology check: visited-by-pattern iff not in the error condition,
-    read off two state sets.  Unsound states are neither visited nor in
-    error, incorrect ones are both; on failure each kind is reported with its
-    own witness, and the tautology's is the least state of either kind.
-
-    `_visited`, if given, is the pattern's compiled visited set on `g`."""
-    report = Report()
+    read off two state sets from one `eval_all` batch.  Unsound states are
+    neither visited nor in error, incorrect ones are both; on failure each
+    kind is reported with its own witness, and the tautology's is the least
+    state of either kind."""
     t0 = time.perf_counter()
-    visited = eval_mu(g, compile_both(pattern)[1]) if _visited is None else _visited
-    errors = eval_mu(g, error_condition(err_label))
+    visited, errors = eval_all(g, (compile_both(pattern)[1], error_condition(err_label)))
+    return _eq_report(visited, errors, t0)
+
+
+def _eq_report(visited: StateSet, errors: StateSet, t0: float) -> Report:
+    """`check_eq`'s verdicts, timed as `eq` from `t0`."""
+    report = Report()
     unsound, incorrect = visited.complement() - errors, visited & errors
     taut = _empty_verdict("eq_tautology", unsound | incorrect)
     report.verdicts.append(taut)
@@ -216,9 +219,7 @@ def check_innocuous(g: Lts, events: list[LabelExpr], internal: LabelExpr) -> Rep
     return report
 
 
-def check_inclusion_naive(
-    g: Lts, pattern: PathRegex, err_label: str, *, _visited: StateSet | None = None
-) -> Report:
+def check_inclusion_naive(g: Lts, pattern: PathRegex, err_label: str) -> Report:
     """The automata-only check: compare the states reached through the error
     transition against the complement of the pattern's visited set, both ways.
 
@@ -226,17 +227,18 @@ def check_inclusion_naive(
     label-level image of the observer's error location), not the full error
     condition: the whole point of the exercise is that the converse inclusion
     fails on time-divergent runs where the error step never fires.
-
-    `_visited`, if given, is the pattern's oracle visited set on `g`.
     """
-    report = Report()
     t0 = time.perf_counter()
-    errors = eval_mu(g, error_entry_region(err_label))
-    visited = oracle_visited_states(g, pattern) if _visited is None else _visited
-    not_present = visited.complement()
+    region = eval_mu(g, error_entry_region(err_label))
+    return _naive_report(g, region, oracle_visited_states(g, pattern), err_label, t0)
 
-    report.verdicts.append(_empty_verdict("naive_errors_in_complement", errors - not_present))
-    complete = _empty_verdict("naive_complement_in_errors", not_present - errors)
+
+def _naive_report(g: Lts, region: StateSet, visited: StateSet, err_label: str, t0: float) -> Report:
+    """`check_inclusion_naive`'s verdicts, timed as `naive_inclusion` from `t0`."""
+    report = Report()
+    not_present = visited.complement()
+    report.verdicts.append(_empty_verdict("naive_errors_in_complement", region - not_present))
+    complete = _empty_verdict("naive_complement_in_errors", not_present - region)
     if not complete.holds:
         complete.witness_trace, complete.lasso_split = _lasso(g, complete.witness_state, err_label)
     report.verdicts.append(complete)
@@ -299,31 +301,33 @@ def full_report(
     """Equivalence, innocuousness, naive inclusion, the compiled-vs-oracle
     cross-check, and internal-cycle detection, in one report.
 
-    The pattern is compiled once and its NFA x graph product run once; the
-    time of each counts toward the first check that uses it (`eq` and
-    `naive_inclusion`).  Its two formulas share one evaluation memo that
-    lives as long as the call; each check is handed the visited set it needs."""
+    The pattern is compiled once, its NFA x graph product run once, and its
+    two formulas, the error condition and the error region (the condition's
+    right operand) evaluated in one `eval_all` batch; the verdicts are read
+    off those sets as `check_eq` and `check_inclusion_naive` read theirs.
+    `eq` times the compile, the batch and its verdicts, `naive_inclusion`
+    the product and its verdicts, `oracle_agreement` only the comparison."""
     g = explore(source) if isinstance(source, TimedNet) else source
     if internal is None:
         internal = internal_label_expr(events)
     report = Report()
-    memo = EvalMemo(g)
 
     t0 = time.perf_counter()
     end_f, visited_f = compile_both(pattern)
-    visited_mu = eval_mu(g, visited_f, _memo=memo)
-    report.extend(check_eq(g, pattern, err_label, _visited=visited_mu))
-    report.timings["eq"] = time.perf_counter() - t0
+    errors_f = error_condition(err_label)
+    # Visited first: the end formula then recurses into subterms already
+    # evaluated, which keeps `[600,601[` within the default recursion limit.
+    visited_mu, end_mu, errors, region = eval_all(g, (visited_f, end_f, errors_f, errors_f.right))
+    report.extend(_eq_report(visited_mu, errors, t0))
 
     report.extend(check_innocuous(g, events, internal))
 
     t0 = time.perf_counter()
     end, visited = oracle_states(g, pattern)
-    report.extend(check_inclusion_naive(g, pattern, err_label, _visited=visited))
-    report.timings["naive_inclusion"] = time.perf_counter() - t0
+    report.extend(_naive_report(g, region, visited, err_label, t0))
 
     t0 = time.perf_counter()
-    agree = eval_mu(g, end_f, _memo=memo) == end and visited_mu == visited
+    agree = end_mu == end and visited_mu == visited
     report.verdicts.append(Verdict("oracle_agreement", agree))
     report.timings["oracle_agreement"] = time.perf_counter() - t0
 

@@ -409,57 +409,36 @@ def check_monotone(f: MuFormula) -> list[str] | None:
 # Evaluation
 
 
-class EvalMemo:
-    """State sets of closed subformulas, and polarities of every node, on one
-    graph, shared by the `eval_mu` calls that are given it, so a subterm the
-    calls share is evaluated once.
-
-    Entries are keyed by node id; every root evaluated through the memo is
-    kept alive with it, so no id is reused while the memo lives.  It is meant
-    to live for one batch of related formulas on one graph, not longer.
-    """
-
-    __slots__ = ("graph", "polarity", "bits", "roots")
-
-    def __init__(self, g: Lts):
-        self.graph = g
-        self.polarity: dict[int, tuple] = {}
-        self.bits: dict[int, int] = {}
-        self.roots: list[MuFormula] = []
-
-
-def eval_mu(
-    g: Lts,
-    f: MuFormula,
-    env: dict[str, StateSet] | None = None,
-    *,
-    _memo: EvalMemo | None = None,
-) -> StateSet:
+def eval_mu(g: Lts, f: MuFormula, env: dict[str, StateSet] | None = None) -> StateSet:
     """Set of states where `f` holds; fixpoints by iteration, at most one
     growth step per state (hard failure beyond that bound).
 
     `env` may bind free variables of an open formula; everything else must
-    be closed and monotone.  Closed subformulas are evaluated once per call,
-    or, through `_memo`, once per memo.
+    be closed and monotone.  Closed subformulas are evaluated once per call.
     """
-    if _memo is None:
-        polarity: dict[int, tuple] = {}
-        memo: dict[int, int] = {}
-    else:
-        if _memo.graph is not g:
-            raise ValueError("evaluation memo belongs to a different graph")
-        _memo.roots.append(f)
-        polarity, memo = _memo.polarity, _memo.bits
-    pos, neg, _ = _polarities(f, polarity)
-    missing = (pos | neg) - frozenset(env or ())
-    if missing:
-        raise EvalError(f"unbound variable(s): {', '.join(sorted(missing))}")
-    violation = _violation(f, polarity)
-    if violation is not None:
-        raise EvalError("binder is not monotone in its variable: " + " / ".join(violation))
+    return eval_all(g, (f,), env)[0]
+
+
+def eval_all(
+    g: Lts, formulas: tuple[MuFormula, ...], env: dict[str, StateSet] | None = None
+) -> list[StateSet]:
+    """`[eval_mu(g, f, env) for f in formulas]`, checking every formula
+    before evaluating any, in order, with each closed subformula they share
+    by identity evaluated once.  Its sets are keyed by node id and live for
+    the call only, while `formulas` keeps every root alive."""
+    polarity: dict[int, tuple] = {}
+    for f in formulas:
+        pos, neg, _ = _polarities(f, polarity)
+        missing = (pos | neg) - frozenset(env or ())
+        if missing:
+            raise EvalError(f"unbound variable(s): {', '.join(sorted(missing))}")
+        violation = _violation(f, polarity)
+        if violation is not None:
+            raise EvalError("binder is not monotone in its variable: " + " / ".join(violation))
 
     n = g.num_states
     mask = (1 << n) - 1
+    memo: dict[int, int] = {}
 
     def ev(node: MuFormula, scope: dict[str, int]) -> int:
         closed = polarity[id(node)] is _CLOSED  # no binder is bad by now
@@ -529,7 +508,7 @@ def eval_mu(
             if sset.width != n:
                 raise ValueError("environment set belongs to a different graph")
             scope0[name] = sset.bits
-    return StateSet(n, ev(f, scope0))
+    return [StateSet(n, ev(f, scope0)) for f in formulas]
 
 
 @dataclass(frozen=True)

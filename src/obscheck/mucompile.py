@@ -86,8 +86,9 @@ def compile_both(regex: PathRegex) -> tuple[MuFormula, MuFormula]:
 
 
 def error_condition(err_label: str) -> MuFormula:
-    """States satisfying the observer's error condition: the error transition
-    is enabled, or the state can only be reached by firing it."""
+    """The observer's error condition `<e>T \\/ error_entry_region(e)`, for
+    error label `e`: the error transition is enabled, or the state can only
+    be reached by firing it."""
     return Or(FwdDiamond(Atom(err_label), TRUE), error_entry_region(err_label))
 
 

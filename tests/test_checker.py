@@ -330,24 +330,46 @@ class TestFullReportWork:
             ((20, 40), (20, 39), 350, MISMATCH_VERDICTS),
         ],
     )
-    def test_image_calls_per_report(self, image_calls, monkeypatch, model, window, most, verdicts):
-        """The pattern's two formulas share one memo per report, so the oracle
-        cross-check, whose two sets the report has already evaluated, images
-        nothing."""
-        g = explore(builtin_present(*model))
-        before_cross_check = []
-        naive = checker.check_inclusion_naive
-
-        def snapshot_after(*args, **kwargs):
-            out = naive(*args, **kwargs)
-            before_cross_check.append(image_calls[0])
-            return out
-
-        monkeypatch.setattr(checker, "check_inclusion_naive", snapshot_after)
-        report = full_report(g, pattern(*window), "error", EVENTS)
+    def test_image_calls_per_report(self, image_calls, model, window, most, verdicts):
+        """One `eval_all` batch per report serves the pattern's two formulas,
+        the error condition and the error region, so a report images exactly
+        what a direct `check_eq` and `check_innocuous` image together: the
+        end formula, the region and the oracle cross-check add nothing."""
+        g, regex = explore(builtin_present(*model)), pattern(*window)
+        report = full_report(g, regex, "error", EVENTS)
         assert [(v.name, v.holds) for v in report.verdicts] == verdicts
         assert image_calls[0] <= most
-        assert before_cross_check == [image_calls[0]]
+        report_calls, image_calls[0] = image_calls[0], 0
+        check_eq(g, regex, "error")
+        check_innocuous(g, EVENTS, INTERNAL)
+        assert report_calls == image_calls[0]
+
+    @pytest.mark.parametrize(
+        "model, window, report_calls, eq_calls, innocuous_calls, naive_calls",
+        [
+            ((20, 40), (20, 39), 244, 231, 13, 48),
+            ((30, 60), (30, 60), 360, 347, 13, 68),
+        ],
+    )
+    def test_report_images_the_error_region_once(
+        self, image_calls, model, window, report_calls, eq_calls, innocuous_calls, naive_calls
+    ):
+        """The region inside the error condition is the one the naive check
+        reads, so a report no longer images it a second time, while the
+        direct checks keep their own work."""
+        g, regex = explore(builtin_present(*model)), pattern(*window)
+        counts = []
+        for run in (
+            lambda: full_report(g, regex, "error", EVENTS),
+            lambda: check_eq(g, regex, "error"),
+            lambda: check_innocuous(g, EVENTS, INTERNAL),
+            lambda: check_inclusion_naive(g, regex, "error"),
+        ):
+            image_calls[0] = 0
+            run()
+            counts.append(image_calls[0])
+        assert counts == [report_calls, eq_calls, innocuous_calls, naive_calls]
+        assert report_calls == eq_calls + innocuous_calls
 
     def test_direct_check_eq_images_as_much_as_the_tautology(self, image_calls):
         """Read off the visited and error sets, a direct `check_eq` does the
@@ -379,8 +401,9 @@ class TestFullReportWork:
         assert len(refs) == 1 and refs[0]() is None
 
     def test_window_600_at_the_default_recursion_limit(self):
-        """Served from the memo, the cross-check no longer walks the end
-        formula's tick chain a second time, which used to overflow here."""
+        """Evaluated in the report's one batch after the visited formula,
+        the end formula reads the subterms they share instead of walking its
+        tick chain again, which used to overflow here."""
         report = full_report(builtin_present(600, 601), pattern(600, 601), "error", EVENTS)
         assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS
 

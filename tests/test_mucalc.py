@@ -1,4 +1,3 @@
-import gc
 import random
 import time
 from collections import deque
@@ -16,7 +15,6 @@ from obscheck.mucalc import (
     And,
     BwdDiamond,
     EvalError,
-    EvalMemo,
     FwdDiamond,
     Iff,
     Implies,
@@ -28,6 +26,7 @@ from obscheck.mucalc import (
     SuffixStar,
     Var,
     check_monotone,
+    eval_all,
     eval_mu,
     is_tautology,
     parse_mu,
@@ -362,40 +361,25 @@ class TestSemiNaiveStar:
         assert imaged[0] == n
 
 
-class TestSharedMemo:
-    """One `EvalMemo` serves many `eval_mu` calls on one graph."""
+def _monotone_formula(rng: random.Random, free: tuple[str, ...]):
+    while True:
+        f = random_formula(rng, rng.randint(1, 4), free)
+        if check_monotone(f) is None:
+            return f
 
-    def test_memo_of_another_graph_is_rejected(self):
-        g, other = chain_lts("a"), chain_lts("a")
-        memo = EvalMemo(g)
-        assert eval_mu(g, TRUE, _memo=memo).is_all
+
+class TestEvalAll:
+    """One `eval_all` call evaluates a batch of formulas on one graph, and
+    each closed subterm they share by identity once."""
+
+    def test_env_of_another_graph_is_rejected(self):
+        g, other = chain_lts("a"), chain_lts("a", "b")
+        assert eval_all(g, (TRUE, Var("S")), env={"S": g.set_of([1])}) == [g.set_of([0, 1]), g.set_of([1])]
         with pytest.raises(ValueError, match="different graph"):
-            eval_mu(other, TRUE, _memo=memo)
+            eval_all(g, (TRUE, Var("S")), env={"S": other.set_of([1])})
 
-    def test_dropped_formulas_never_alias_later_ones(self):
-        """Formulas are built, evaluated through one memo and dropped, one by
-        one; memo entries are keyed by node id, so a freed formula whose id a
-        later one reused would hand that one its stale state set."""
-        rng = random.Random(61)
-        g = random_lts(rng, max_states=12)
-        memo = EvalMemo(g)
-        checked = 0
-        gc.freeze()  # so each collection below walks only the loop's objects
-        try:
-            while checked < 300:
-                f = random_formula(rng, rng.randint(1, 5), ())
-                if check_monotone(f) is None:
-                    assert eval_mu(g, f, _memo=memo) == eval_mu(g, f), print_mu(f)
-                    checked += 1
-                del f
-                gc.collect()
-        finally:
-            gc.unfreeze()
-
-    def test_closed_subterms_are_shared_across_calls(self, monkeypatch):
-        g = chain_lts("a", "b", "a")
-        star = SuffixStar(INIT, Top())
-        memo = EvalMemo(g)
+    @pytest.fixture
+    def image_calls(self, monkeypatch):
         calls = [0]
         image = lts._image
 
@@ -404,11 +388,37 @@ class TestSharedMemo:
             return image(bits, masks)
 
         monkeypatch.setattr(lts, "_image", counting_image)
-        assert eval_mu(g, star, _memo=memo).is_all
-        first = calls[0]
-        assert eval_mu(g, Or(Not(star), star), _memo=memo).is_all
-        assert eval_mu(g, And(star, Var("S")), env={"S": g.set_of([1])}, _memo=memo) == g.set_of([1])
-        assert calls[0] == first
+        return calls
+
+    def test_batches_match_one_call_per_formula(self, image_calls):
+        """300 seeded batches share closed subterms by identity (`f`, `-f`,
+        `f \\/ h`), every other one under an environment; each gives every
+        formula its own set.  The same batch with one unbound or non-monotone
+        formula slipped in is refused before any image work."""
+        rng = random.Random(61)
+        for case in range(300):
+            g = random_lts(rng, max_states=12)
+            env = {"S": StateSet(g.num_states, rng.getrandbits(g.num_states))} if case % 2 else None
+            free = ("S",) if env else ()
+            f, h = _monotone_formula(rng, free), _monotone_formula(rng, free)
+            batch = (f, Not(f), Or(f, h), h, And(h, Or(f, h)))
+            assert eval_all(g, batch, env) == [eval_mu(g, x, env) for x in batch], print_mu(f)
+            bad = And(h, Var("U")) if case % 3 else Min("X", And(f, Not(Var("X"))))
+            at = rng.randrange(len(batch) + 1)
+            image_calls[0] = 0
+            with pytest.raises(EvalError):
+                eval_all(g, batch[:at] + (bad,) + batch[at:], env)
+            assert image_calls[0] == 0
+
+    def test_closed_subterms_are_shared_within_a_batch(self, image_calls):
+        g = chain_lts("a", "b", "a")
+        star = SuffixStar(INIT, Top())
+        assert eval_mu(g, star).is_all
+        alone, image_calls[0] = image_calls[0], 0
+        batch = (star, Or(Not(star), star), And(star, Var("S")))
+        sets = eval_all(g, batch, env={"S": g.set_of([1])})
+        assert sets[0].is_all and sets[1].is_all and sets[2] == g.set_of([1])
+        assert image_calls[0] == alone > 0
 
 
 class TestTautology:

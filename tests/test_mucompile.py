@@ -23,6 +23,7 @@ from obscheck.mucompile import (
     compile_end,
     compile_visited,
     error_condition,
+    error_entry_region,
     reach_formula,
 )
 from obscheck.pathregex import (
@@ -95,6 +96,11 @@ class TestErrorCondition:
     def test_formula_shape(self):
         f = error_condition("error")
         assert f == parse_mu("<error>T \\/ ((T<error> * T) /\\ -(`0 * (-error)))")
+
+    def test_right_operand_is_the_entry_region(self):
+        """`full_report` reads the region off the condition's right operand."""
+        for label in ("error", "e"):
+            assert error_condition(label).right == error_entry_region(label)
 
     def test_empty_on_error_free_graph(self):
         g = chain_lts("a", "t")

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps obscheck functions by name; these tests check
-that every name it wraps still exists, without importing the benchmark.  A
-last test keeps count of the private keyword arguments of the public API."""
+that every name it wraps still exists, without importing the benchmark.  The
+last two keep the public API free of private keyword arguments and the
+modules free of each other's private names."""
 
 import ast
 import importlib
@@ -59,8 +60,8 @@ def test_wrapped_name_resolves(layer, qualname):
 
 
 def test_private_parameters_of_the_public_api():
-    """Underscore parameters are hooks for sharing work between calls; the
-    public functions and methods of obscheck carry exactly these."""
+    """Underscore parameters would be hooks for sharing work between calls;
+    the public functions and methods of obscheck carry none."""
     found = []
     for info in pkgutil.iter_modules(obscheck.__path__):
         module = importlib.import_module(f"obscheck.{info.name}")
@@ -79,8 +80,23 @@ def test_private_parameters_of_the_public_api():
                     for param in inspect.signature(function).parameters
                     if param.startswith("_")
                 ]
-    assert sorted(found) == [
-        "checker.check_eq._visited",
-        "checker.check_inclusion_naive._visited",
-        "mucalc.eval_mu._memo",
-    ]
+    assert found == []
+
+
+def test_no_private_names_cross_modules():
+    """No obscheck module imports a private name from another, apart from
+    the shared `_scan` module, so work is not shared through private helpers
+    either."""
+    crossings = []
+    for path in sorted(Path(obscheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if (node.level or module.startswith("obscheck")) and module.rpartition(".")[2] != "_scan":
+                crossings += [
+                    f"{path.stem}: from {'.' * node.level}{module} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert crossings == []
