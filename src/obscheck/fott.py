@@ -10,7 +10,11 @@ formulas: every quantified variable must be connected to a free variable
 through a chain of concatenation equations (or pinned by a literal), so its
 value is always a contiguous piece of an already known word.  A formula is
 compiled, once per set of assigned names, to a fixed solve plan kept on the
-formula; running it enumerates the split points of concatenations.
+formula; running it enumerates the split points of concatenations.  The plan
+binds literal words once, in the slot list every run starts from; it goes
+straight to the occurrences of a known head word where a split is followed
+by `suffix = head . tail`; and it reads a double negation as an existence
+test.
 
 The generators at the bottom produce, for the existence pattern
 "event a after the first b within an interval", both the trace formula and
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .lts import NOT_TICK, TICK_LABEL, Atom, Interval, Top
@@ -222,6 +228,16 @@ def check_anchored(f: FottFormula, free: Sequence[str]) -> None:
 # slots bound on entry, so they are decided once, and a plan is a chain of
 # steps that only compare and bind.  Slots hold (base word, lo, hi) windows,
 # so splitting never copies; each is written before it is read.
+#
+# Three rewrites shorten the chain.  A literal that binds its slot is that
+# slot's only writer, so its window goes into the plan's template, the list
+# every run starts from, and costs no step.  A split whose suffix the next
+# conjunct pins to start with a bound head becomes one find step over the
+# head's occurrences; at the end of a block, where nothing reads the block's
+# slots any more, it only tests that the head occurs.  The Not of a block
+# whose whole plan is one Not runs that inner block as an existence test.
+# Consecutive steps that do not branch run as one step looping over them, so
+# running a plan recurses once per split, find or Not, not once per conjunct.
 
 
 def eval_fott(f: FottFormula, asg: Mapping[str, Sequence[str]]) -> bool:
@@ -230,8 +246,8 @@ def eval_fott(f: FottFormula, asg: Mapping[str, Sequence[str]]) -> bool:
     plan = f._plans.get(key)
     if plan is None:
         plan = f._plans[key] = _compile(f, key)
-    inputs, size, run = plan
-    env: list = [None] * size
+    inputs, template, run = plan
+    env = template[:]
     for var, slot in inputs:
         w = tuple(asg[var])
         env[slot] = (w, 0, len(w))
@@ -240,7 +256,7 @@ def eval_fott(f: FottFormula, asg: Mapping[str, Sequence[str]]) -> bool:
 
 def _compile(f: FottFormula, assigned: frozenset[str]) -> tuple:
     """The plan of `f` with the `assigned` names bound on entry: the (name,
-    slot) pairs to load, the number of slots, and the first step."""
+    slot) pairs to load, the template of the slot list, and the first step."""
     roots = {v: i for i, v in enumerate(sorted(free_variables(f)))}
     size = len(roots)
     blocks: list[list[tuple]] = [[]]  # block 0 is f, block k > 0 a Not's argument
@@ -270,23 +286,30 @@ def _compile(f: FottFormula, assigned: frozenset[str]) -> tuple:
             raise TypeError(f"not a trace formula: {node!r}")
     # Innermost blocks first: a Not is ready once its argument's free slots are
     # bound, and the argument's plan starts with exactly those bound.
-    frees, runs = [None] * len(blocks), [None] * len(blocks)
+    n = len(blocks)
+    frees, runs, tests = [None] * n, [None] * n, [None] * n
+    template: list = [None] * size
     inputs = tuple((v, roots[v]) for v in sorted(assigned) if v in roots)
-    for b in reversed(range(len(blocks))):
+    for b in reversed(range(n)):
         used: set[int] = set()
         for kind, slots, arg in blocks[b]:
             used.update(frees[arg] if kind is Not else slots)
         frees[b] = frozenset(s for s in used if s < marks[b])
         bound = {s for _, s in inputs} if b == 0 else set(frees[b])
-        runs[b] = _plan(blocks[b], bound, frees, runs)
-    return inputs, size, runs[0]
+        runs[b], tests[b] = _plan(blocks[b], bound, frees, runs, tests, template)
+    return inputs, template, runs[0]
 
 
-def _plan(items: list[tuple], bound: set[int], frees: list, runs: list):
+def _plan(
+    items: list[tuple], bound: set[int], frees: list, runs: list, tests: list, template: list
+):
     """The first step of one block, each conjunct compiled for the slots bound
-    when the schedule reaches it."""
-    ops: list[tuple] = []  # (step maker, its arguments before the next step)
-    rest, run = list(items), _done
+    when the schedule reaches it; and, when the block's plan is a single Not,
+    the first step of that Not's argument (the block's negation)."""
+    # (straight, step maker, its arguments before the next step), where a
+    # straight step runs its next step at most once
+    ops: list[tuple] = []
+    rest, end = list(items), _done
     while rest:
         for k, (kind, slots, arg) in enumerate(rest):
             if kind is EqCat:
@@ -295,17 +318,20 @@ def _plan(items: list[tuple], bound: set[int], frees: list, runs: list):
             elif kind is EqLit or (frees[arg] <= bound if kind is Not else slots[0] in bound):
                 break
         else:
-            run = _stuck
+            end = _stuck
             break
         del rest[k]
         if kind is EqLit:
-            ops.append((_lit_step, slots[0] in bound, slots[0], arg))
+            if slots[0] in bound:
+                ops.append((True, _lit_step, slots[0], arg))
+            else:
+                template[slots[0]] = (arg, 0, len(arg))
         elif kind is DurIn:
-            ops.append((_dur_step, slots[0], arg.contains))
+            ops.append((True, _dur_step, slots[0], arg.contains))
         elif kind is Not:
-            ops.append((_not_step, runs[arg]))
+            ops.append((False, _not_step, runs[arg], tests[arg]))
         else:
-            (whole, pre, suf), head = slots, None
+            whole, pre, suf = slots
             if whole not in bound:
                 case = "join"
             elif pre in bound:
@@ -316,19 +342,30 @@ def _plan(items: list[tuple], bound: set[int], frees: list, runs: list):
                 case = "halve"
             else:
                 case = "split"
-                # When the next conjunct pins the suffix to start with a bound
-                # one-symbol word, only that symbol's positions can succeed.
-                peek = rest[0][1] if rest and rest[0][0] is EqCat else (None, None)
-                head = peek[1] if peek[0] == suf and peek[1] in bound else None
-            ops.append((_cat_step, case, whole, pre, suf, head))
+                # The next conjunct `suf = head . tail`, with the head bound and
+                # the tail not, is scheduled right after the split: fuse them.
+                sw, head, tail = rest[0][1] if rest and rest[0][0] is EqCat else (None,) * 3
+                if sw == suf and head in bound and tail not in bound | {pre, suf}:
+                    del rest[0]
+                    ops.append((False, _find_step, whole, pre, suf, head, tail))
+                    bound.update((pre, suf, tail))
+                    continue
+            ops.append((case != "split", _cat_step, case, whole, pre, suf))
         bound.update(slots)
-    for make, *args in reversed(ops):
-        run = make(*args, run)
-    return run
+    run = end
+    for straight, group in groupby(reversed(ops), key=itemgetter(0)):
+        group = list(group)
+        if straight and len(group) > 1:
+            run = _loop_step([make(*args, _done) for _, make, *args in reversed(group)], run)
+        else:
+            for _, make, *args in group:
+                run = make(*args, run)
+    lone_not = end is _done and len(ops) == 1 and ops[0][1] is _not_step
+    return run, ops[0][2] if lone_not else None
 
 
 # The step makers.  A step takes the slot list, checks or binds, and then runs
-# `nxt`, the rest of its block; a split runs it once per cut.
+# `nxt`, the rest of its block; a split or a find runs it once per cut.
 
 
 def _done(env: list) -> bool:
@@ -339,18 +376,24 @@ def _stuck(env: list) -> bool:
     raise FottError("formula is not anchored: no constraint is ready to solve")
 
 
-def _lit_step(check: bool, slot: int, word: Word, nxt):
-    window = (word, 0, len(word))
+def _loop_step(checks: list, nxt):
+    """Steps that call `_done` in place of their next step, run in turn."""
 
-    def bind(env: list) -> bool:
-        env[slot] = window
+    def step(env: list) -> bool:
+        for check in checks:
+            if not check(env):
+                return False
         return nxt(env)
 
+    return step
+
+
+def _lit_step(slot: int, word: Word, nxt):
     def same(env: list) -> bool:
         w, lo, hi = env[slot]
         return w[lo:hi] == word and nxt(env)
 
-    return same if check else bind
+    return same
 
 
 def _dur_step(slot: int, contains, nxt):
@@ -361,14 +404,50 @@ def _dur_step(slot: int, contains, nxt):
     return step
 
 
-def _not_step(sub, nxt):
-    return lambda env: not sub(env) and nxt(env)
+def _not_step(sub, test, nxt):
+    """Not of the block run by `sub`; `test`, if given, is that block's
+    negation, run as an existence test instead."""
+    if test is not None:
+        return test if nxt is _done else lambda env: test(env) and nxt(env)
+    return (lambda env: not sub(env)) if nxt is _done else lambda env: not sub(env) and nxt(env)
 
 
-def _cat_step(case: str, whole: int, pre: int, suf: int, head: int | None, nxt):
+def _find_step(whole: int, pre: int, suf: int, head: int, tail: int, nxt):
+    """The step of `whole = pre . suf` and `suf = head . tail` with the head
+    bound: bind all three at each occurrence of the head's word in `whole`,
+    or, before `_done`, only test that it occurs."""
+    bind = nxt is not _done
+
+    def find(env: list) -> bool:
+        (w, lo, hi), (hw, hlo, hhi) = env[whole], env[head]
+        n = hhi - hlo
+        last, cut = hi - n, lo
+        while cut <= last:
+            if n:
+                try:
+                    cut = w.index(hw[hlo], cut, last + 1)
+                except ValueError:
+                    return False
+                if n > 1 and w[cut : cut + n] != hw[hlo:hhi]:
+                    cut += 1
+                    continue
+            if not bind:
+                return True
+            env[pre] = (w, lo, cut)
+            env[suf] = (w, cut, hi)
+            env[tail] = (w, cut + n, hi)
+            if nxt(env):
+                return True
+            cut += 1
+        return False
+
+    return find
+
+
+def _cat_step(case: str, whole: int, pre: int, suf: int, nxt):
     """The step of `whole = pre . suf`: check all three, bind the suffix, the
     prefix or both halves (pre == suf) of the bound whole, join the whole, or
-    split it at each cut (each place of the symbol in `head`, if bound)."""
+    split it at each cut."""
 
     def check(env: list) -> bool:
         (w, lo, hi), (pw, plo, phi), (sw, slo, shi) = env[whole], env[pre], env[suf]
@@ -406,21 +485,6 @@ def _cat_step(case: str, whole: int, pre: int, suf: int, head: int | None, nxt):
 
     def split(env: list) -> bool:
         w, lo, hi = env[whole]
-        if head is not None:
-            hw, hlo, hhi = env[head]
-            if hhi - hlo == 1:
-                symbol, cut = hw[hlo], lo
-                while cut < hi:
-                    try:
-                        cut = w.index(symbol, cut, hi)
-                    except ValueError:
-                        return False
-                    env[pre] = (w, lo, cut)
-                    env[suf] = (w, cut, hi)
-                    if nxt(env):
-                        return True
-                    cut += 1
-                return False
         for cut in range(lo, hi + 1):
             env[pre] = (w, lo, cut)
             env[suf] = (w, cut, hi)

@@ -5,12 +5,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obscheck.fott import (
+    And,
     DurIn,
     EqCat,
     EqLit,
     Exists,
     FottError,
     Interval,
+    Not,
     after_scope,
     and_chain,
     check_anchored,
@@ -27,6 +29,15 @@ from obscheck.pathregex import Union, match_word, parse_regex
 
 ALPHABET = ("a", "b", "t", "z")
 words = st.lists(st.sampled_from(ALPHABET), max_size=8).map(tuple)
+# Lengths are drawn first, so that long words are as likely as short ones.
+short_words = st.integers(0, 5).flatmap(lambda n: st.tuples(*[st.sampled_from(ALPHABET)] * n))
+literals = st.lists(st.sampled_from(ALPHABET), max_size=2).map(tuple)
+assignments = st.lists(st.tuples(short_words, short_words), min_size=1, max_size=4)
+intervals = st.builds(
+    lambda lo, width: Interval(lo, None if width is None else lo + width),
+    st.integers(0, 3),
+    st.one_of(st.none(), st.integers(0, 2)),
+)
 
 
 class TestDelta:
@@ -135,6 +146,68 @@ class TestSolvePlans:
         assert eval_fott(f, {"x": ("a", "b"), "x'1": ("z",)}) is False
         assert eval_fott(f, {"x": ("a", "z"), "x'1": ("z",)}) is True
 
+    def test_a_literal_bound_twice_with_different_words_is_false(self):
+        twice = and_chain((EqLit("q", ("a",)), EqLit("q", ("b",))))
+        assert eval_fott(twice, {}) is False
+        assert eval_fott(Exists("q", twice), {}) is False
+        assert eval_fott(and_chain((EqLit("q", ("a",)), EqLit("q", ("a",)))), {}) is True
+
+    def test_literal_on_an_unassigned_free_name(self):
+        f = and_chain((EqLit("q", ("a",)), EqCat("x", "q", "r"), EqLit("r", ("b",))))
+        assert eval_fott(f, {"x": ("a", "b")}) is True
+        assert eval_fott(f, {"x": ("b", "b")}) is False
+        assert eval_fott(f, {"x": ("b", "b"), "q": ("b",)}) is False
+
+    # `x = p . s` and `s = e . r` with the head `e` bound compile to one find
+    # step; with nothing after them in the block it only tests for `e` in `x`.
+    FIND = exists_many(("p", "s", "r"), and_chain((EqCat("x", "p", "s"), EqCat("s", "e", "r"))))
+    FIND_THEN_LIT = exists_many(
+        ("p", "s", "r"), and_chain((EqCat("x", "p", "s"), EqCat("s", "e", "r"), EqLit("r", ("b",))))
+    )
+
+    def test_find_with_an_empty_head(self):
+        assert eval_fott(self.FIND, {"x": (), "e": ()}) is True
+        assert eval_fott(self.FIND_THEN_LIT, {"x": ("a", "b"), "e": ()}) is True
+        assert eval_fott(self.FIND_THEN_LIT, {"x": ("b", "a"), "e": ()}) is False
+
+    def test_find_with_a_head_of_several_symbols(self):
+        ab = {"e": ("a", "b")}
+        assert eval_fott(self.FIND, {"x": ("z", "a", "b"), **ab}) is True
+        assert eval_fott(self.FIND, {"x": ("a", "z", "b"), **ab}) is False
+        assert eval_fott(self.FIND, {"x": ("a",), **ab}) is False
+        assert eval_fott(self.FIND_THEN_LIT, {"x": ("a", "b", "a", "b", "b"), **ab}) is True
+        assert eval_fott(self.FIND_THEN_LIT, {"x": ("a", "b", "b", "a", "b"), **ab}) is False
+
+    def test_find_whose_tail_is_bound_stays_a_check(self):
+        f = exists_many(("p", "s"), and_chain((EqCat("x", "p", "s"), EqCat("s", "e", "r"))))
+        assert eval_fott(f, {"x": ("a", "b", "z"), "e": ("b",), "r": ("z",)}) is True
+        assert eval_fott(f, {"x": ("a", "b", "z"), "e": ("b",), "r": ("a",)}) is False
+
+    def test_find_whose_tail_is_bound_by_the_split_stays_a_check(self):
+        again = exists_many(("p", "s"), and_chain((EqCat("x", "p", "s"), EqCat("s", "e", "p"))))
+        assert eval_fott(again, {"x": ("a", "b", "a"), "e": ("b",)}) is True
+        assert eval_fott(again, {"x": ("a", "b", "z"), "e": ("b",)}) is False
+        loop = exists_many(("p", "s"), and_chain((EqCat("x", "p", "s"), EqCat("s", "e", "s"))))
+        assert eval_fott(loop, {"x": ("a",), "e": ()}) is True
+        assert eval_fott(loop, {"x": ("a",), "e": ("a",)}) is False
+
+    def test_double_negation_with_a_stuck_middle_block_raises(self):
+        """Not(Exists h. Not X) with h anchored only inside X is a forall;
+        its middle block cannot run, so it is not read as an existence test."""
+        f = Not(Exists("h", Not(EqCat("x", "h", "x"))))
+        with pytest.raises(FottError, match="not anchored"):
+            eval_fott(f, {"x": ("a",)})
+
+    def test_double_negation_is_an_existence_test(self):
+        f = Not(Not(exists_many(("p", "s"), EqCat("x", "p", "s"))))
+        assert eval_fott(f, {"x": ("a",)}) is True
+        assert eval_fott(Not(Not(Not(Not(not_in("b", "x"))))), {"x": ("a", "b")}) is False
+
+    def test_long_straight_chains_run_at_the_default_recursion_limit(self):
+        assert eval_fott(and_chain([EqLit("e", ())] * 5000), {"e": ()}) is True
+        assert eval_fott(and_chain([DurIn("e", Interval(0, None))] * 5000), {"e": ()}) is True
+        assert eval_fott(and_chain([DurIn("e", Interval(0, 0))] * 5000), {"e": ("t",)}) is False
+
     def test_deep_formulas_are_walked_without_recursion(self):
         chain = and_chain([EqLit("e", ())] * 5000)
         assert free_variables(chain) == {"e"}
@@ -206,3 +279,133 @@ class TestPresentRegex:
         formula = present_fott("a", "b", interval)
         for w in sample:
             assert match_word(regex, w) == eval_fott(formula, {"x": w}), w
+
+
+# ---------------------------------------------------------------------------
+# Reference semantics
+
+
+def _factors(words) -> set:
+    return {w[i:j] for w in words for i in range(len(w) + 1) for j in range(i, len(w) + 1)}
+
+
+def _literals(f) -> list:
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is And:
+            stack += (g.left, g.right)
+        elif type(g) is Not:
+            stack.append(g.arg)
+        elif type(g) is Exists:
+            stack.append(g.body)
+        elif type(g) is EqLit:
+            out.append(g.word)
+    return out
+
+
+def reference(f, asg) -> bool:
+    """Brute force: each quantifier ranges over every factor of the assigned
+    words and of the formula's literals, which holds every value an anchored
+    quantifier can take.  Every free name must be assigned."""
+    universe = sorted(_factors([*asg.values(), *_literals(f)]))
+    return _holds(f, dict(asg), universe)
+
+
+def _holds(f, env, universe) -> bool:
+    t = type(f)
+    if t is Not:
+        return not _holds(f.arg, env, universe)
+    if t is EqLit:
+        return env[f.var] == f.word
+    if t is EqCat:
+        return env[f.whole] == env[f.prefix] + env[f.suffix]
+    if t is DurIn:
+        return f.interval.contains(delta(env[f.var]))
+    # A conjunction under quantifiers.  Each quantifier is renamed apart to a
+    # (name, n) key; the keys take every value in turn, in order of first
+    # use, and each conjunct is checked once all its names have values (a
+    # Not, which searches on its own, only once all keys have them).
+    conjuncts, stack, ids = [], [(f, {})], itertools.count()
+    while stack:
+        g, scope = stack.pop()
+        if type(g) is And:
+            stack += ((g.right, scope), (g.left, scope))
+        elif type(g) is Exists:
+            stack.append((g.body, {**scope, g.var: (g.var, next(ids))}))
+        else:
+            conjuncts.append((g, {v: scope.get(v, v) for v in free_variables(g)}))
+    keys = [k for _, refs in conjuncts for k in refs.values() if type(k) is tuple]
+    keys = list(dict.fromkeys(keys))
+    due: list[list] = [[] for _ in range(len(keys) + 1)]
+    for g, refs in conjuncts:
+        last = max((keys.index(k) + 1 for k in refs.values() if k in keys), default=0)
+        due[len(keys) if type(g) is Not else last].append((g, refs))
+
+    def search(i: int, vals: dict) -> bool:
+        for g, refs in due[i]:
+            if not _holds(g, {v: vals[k] for v, k in refs.items()}, universe):
+                return False
+        return i == len(keys) or any(search(i + 1, {**vals, keys[i]: u}) for u in universe)
+
+    return search(0, env)
+
+
+@st.composite
+def anchored_formulas(draw, depth: int = 3):
+    """A formula over the assigned names x and y in which each quantified name
+    is pinned to a literal or to a factor of a name already known, by the
+    conjunct right after its quantifier; that conjunct binds it when solved."""
+    fresh = (f"q{i}" for i in itertools.count())
+
+    def build(known: list, depth: int):
+        v, u = draw(st.sampled_from(known)), draw(st.sampled_from(known))
+        shape = draw(st.integers(0, 10 if depth else 3))
+        if shape == 0:
+            return EqLit(v, draw(literals))
+        if shape == 1:
+            return EqCat(v, u, draw(st.sampled_from(known)))
+        if shape == 2:
+            return DurIn(v, draw(intervals))
+        if shape == 3:
+            return not_in(draw(st.sampled_from("ab")), v)
+        if shape == 4:
+            return Not(build(known, depth - 1))
+        if shape == 5:
+            return Not(Not(build(known, depth - 1)))
+        if shape == 6:
+            return And(build(known, depth - 1), build(known, depth - 1))
+        h, h2, h3 = next(fresh), next(fresh), next(fresh)
+        if shape == 7:
+            pins = [EqLit(h, draw(literals)), EqCat(v, u, h), EqCat(v, h, u), EqCat(v, h, h)]
+            return Exists(h, And(draw(st.sampled_from(pins)), build(known + [h], depth - 1)))
+        if shape == 8:
+            body = And(EqCat(v, h, h2), build(known + [h, h2], depth - 1))
+            return exists_many((h, h2), body)
+        if shape == 9:
+            # A split followed by `h2 = u . h3`: a find when u is bound and h3
+            # is not; h3 may also be the split's own prefix h.
+            names = (h, h2, h3) if draw(st.booleans()) else (h, h2, h)
+            pins = (EqCat(v, h, h2), EqCat(h2, u, names[2]))
+            body = build(known + list(names), depth - 1)
+            return exists_many(sorted(set(names)), and_chain((*pins, body)))
+        event = draw(st.sampled_from("ab"))
+        return Exists(h, And(after_scope(v, event, h), build(known + [h], depth - 1)))
+
+    return build(["x", "y"], depth)
+
+
+class TestReferenceSemantics:
+    def test_reference_reads_the_derived_constructors(self):
+        for x in itertools.product("ab", repeat=3):
+            assert reference(not_in("b", "x"), {"x": x}) == ("b" not in x)
+            y = x[x.index("b") + 1 :] if "b" in x else ("z",)
+            assert reference(after_scope("x", "b", "y"), {"x": x, "y": y}) == ("b" in x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(anchored_formulas(), assignments)
+    def test_eval_fott_agrees_with_brute_force(self, f, pairs):
+        check_anchored(f, ("x", "y"))
+        for x, y in pairs:
+            asg = {"x": x, "y": y}
+            assert eval_fott(f, asg) == reference(f, asg), asg
