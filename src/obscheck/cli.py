@@ -4,8 +4,8 @@ Subcommands: gen (network -> graph files), eval (formula over a graph),
 compile (path regex -> formula), oracle (brute-force end/visited sets),
 check (full verdict bundle or reachability), dot (render to Graphviz text).
 
-Exit codes: 0 success or verdict holds, 1 verdict failure, 2 usage or input
-errors.  Output is deterministic; timings are only included on request.
+Exit codes: 0 success or verdict holds, 1 verdict failure, 2 usage, input or
+file errors.  Output is deterministic; timings are only included on request.
 """
 
 from __future__ import annotations
@@ -15,19 +15,18 @@ import json
 import sys
 
 from . import __version__
-from ._scan import ParseError
 from .checker import (
     Report,
     check_reachable,
     full_report,
     internal_label_expr,
 )
-from .fott import FottError, Interval, present_regex
+from .fott import Interval, present_regex
 from .lts import Atom, Lts, load_aut, parse_label_expr, save_aut, to_dot
-from .mucalc import EvalError, eval_mu, is_tautology, parse_mu, print_mu
+from .mucalc import eval_mu, is_tautology, parse_mu, print_mu
 from .mucompile import compile_end, compile_visited
 from .pathregex import oracle_states, parse_regex
-from .timednet import ExploreError, NetError, builtin_mouse, builtin_present, explore, parse_net
+from .timednet import builtin_mouse, builtin_present, explore, parse_net
 
 
 class UsageError(ValueError):
@@ -48,20 +47,14 @@ def _load_model(spec: str):
         if parts[1] == "mouse":
             return builtin_mouse()
         raise UsageError(f"unknown builtin model {spec!r}")
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            return parse_net(fh.read())
-    except OSError as err:
-        raise UsageError(f"cannot read {spec}: {err.strerror}") from None
+    with open(spec, encoding="utf-8") as fh:
+        return parse_net(fh.read())
 
 
 def _graph_from_args(args) -> Lts:
     if getattr(args, "graph", None):
-        try:
-            with open(args.graph, encoding="utf-8") as fh:
-                return load_aut(fh.read())
-        except OSError as err:
-            raise UsageError(f"cannot read {args.graph}: {err.strerror}") from None
+        with open(args.graph, encoding="utf-8") as fh:
+            return load_aut(fh.read())
     if getattr(args, "model", None):
         return explore(_load_model(args.model))
     raise UsageError("one of --graph or --model is required")
@@ -72,8 +65,6 @@ def _states_line(s) -> str:
 
 
 def _pattern_from_args(args):
-    if args.pattern != "present":
-        raise UsageError(f"unknown pattern {args.pattern!r}")
     if args.lo is None:
         raise UsageError("--pattern present needs --lo")
     if args.hi is None:
@@ -257,8 +248,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParseError, NetError, FottError, EvalError, ExploreError, ValueError) as err:
-        print(f"obscheck: {err}", file=sys.stderr)
+    except (ValueError, OSError) as err:
+        reason = err
+        if isinstance(err, OSError):  # a file that cannot be read or written
+            reason = err.strerror or err
+            if err.filename is not None:
+                reason = f"cannot open {err.filename}: {reason}"
+        print(f"obscheck: {reason}", file=sys.stderr)
         return 2
     except RecursionError:  # the structural walks over formulas and expressions recurse
         limit = sys.getrecursionlimit()

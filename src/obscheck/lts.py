@@ -459,8 +459,6 @@ def load_aut(text: str) -> Lts:
         if src >= num_states or dst >= num_states:
             raise ValueError(f"line {no}: state index out of range 0..{num_states - 1}")
         transitions.append((src, label, dst))
-    if initial >= num_states:
-        raise ValueError(f"initial state {initial} out of range 0..{num_states - 1}")
     return Lts(num_states, initial, transitions)
 
 

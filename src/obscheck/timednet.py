@@ -67,7 +67,7 @@ class NetError(ValueError):
         super().__init__(message)
 
 
-class ExploreError(RuntimeError):
+class ExploreError(ValueError):
     pass
 
 

@@ -205,6 +205,36 @@ class TestCheck:
         assert err.value.code == 2
 
 
+READ_FLAGS = {
+    "model": ["gen", "--model"],
+    "graph": ["check", "--reach", "error", "--graph"],
+    "formula-file": ["eval", "--model", "builtin:mouse", "--formula-file"],
+}
+WRITE_FLAGS = {
+    "gen-out": ["gen", "--model", "builtin:mouse", "--out"],
+    "gen-dot": ["gen", "--model", "builtin:mouse", "--dot"],
+    "dot-out": ["dot", "--model", "builtin:mouse", "--out"],
+}
+BAD_PATHS = {"missing": "missing.txt", "directory": ".", "under-missing-directory": "missing/f.txt"}
+FILE_CASES = [
+    pytest.param(argv, BAD_PATHS[bad], id=f"{flag}-{bad}")
+    for flags, bads in [(READ_FLAGS, BAD_PATHS), (WRITE_FLAGS, ["directory", "under-missing-directory"])]
+    for flag, argv in flags.items()
+    for bad in bads
+]
+
+
+@pytest.mark.parametrize("argv, bad_path", FILE_CASES)
+def test_a_file_that_cannot_be_opened_exits_two(tmp_path, capsys, argv, bad_path):
+    path = str(tmp_path / bad_path)
+    assert main([*argv, path]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"obscheck: cannot open {path}: ")
+    assert "Traceback" not in captured.err + captured.out
+
+
 class TestDot:
     def test_highlight_formula(self, capsys):
         assert main(["dot", "--model", "builtin:present:4:5", "--highlight", "<error>T"]) == 0

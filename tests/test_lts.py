@@ -205,6 +205,18 @@ class TestAutFormat:
         with pytest.raises(ValueError):
             load_aut(text)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("des (0, 0, 0)", "a graph needs at least one state"),
+            ("des (3, 0, 2)", "initial state 3 out of range 0..1"),
+        ],
+    )
+    def test_state_count_is_checked_before_the_initial_state(self, header, message):
+        with pytest.raises(ValueError) as err:
+            load_aut(header)
+        assert str(err.value) == message
+
 
 class TestDot:
     def test_plain_digraph(self):

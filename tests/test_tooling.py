@@ -1,7 +1,7 @@
 """The benchmark's tracer wraps obscheck functions by name; these tests check
 that every name it wraps still exists, without importing the benchmark.  The
-last two keep the public API free of private keyword arguments and the
-modules free of each other's private names."""
+others keep the public API free of private keyword arguments, every error
+class a `ValueError`, and the modules free of each other's private names."""
 
 import ast
 import importlib
@@ -81,6 +81,19 @@ def test_private_parameters_of_the_public_api():
                     if param.startswith("_")
                 ]
     assert found == []
+
+
+def test_every_error_is_a_value_error():
+    """`cli.main` maps bad input to exit 2 with one `ValueError` handler, so
+    every exception class obscheck defines must be one."""
+    errors = [
+        obj
+        for info in pkgutil.iter_modules(obscheck.__path__)
+        for name, obj in vars(importlib.import_module(f"obscheck.{info.name}")).items()
+        if inspect.isclass(obj) and obj.__module__ == f"obscheck.{info.name}" and name.endswith("Error")
+    ]
+    assert errors
+    assert [e.__qualname__ for e in errors if not issubclass(e, ValueError)] == []
 
 
 def test_no_private_names_cross_modules():
