@@ -132,9 +132,10 @@ def find_tickless_cycle(g: Lts, internal: LabelExpr) -> list[str] | None:
     events or the tick are ignored; a run looping on them is a matter of
     environment choice, not of the observer constraining time.
     """
+    is_internal = {label: label != TICK_LABEL and eval_label_expr(internal, label) for label in g.labels}
     adj: list[list[tuple[str, int]]] = [[] for _ in range(g.num_states)]
     for src, label, dst in g.transitions:
-        if label != TICK_LABEL and eval_label_expr(internal, label):
+        if is_internal[label]:
             adj[src].append((label, dst))
     color = [0] * g.num_states  # 0 unvisited, 1 on the DFS path, 2 done
     for root in range(g.num_states):

@@ -69,7 +69,13 @@ def _pattern_from_args(args):
         raise UsageError("--pattern present needs --lo")
     if args.hi is None:
         raise UsageError("--pattern present needs --hi (a number or 'inf')")
-    upper = None if args.hi == "inf" else int(args.hi)
+    if args.hi == "inf":
+        upper = None
+    else:
+        try:
+            upper = int(args.hi)
+        except ValueError:
+            raise UsageError("--hi must be an integer or 'inf'") from None
     interval = Interval(args.lo, upper, lower_open=args.lo_open, upper_open=args.hi_open)
     return present_regex(args.a, args.b, interval)
 
@@ -243,9 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: `parse_args` leaves the parser as it was and returns a fresh
+# Namespace, and every action default is immutable, so no call sees another's.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

@@ -456,7 +456,7 @@ def load_aut(text: str) -> Lts:
         src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
         if not label:
             raise ValueError(f"line {no}: empty transition label")
-        if src >= num_states or dst >= num_states:
+        if num_states and (src >= num_states or dst >= num_states):  # Lts rejects zero states
             raise ValueError(f"line {no}: state index out of range 0..{num_states - 1}")
         transitions.append((src, label, dst))
     return Lts(num_states, initial, transitions)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -203,6 +204,47 @@ class TestCheck:
         with pytest.raises(SystemExit) as err:
             main(["check", "--frobnicate"])
         assert err.value.code == 2
+
+    def test_hi_that_is_not_a_number_is_usage_error(self, capsys):
+        argv = ["check", "--model", "builtin:present:4:5", "--pattern", "present", "--lo", "4", "--hi", "abc"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "obscheck: --hi must be an integer or 'inf'\n"
+
+
+class TestSharedParser:
+    """`main` parses with one parser built at import; no call may see another's flags."""
+
+    def test_a_check_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(CHECK_45) == 0
+        assert built == []
+
+    def test_a_flag_does_not_leak_into_the_next_call(self, capsys):
+        assert main(CHECK_45) == 0
+        capsys.readouterr()
+        argv = ["check", "--model", "builtin:present:4:5", "--pattern", "present", "--hi", "5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "obscheck: --pattern present needs --lo\n"
+
+    @pytest.mark.parametrize(
+        "interruption, code", [(["check", "--frobnicate"], 2), (["--version"], 0)], ids=["usage-error", "version"]
+    )
+    def test_output_after_an_early_exit_is_unchanged(self, capsys, interruption, code):
+        assert main(CHECK_45) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            main(interruption)
+        assert err.value.code == code
+        capsys.readouterr()
+        assert main(CHECK_45) == 0
+        assert capsys.readouterr().out == first
 
 
 READ_FLAGS = {

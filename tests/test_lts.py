@@ -206,15 +206,16 @@ class TestAutFormat:
             load_aut(text)
 
     @pytest.mark.parametrize(
-        "header, message",
+        "text, message",
         [
             ("des (0, 0, 0)", "a graph needs at least one state"),
+            ('des (0, 1, 0)\n(0, "a", 0)', "a graph needs at least one state"),
             ("des (3, 0, 2)", "initial state 3 out of range 0..1"),
         ],
     )
-    def test_state_count_is_checked_before_the_initial_state(self, header, message):
+    def test_state_count_is_checked_before_the_initial_state(self, text, message):
         with pytest.raises(ValueError) as err:
-            load_aut(header)
+            load_aut(text)
         assert str(err.value) == message
 
 

@@ -1,8 +1,10 @@
 """The benchmark's tracer wraps obscheck functions by name; these tests check
 that every name it wraps still exists, without importing the benchmark.  The
 others keep the public API free of private keyword arguments, every error
-class a `ValueError`, and the modules free of each other's private names."""
+class a `ValueError`, the modules free of each other's private names, and
+every default of the shared command-line parser immutable."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import obscheck
+from obscheck import cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -113,3 +116,18 @@ def test_no_private_names_cross_modules():
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
     assert crossings == []
+
+
+def test_every_parser_default_is_immutable():
+    """`cli.main` shares one parser between calls, which is safe only while
+    no action default is a value a call could change."""
+    parsers = [cli._PARSER]
+    defaults = []
+    for parser in parsers:
+        for action in parser._actions:
+            defaults.append((parser.prog, action.dest, action.default))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+    assert len(parsers) == 7
+    # argparse.SUPPRESS is a str
+    assert [entry for entry in defaults if type(entry[2]) not in (type(None), bool, int, str)] == []
