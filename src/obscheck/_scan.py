@@ -18,7 +18,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "ident", "init", "eof", or the punctuation text itself
+    kind: str  # "ident", "init", "count", "eof", or the punctuation text itself
     text: str
     pos: int
 
@@ -26,6 +26,7 @@ class Token:
 _TOKEN_RE = re.compile(
     r"""\s+
       | `0
+      | \{\s*[0-9]+\s*,\s*[0-9]+\s*\}
       | [A-Za-z_][A-Za-z0-9_]*
       | <=> | => | /\\ | \\/
       | [()<>*.|-]
@@ -45,6 +46,10 @@ def tokenize(text: str) -> list[Token]:
         if not chunk.isspace():
             if chunk == "`0":
                 tokens.append(Token("init", chunk, pos))
+            elif chunk[0] == "{":
+                if not tokens or tokens[-1].text != "Tick":  # a count only follows a Tick
+                    raise ParseError("unexpected character '{'", pos)
+                tokens.append(Token("count", chunk, pos))
             elif chunk[0].isalpha() or chunk[0] == "_":
                 tokens.append(Token("ident", chunk, pos))
             else:
@@ -52,6 +57,11 @@ def tokenize(text: str) -> list[Token]:
         pos = m.end()
     tokens.append(Token("eof", "", len(text)))
     return tokens
+
+
+# The largest count a `Tick{lo,hi}` may be written with.  Matching and the
+# oracle's automaton take memory and time linear in the count.
+MAX_TICK_COUNT = 100_000
 
 
 class Cursor:
@@ -93,6 +103,19 @@ class Cursor:
         tok = self._tokens[self._i]
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+
+    def take_tick_count(self) -> tuple[int, int] | None:
+        """The `{lo,hi}` after a `Tick`, as (lo, hi), or None if none follows."""
+        tok = self._tokens[self._i]
+        if tok.kind != "count":
+            return None
+        lo, hi = (int(part) for part in tok.text[1:-1].split(","))
+        if lo > hi:
+            raise ParseError(f"empty tick count range {{{lo},{hi}}}", tok.pos)
+        if hi > MAX_TICK_COUNT:
+            raise ParseError(f"tick count {hi} over the limit of {MAX_TICK_COUNT}", tok.pos)
+        self._i += 1
+        return lo, hi
 
     def mark(self) -> int:
         return self._i

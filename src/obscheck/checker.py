@@ -316,8 +316,8 @@ def full_report(
     t0 = time.perf_counter()
     end_f, visited_f = compile_both(pattern)
     errors_f = error_condition(err_label)
-    # Visited first: the end formula then recurses into subterms already
-    # evaluated, which keeps `[600,601[` within the default recursion limit.
+    # The order is free: the pattern's window is one counted step, evaluated
+    # in one loop whichever formula reaches it first.
     visited_mu, end_mu, errors, region = eval_all(g, (visited_f, end_f, errors_f, errors_f.right))
     report.extend(_eq_report(visited_mu, errors, t0))
 

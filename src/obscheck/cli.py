@@ -270,3 +270,6 @@ def main(argv=None) -> int:
         limit = sys.getrecursionlimit()
         print(f"obscheck: input nested too deeply: over the recursion limit of {limit}", file=sys.stderr)
         return 2
+    except MemoryError:  # a model too large for this machine
+        print("obscheck: out of memory", file=sys.stderr)
+        return 2

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .lts import NOT_TICK, TICK_LABEL, Atom, Interval, Top
 from .lts import Not as LabelNot
-from .pathregex import EPS, TICK, One, PathRegex, Seq, Star, Union, Word, seq_of
+from .pathregex import EPS, One, PathRegex, Seq, Star, Ticks, Union, Word, seq_of
 
 
 class FottError(ValueError):
@@ -529,24 +529,19 @@ def present_fott(a: str, b: str, interval: Interval) -> FottFormula:
 
 
 def present_regex(a: str, b: str, interval: Interval) -> PathRegex:
-    """Path regex with the same discrete-word language as present_fott.
+    """Path regex with the same discrete-word language as present_fott:
+    `(-b)* \\/ (-b)* . b . (-t)* . Tick{lo,hi} . a . T*` for the admissible
+    tick counts lo to hi.
 
-    One branch per admissible tick count; an unbounded interval gets a
-    single branch with the minimum tick count followed by anything.  All
-    branches are built on one shared chain `(-b)* . b . (-t)* . Tick^k`,
-    extended by one Tick per branch, so the expression (and what is
-    compiled from it) grows linearly with the window, not quadratically.
+    The window is one counted step, so the expression (and what is compiled
+    from it) has the same size whatever the window.  An unbounded interval
+    takes its least count of ticks followed by anything:
+    `... . Tick{lo,lo} . T* . a . T*`.
     """
     if a == b:
         raise FottError("the observed event and its trigger must differ")
     lo, hi = interval_ticks(interval)
     not_b = Star(LabelNot(Atom(b)))
-    chain = seq_of([TICK] * lo, seq_of([not_b, One(Atom(b)), Star(NOT_TICK)]))
-    tail = (One(Atom(a)), Star(Top()))
-    regex: PathRegex = Seq(EPS, not_b)
-    if hi is None:
-        return Union(regex, seq_of(tail, Seq(chain, Star(Top()))))
-    for _ in range(lo, hi + 1):
-        regex = Union(regex, seq_of(tail, chain))
-        chain = Seq(chain, TICK)
-    return regex
+    window = [Ticks(lo, lo), Star(Top())] if hi is None else [Ticks(lo, hi)]
+    steps = [not_b, One(Atom(b)), Star(NOT_TICK), *window, One(Atom(a)), Star(Top())]
+    return Union(Seq(EPS, not_b), seq_of(steps))

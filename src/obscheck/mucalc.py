@@ -3,15 +3,18 @@
 The formula language has the true constant `T`, the initial-state constant
 `` `0 ``, boolean connectives, a forward diamond `<A>f` (some A-successor
 satisfies f), a backward diamond `f<A>` (some A-predecessor satisfies f),
-least/greatest fixpoints, and the two derived suffix operators
+least/greatest fixpoints, and the derived suffix operators
 
-    f o A   ==  f<A>
-    f * A   ==  min X | f \\/ X<A>
+    f o A              ==  f<A>
+    f * A              ==  min X | f \\/ X<A>
+    f o Tick{lo,hi}    ==  the union of f o Tick ... o Tick, lo to hi times
 
-which the compiler from path expressions leans on.  Derived forms are kept
-in the tree (printing preserves them) and only normalized during evaluation.
-`f * A` is evaluated semi-naively: each round images only the states the
-previous round added, so each state a star reaches is imaged once.
+which the compiler from path expressions leans on (`f o Tick` abbreviates
+`(f o t) * (-t)`).  Derived forms are kept in the tree (printing preserves
+them) and only normalized during evaluation.  `f * A` is evaluated
+semi-naively: each round images only the states the previous round added,
+so each state a star reaches is imaged once.  `f o Tick{lo,hi}` is one loop
+over the tick count, which images each count's set once.
 """
 
 from __future__ import annotations
@@ -121,6 +124,16 @@ class SuffixStar(MuFormula):
     label: LabelExpr
 
 
+@dataclass(frozen=True)
+class SuffixTicks(MuFormula):
+    """`f o Tick{lo,hi}`: the states `f o Tick` applied k times reaches, for
+    any k from lo to hi."""
+
+    arg: MuFormula
+    lo: int
+    hi: int
+
+
 TRUE = TrueConst()
 INIT = InitConst()
 
@@ -211,7 +224,8 @@ def _parse_postfix(cur: Cursor, bound) -> MuFormula:
             cur.advance()
             if cur.at_ident("Tick"):
                 cur.advance()
-                expr = tick_suffix(expr)
+                count = cur.take_tick_count()
+                expr = tick_suffix(expr) if count is None else SuffixTicks(expr, *count)
             else:
                 expr = SuffixO(expr, parse_label_operand_at(cur))
         elif cur.at("*"):
@@ -250,7 +264,7 @@ def _parse_primary(cur: Cursor, bound) -> MuFormula:
 # the (f o t) * (-t) shape is abbreviated back to `f o Tick`.
 
 _ATOMS = (TrueConst, InitConst, Var)
-_POSTFIX = (BwdDiamond, SuffixO, SuffixStar)
+_POSTFIX = (BwdDiamond, SuffixO, SuffixStar, SuffixTicks)
 
 
 def print_mu(f: MuFormula) -> str:
@@ -291,6 +305,8 @@ def _print(f: MuFormula, need: int) -> str:
             and f.label == NOT_TICK
         ):
             out, level = _print_postfix_left(f.arg.arg) + " o Tick", 5
+        elif t is SuffixTicks:
+            out, level = f"{_print_postfix_left(f.arg)} o Tick{{{f.lo},{f.hi}}}", 5
         elif t is BwdDiamond:
             out, level = f"{_print_postfix_left(f.arg)}<{format_label_expr(f.label)}>", 5
         else:
@@ -342,7 +358,7 @@ _CHILDREN = {
     Iff: (("left", 0, "<=> left"), ("right", 0, "<=> right")),
     Min: (("body", 1, "min"),),
     Max: (("body", 1, "max"),),
-    **dict.fromkeys((FwdDiamond, BwdDiamond, SuffixO, SuffixStar), (("arg", 1, "<>"),)),
+    **dict.fromkeys((FwdDiamond, BwdDiamond, SuffixO, SuffixStar, SuffixTicks), (("arg", 1, "<>"),)),
 }
 
 
@@ -438,7 +454,22 @@ def eval_all(
 
     n = g.num_states
     mask = (1 << n) - 1
-    memo: dict[int, int] = {}
+    # Sets of closed nodes by node id, and, under (id(f), hi), the union of
+    # f o Tick^k for every k up to hi, which one tick loop over f leaves.
+    memo: dict[int | tuple[int, int], int] = {}
+
+    def star(cur: int, label: LabelExpr) -> int:
+        # Semi-naive: only the states added last round are imaged again.
+        frontier = cur
+        rounds = 0
+        while True:
+            frontier = g.post_bits(frontier, label) & ~cur
+            if not frontier:
+                return cur
+            rounds += 1
+            if rounds > n:
+                raise AssertionError("fixpoint exceeded the state-count bound")
+            cur |= frontier
 
     def ev(node: MuFormula, scope: dict[str, int]) -> int:
         closed = polarity[id(node)] is _CLOSED  # no binder is bad by now
@@ -468,18 +499,32 @@ def eval_all(
         elif t is BwdDiamond or t is SuffixO:
             out = g.post_bits(ev(node.arg, scope), node.label)
         elif t is SuffixStar:
-            # Semi-naive: only the states added last round are imaged again.
-            cur = frontier = ev(node.arg, scope)
-            rounds = 0
-            while True:
-                frontier = g.post_bits(frontier, node.label) & ~cur
-                if not frontier:
-                    break
-                rounds += 1
-                if rounds > n:
-                    raise AssertionError("fixpoint exceeded the state-count bound")
-                cur |= frontier
-            out = cur
+            out = star(ev(node.arg, scope), node.label)
+        elif t is SuffixTicks:
+            # One loop over the tick count k: `cur` is arg o Tick^k, `out`
+            # the union from k = lo and `every` the union from k = 0.  The
+            # visited formula of a counted step reads `every` as the window
+            # from 0, so a closed loop leaves it for that window to reuse;
+            # mucompile puts the end window first so that the reuse happens
+            # (test_window_from_0_reuses_the_loop pins the order).
+            every_key = (id(node.arg), node.hi)
+            out = memo.get(every_key) if closed and node.lo == 0 else None
+            if out is None:
+                cur = every = ev(node.arg, scope)
+                out = cur if node.lo == 0 else 0
+                for k in range(1, node.hi + 1):
+                    nxt = star(g.post_bits(cur, TICK), NOT_TICK)
+                    if nxt == cur:  # and so is every later count's set
+                        out |= cur
+                        break
+                    cur = nxt
+                    if not cur:
+                        break
+                    every |= cur
+                    if k >= node.lo:
+                        out |= cur
+                if closed:
+                    memo[every_key] = every
         elif t is Min or t is Max:
             cur = 0 if t is Min else mask
             rounds = 0

@@ -1,19 +1,31 @@
 """Compilation of regular path expressions into mu-calculus formulas.
 
 Two encodings are produced by one recursion, memoized per expression node,
-so shared prefixes (such as `fott.present_regex`'s one tick chain) become
-shared subterms, which the evaluator memoizes: cost is linear in the
-expression's distinct nodes, not in the total length of its branches:
+so shared prefixes become shared subterms, which the evaluator memoizes:
+cost is linear in the expression's distinct nodes, not in the total length
+of its branches:
 
-    end(eps)        = `0
-    end(R . A)      = end(R) o A
-    end(R . A*)     = end(R) * A
-    end(R . Tick)   = (end(R) o t) * (-t)
-    end(R1 \\/ R2)  = end(R1) \\/ end(R2)
+    end(eps)                = `0
+    end(R . A)              = end(R) o A
+    end(R . A*)             = end(R) * A
+    end(R . Tick)           = (end(R) o t) * (-t)
+    end(R . Tick{lo,hi})    = end(R) o Tick{lo,hi}
+    end(R1 \\/ R2)          = end(R1) \\/ end(R2)
 
-    visited(eps)       = `0
-    visited(R . step)  = visited(R) \\/ end(R . step)
-    visited(R1 \\/ R2) = visited(R1) \\/ visited(R2)
+    visited(eps)               = `0
+    visited(R . step)          = visited(R) \\/ end(R . step)
+    visited(R . Tick{lo,hi})   = visited(R) \\/ (end(R . Tick{lo,hi})
+                                              \\/ end(R) o Tick{0,hi})
+    visited(R1 \\/ R2)         = visited(R1) \\/ visited(R2)
+
+A counted step's visited set takes every count up to hi, those below lo
+too, since the words that stop short of lo ticks are prefixes of matching
+words (for lo = 0 the end window is that union already).  The evaluator's
+tick loop for the end window also leaves the window from 0, so the loop
+over end(R) runs once for both, but only if the end window is evaluated
+first: the order of the two operands is what makes the reuse, not the
+meaning, and `test_window_from_0_reuses_the_loop` in the evaluator's tests
+pins it.
 
 Also houses the error-condition and reachability formula builders used by
 the checker.
@@ -35,11 +47,12 @@ from .mucalc import (
     Or,
     SuffixO,
     SuffixStar,
+    SuffixTicks,
     Var,
     tick_suffix,
 )
 from .lts import Top
-from .pathregex import Eps, One, PathRegex, Seq, Star, Tick, Union
+from .pathregex import Eps, One, PathRegex, Seq, Star, Tick, Ticks, Union
 
 
 def _compile(regex: PathRegex, memo: dict[int, tuple[MuFormula, MuFormula]]):
@@ -61,9 +74,17 @@ def _compile(regex: PathRegex, memo: dict[int, tuple[MuFormula, MuFormula]]):
             end = SuffixStar(e0, step.label)
         elif type(step) is Tick:
             end = tick_suffix(e0)
+        elif type(step) is Ticks:
+            end = SuffixTicks(e0, step.lo, step.hi)
         else:
             raise TypeError(f"unknown step: {step!r}")
-        pair = (end, Or(v0, end))
+        reached = end
+        if type(step) is Ticks and step.lo:
+            # Every count up to hi is visited, those below lo too.  The end
+            # must come first: its tick loop leaves the window from 0, which
+            # eval_all then reuses instead of imaging the chain again.
+            reached = Or(end, SuffixTicks(e0, 0, step.hi))
+        pair = (end, Or(v0, reached))
     else:
         raise TypeError(f"not a path expression: {regex!r}")
     memo[id(regex)] = pair

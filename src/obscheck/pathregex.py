@@ -2,7 +2,8 @@
 
 The grammar is deliberately restricted to the shapes the formula compiler
 can handle: single steps, stars over label expressions (never over
-sequences), the Tick macro `t . (-t)*`, union, and the empty word `eps`.
+sequences), the Tick macro `t . (-t)*`, the counted step `Tick{lo,hi}` (from
+lo to hi Ticks), union, and the empty word `eps`.
 
 Besides the matcher, this module carries the brute-force oracles used to
 cross-validate the compiler: NFA x graph product reachability, with no
@@ -69,6 +70,18 @@ class Tick(Step):
     pass
 
 
+@dataclass(frozen=True)
+class Ticks(Step):
+    """`Tick{lo,hi}`: any number of Ticks from lo to hi, both included."""
+
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        if not 0 <= self.lo <= self.hi:
+            raise ValueError(f"empty tick count range {{{self.lo},{self.hi}}}")
+
+
 EPS = Eps()
 TICK = Tick()
 
@@ -85,7 +98,7 @@ def seq_of(steps: Iterable[Step], regex: PathRegex = EPS) -> PathRegex:
 #
 # regex  := seq ('\/' seq)*          union is n-ary, binarized left to right
 # seq    := ('eps' | step) ('.' step)*
-# step   := 'Tick' | operand '*'?
+# step   := 'Tick' ('{' INT ',' INT '}')? | operand '*'?
 # operand:= IDENT | 'T' | '-' operand | '(' labelexpr ')'
 
 
@@ -119,7 +132,8 @@ def _parse_seq(cur: Cursor) -> PathRegex:
 def _parse_step(cur: Cursor) -> Step:
     if cur.at_ident("Tick"):
         cur.advance()
-        return TICK
+        count = cur.take_tick_count()
+        return TICK if count is None else Ticks(*count)
     label = _parse_operand(cur)
     if cur.take("*"):
         return Star(label)
@@ -163,34 +177,41 @@ TICK_STEPS = (One(TICK_ATOM), Star(NOT_TICK))
 
 
 def _compile_matcher(regex: PathRegex):
-    """(start, accept, stars, labels, text, rows): match_word's tables over
-    the step positions of the expression's branches.
+    """(start, accept, stars, skippable, labels, text, rows): match_word's
+    tables over the step positions of the expression's branches.
 
     Each branch is the step list it spells, with a Tick compiled in place
-    from TICK_STEPS as in build_nfa; a union under a sequence is expanded
-    into the cross product of its branches with the steps after it.  Every
-    step of every branch is one bit, and each branch has one more bit past
-    its end; a branch's bits run up from its first step, and the branches
-    follow one another.  `start` has the first bit of each branch, closed as
-    match_word closes its state; `accept` has the bit past each end, and
-    `stars` every star step.
+    from TICK_STEPS as in build_nfa and a `Tick{lo,hi}` as hi of them in a
+    row; a union under a sequence is expanded into the cross product of its
+    branches with the steps after it, and `R . Tick{0,hi}` is read as that
+    union, `R \\/ R . Tick{1,hi}`.  Every step of every branch is one bit,
+    and each branch has one more bit past its end; a branch's bits run up
+    from its first step, and the branches follow one another.  `start` has
+    the first bit of each branch, closed as match_word closes its state;
+    `accept` has the bit past each end, `stars` every star step, and
+    `skippable` every star step and the `t` of every optional Tick: the
+    Ticks of a `Tick{lo,hi}` past the lo-th.
 
     `text` spells the positions from the highest bit down, one character
     each: "\\0" past a branch end, else `chr(1 + 2 * j)` for a one-step over
     `labels[j]` and `chr(2 + 2 * j)` for a star over it (so at most 557,056
-    distinct labels).  A mask is then one `str.translate` of it into binary
-    digits and one `int(..., 2)`, linear in the number of positions whatever
-    the number of labels.  `rows`, which match_word fills in, maps each
-    symbol met so far to the masks of the one-steps and of the stars whose
-    labels match it."""
+    distinct labels, the `t` of optional Ticks counted apart).  A mask is
+    then one `str.translate` of it into binary digits and one `int(..., 2)`,
+    linear in the number of positions whatever the number of labels.
+    `rows`, which match_word fills in, maps each symbol met so far to the
+    masks of the one-steps and of the stars whose labels match it."""
     labels: list[LabelExpr] = []
-    index: dict[LabelExpr, int] = {}
+    optional: list[bool] = []
+    index: dict[LabelExpr | tuple[LabelExpr, bool], int] = {}
 
-    def char_of(step: Step) -> str:
-        j = index.get(step.label)
+    def char_of(step: Step, skip: bool = False) -> str:
+        # The `t` of an optional Tick is keyed apart from a plain `t`.
+        key = (step.label, skip) if skip else step.label
+        j = index.get(key)
         if j is None:
-            index[step.label] = j = len(labels)
+            index[key] = j = len(labels)
             labels.append(step.label)
+            optional.append(skip)
         return chr(1 + 2 * j + (type(step) is Star))
 
     def branches(node: PathRegex) -> list[str]:
@@ -206,11 +227,24 @@ def _compile_matcher(regex: PathRegex):
                 continue
             parts: list[str] = []
             while type(node) is Seq:
-                if type(node.step) is Tick:
-                    tick = tick or "".join(char_of(step) for step in reversed(TICK_STEPS))
+                step = node.step
+                if type(step) is Tick:
+                    tick = tick or char_of(TICK_STEPS[1]) + char_of(TICK_STEPS[0])
                     parts.append(tick)
+                elif type(step) is Ticks and step.lo == 0:
+                    # No Tick, or from 1 to hi of them: a union under the
+                    # sequence, unless hi = 0 leaves the first branch only.
+                    if step.hi:
+                        node = Union(node.head, Seq(node.head, Ticks(1, step.hi)))
+                        break
+                elif type(step) is Ticks:
+                    # hi Ticks, those past the lo-th optional.
+                    tick = tick or char_of(TICK_STEPS[1]) + char_of(TICK_STEPS[0])
+                    if step.hi > step.lo:
+                        parts.append((tick[0] + char_of(TICK_STEPS[0], True)) * (step.hi - step.lo))
+                    parts.append(tick * step.lo)
                 else:
-                    parts.append(char_of(node.step))
+                    parts.append(char_of(step))
                 node = node.head
             steps = "".join(parts)
             if type(node) is Eps:
@@ -221,12 +255,14 @@ def _compile_matcher(regex: PathRegex):
 
     text = "\0" + "\0".join(branches(regex))
     accept = int(text.translate("1" + "00" * len(labels)), 2)
-    stars = int(text.translate("0" + "01" * len(labels)), 2)
+    stars = skippable = int(text.translate("0" + "01" * len(labels)), 2)
+    if any(optional):
+        skippable |= int(text.translate("0" + "".join(["11" if skip else "00" for skip in optional])), 2)
     # A branch starts one bit above the end of the branch below it, and the
     # lowest at bit 0; the xor drops the bit above the top branch's end.
     start = (accept << 1 | 1) ^ (1 << len(text))
-    start |= ((start & stars) + stars) ^ stars
-    return start, accept, stars, tuple(labels), text, {}
+    start |= ((start & skippable) + skippable) ^ skippable
+    return start, accept, stars, skippable, tuple(labels), text, {}
 
 
 def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
@@ -237,10 +273,14 @@ def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
     (Shift-And).  Each symbol is one step, whatever the number of branches:
     a one-step whose label matches moves its bit to the next position, a
     star whose label matches keeps it, and a bit on a star then also spreads
-    past the run of stars it stands in, since a star may take no step.  The
-    word matches if the state ends with a bit past some branch's end.
+    past the run of stars it stands in, since a star may take no step.  A
+    counted step `Tick{lo,hi}` keeps one chain of hi Ticks, of which those
+    past the lo-th are optional: their `t` may take no step either, so the
+    same carry spreads bits past them (Navarro and Raffinot's optional
+    characters, "Flexible Pattern Matching in Strings", ch. 4).  The word
+    matches if the state ends with a bit past some branch's end.
     """
-    start, accept, stars, labels, text, rows = regex._matcher
+    start, accept, stars, skippable, labels, text, rows = regex._matcher
     state = start
     for symbol in word:
         row = rows.get(symbol)
@@ -251,10 +291,10 @@ def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
         state = ((state & row[0]) << 1) | (state & row[1])
         if not state:
             return False
-        # Adding `stars` carries each bit on a star up through the rest of
-        # its run of stars and on to the position after the run; the xor
-        # leaves the bits the carry went through.
-        state |= ((state & stars) + stars) ^ stars
+        # Adding `skippable` carries each bit on a skippable position up
+        # through the rest of its run of them and on to the position after
+        # the run; the xor leaves the bits the carry went through.
+        state |= ((state & skippable) + skippable) ^ skippable
     return state & accept != 0
 
 
@@ -292,6 +332,9 @@ def build_nfa(regex: PathRegex) -> Nfa:
     needs no epsilon edges.  Each sub-expression object is compiled once, so
     the automaton is as large as the expression's DAG, not its tree; every
     path into a state still reads a word of the sub-expression that made it.
+    A `Tick{lo,hi}` becomes hi states in a row, each entered by `t` and
+    looping on `-t`, and ends at each of them whose count is at least lo
+    (and where it started, if lo is 0).
     """
     edges: list[list[tuple[LabelExpr, int]]] = [[]]
     memo: dict[int, frozenset[int]] = {}
@@ -304,6 +347,18 @@ def build_nfa(regex: PathRegex) -> Nfa:
             ends = frozenset((0,))
         elif type(node) is Union:
             ends = go(node.left) | go(node.right)
+        elif type(node.step) is Ticks:
+            ends = go(node.head)
+            exits = set(ends) if node.step.lo == 0 else set()
+            for count in range(1, node.step.hi + 1):
+                q = len(edges)
+                edges.append([(NOT_TICK, q)])
+                for f in ends:
+                    edges[f].append((TICK_ATOM, q))
+                ends = (q,)
+                if count >= node.step.lo:
+                    exits.add(q)
+            ends = frozenset(exits)
         else:
             ends = go(node.head)
             for step in TICK_STEPS if type(node.step) is Tick else (node.step,):
@@ -360,12 +415,18 @@ def oracle_states(g: Lts, regex: PathRegex) -> tuple[StateSet, StateSet]:
     the union of the end states over every syntactic prefix of the
     (left-nested) expression.
 
+    A `Tick{lo,hi}` after a prefix R has the syntactic prefixes R . Tick^k
+    for every k up to hi, those with k < lo included: the words that stop
+    after fewer ticks than the least count are still on their way through
+    the step.
+
     The product gives that union.  Each NFA state ends a syntactic prefix,
     where the `t` state inside an expanded Tick counts as an end of that
-    Tick's prefix (its `(-t)*` may take no step).  A word leads into a state
-    only if it matches the prefix that state ends, and each word of a prefix
-    leads into one of its ends, so the union is the set of graph states over
-    all reached pairs."""
+    Tick's prefix (its `(-t)*` may take no step), and the k-th state of a
+    `Tick{lo,hi}` ends R . Tick^k.  A word leads into a state only if it
+    matches the prefix that state ends, and each word of a prefix leads into
+    one of its ends, so the union is the set of graph states over all
+    reached pairs."""
     end, visited = _product_bits(g, build_nfa(regex))
     return StateSet(g.num_states, end), StateSet(g.num_states, visited)
 

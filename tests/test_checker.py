@@ -21,9 +21,9 @@ from obscheck.checker import (
 )
 from obscheck.fott import Interval, present_regex
 from obscheck.lts import Atom, Lts, parse_label_expr
-from obscheck.mucalc import Iff, Implies, Not, eval_mu, is_tautology
+from obscheck.mucalc import Iff, Implies, Not, eval_all, eval_mu, is_tautology
 from obscheck.mucompile import compile_both, error_condition, reach_formula
-from obscheck.pathregex import oracle_visited_states, parse_regex
+from obscheck.pathregex import oracle_states, oracle_visited_states, parse_regex
 from obscheck.timednet import builtin_mouse, builtin_present, explore, parse_net
 
 EVENTS = [Atom("a"), Atom("b"), Atom("t")]
@@ -223,6 +223,24 @@ class TestFullReport:
         ]
         assert elapsed < 1.0
 
+    def test_oracle_agreement_on_random_intervals(self):
+        """The compiled sets of the pattern's counted step equal those of the
+        product on present models and patterns of random windows, matched or
+        not, open or closed, bounded or not."""
+        rng = random.Random(71)
+        checked = 0
+        while checked < 30:
+            lo = rng.randint(0, 8)
+            hi = None if rng.random() < 0.2 else lo + rng.randint(0, 5)
+            interval = Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+            if interval.integer_range() is None:
+                continue
+            d1 = rng.randint(1, 8)
+            g = explore(builtin_present(d1, d1 + rng.randint(1, 5)))
+            report = full_report(g, present_regex("a", "b", interval), "error", EVENTS)
+            assert report.verdict("oracle_agreement").holds, (interval, g.num_states)
+            checked += 1
+
     def test_mismatch_fails_overall(self):
         report = full_report(builtin_present(3, 4), pattern(4, 5), "error", EVENTS)
         assert not report.verdict("eq_tautology").holds
@@ -347,16 +365,19 @@ class TestFullReportWork:
     @pytest.mark.parametrize(
         "model, window, report_calls, eq_calls, innocuous_calls, naive_calls",
         [
-            ((20, 40), (20, 39), 244, 231, 13, 48),
-            ((30, 60), (30, 60), 360, 347, 13, 68),
+            ((20, 40), (20, 39), 190, 177, 13, 48),
+            ((30, 60), (30, 60), 273, 260, 13, 68),
         ],
+        ids=["20_40_vs_20_39", "30_60"],
     )
     def test_report_images_the_error_region_once(
         self, image_calls, model, window, report_calls, eq_calls, innocuous_calls, naive_calls
     ):
         """The region inside the error condition is the one the naive check
         reads, so a report no longer images it a second time, while the
-        direct checks keep their own work."""
+        direct checks keep their own work.  The pattern's window is one
+        counted step, so its tick chain and its `. a . T*` tail are imaged
+        once, not once per tick count."""
         g, regex = explore(builtin_present(*model)), pattern(*window)
         counts = []
         for run in (
@@ -381,7 +402,7 @@ class TestFullReportWork:
         tautology_calls, image_calls[0] = image_calls[0], 0
         report = check_eq(g, regex, "error")
         assert [(v.name, v.holds) for v in report.verdicts] == MISMATCH_VERDICTS[:3]
-        assert image_calls[0] == tautology_calls == 231
+        assert image_calls[0] == tautology_calls == 177
         assert report.verdict("eq_tautology").witness_state == taut.witness
         assert report.verdict("eq_soundness").witness_state == report.verdict("eq_tautology").witness_state
 
@@ -405,6 +426,22 @@ class TestFullReportWork:
         the end formula reads the subterms they share instead of walking its
         tick chain again, which used to overflow here."""
         report = full_report(builtin_present(600, 601), pattern(600, 601), "error", EVENTS)
+        assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS
+
+    def test_window_2000_in_either_batch_order(self):
+        """The window is one counted step, evaluated in a loop, so the depth
+        of `eval_all` no longer depends on which formula comes first: at the
+        default recursion limit both orders give the same four sets."""
+        g, regex = explore(builtin_present(2000, 2001)), pattern(2000, 2001)
+        end_f, visited_f = compile_both(regex)
+        errors_f = error_condition("error")
+        end_first = eval_all(g, (end_f, visited_f, errors_f, errors_f.right))
+        visited_first = eval_all(g, (visited_f, end_f, errors_f, errors_f.right))
+        assert end_first == [visited_first[1], visited_first[0], *visited_first[2:]]
+        assert (end_first[0], end_first[1]) == oracle_states(g, regex)
+
+    def test_window_2000_gives_the_verdicts(self):
+        report = full_report(builtin_present(2000, 2001), pattern(2000, 2001), "error", EVENTS)
         assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import obscheck
-from obscheck import mucalc, pathregex
+from obscheck import cli, mucalc, pathregex
 from obscheck.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -99,6 +99,23 @@ class TestCompile:
         assert main(["compile", "--regex", "(a . b)*", "--mode", "end"]) == 2
         assert "obscheck:" in capsys.readouterr().err
 
+    def test_counted_tick_step(self, capsys):
+        assert main(["compile", "--regex", "b . Tick{2,3}", "--mode", "end"]) == 0
+        assert capsys.readouterr().out == "`0 o b o Tick{2,3}\n"
+        assert main(["compile", "--regex", "b . Tick{2,3}", "--mode", "visited"]) == 0
+        assert capsys.readouterr().out == "`0 \\/ `0 o b \\/ (`0 o b o Tick{2,3} \\/ `0 o b o Tick{0,3})\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--model", "builtin:present:4:5", "--formula", "`0 o Tick{0,1000000000}"],
+            ["oracle", "--model", "builtin:present:4:5", "--regex", "b . Tick{0,100000001}"],
+        ],
+    )
+    def test_tick_count_over_the_limit_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        assert "over the limit of 100000" in capsys.readouterr().err
+
     def test_too_deep_tick_chain_exits_two(self, capsys):
         chain = " . ".join(["Tick"] * 600)
         assert main(["compile", "--regex", chain, "--mode", "end"]) == 2
@@ -175,6 +192,35 @@ class TestCheck:
             "no_tickless_cycle: HOLDS",
             "overall: PASS",
         ]
+
+    def test_window_2000_gives_the_verdicts(self, capsys):
+        """At the default recursion limit and thread stack."""
+        argv = ["check", "--model", "builtin:present:2000:2001", "--pattern", "present"]
+        argv += ["--lo", "2000", "--hi", "2001", "--hi-open"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if not line.startswith("  trace: ")] == [
+            "eq_tautology: HOLDS",
+            "reach[a]: HOLDS",
+            "reach[b]: HOLDS",
+            "reach[t]: HOLDS",
+            "innocuous: HOLDS",
+            "naive_errors_in_complement: HOLDS",
+            "naive_complement_in_errors: FAILS (witness state 6007)",
+            "oracle_agreement: HOLDS",
+            "no_tickless_cycle: HOLDS",
+            "overall: PASS",
+        ]
+
+    def test_memory_error_exits_two_without_a_traceback(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "full_report", exhausted)
+        assert main(CHECK_45) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "obscheck: out of memory\n"
+        assert captured.out == ""
 
     def test_recursion_error_exits_two_without_a_traceback(self, capsys, monkeypatch):
         def overflow(f, memo):

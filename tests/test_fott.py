@@ -218,33 +218,58 @@ class TestSolvePlans:
         assert eval_fott(nested, {"v": ("b",)}) is True
 
 
+def same_words(regex, spelled, longest=6):
+    """`regex` and `spelled` match the same words up to `longest` symbols."""
+    for length in range(longest + 1):
+        for w in itertools.product(ALPHABET, repeat=length):
+            assert match_word(regex, w) == match_word(spelled, w), w
+
+
 class TestPresentRegex:
     def test_window_4_5_is_the_two_branch_union(self):
         got = present_regex("a", "b", Interval(4, 5, upper_open=True))
         expected = Union(
             parse_regex("(-b)*"),
-            parse_regex("(-b)* . b . (-t)* . Tick . Tick . Tick . Tick . a . T*"),
+            parse_regex("(-b)* . b . (-t)* . Tick{4,4} . a . T*"),
         )
         assert got == expected
+        same_words(got, parse_regex("(-b)* \\/ (-b)* . b . (-t)* . Tick . Tick . Tick . Tick . a . T*"), 7)
 
     def test_window_1_3_has_a_branch_per_tick_count(self):
+        """The window is one counted step, which matches what a branch per
+        admissible tick count matches."""
         got = present_regex("a", "b", Interval(1, 3, upper_open=True))
         expected = Union(
+            parse_regex("(-b)*"),
+            parse_regex("(-b)* . b . (-t)* . Tick{1,2} . a . T*"),
+        )
+        assert got == expected
+        spelled = Union(
             Union(
                 parse_regex("(-b)*"),
                 parse_regex("(-b)* . b . (-t)* . Tick . a . T*"),
             ),
             parse_regex("(-b)* . b . (-t)* . Tick . Tick . a . T*"),
         )
-        assert got == expected
+        same_words(got, spelled)
 
     def test_zero_tick_branch(self):
         got = present_regex("a", "b", Interval(0, 1, upper_open=True))
         expected = Union(
             parse_regex("(-b)*"),
-            parse_regex("(-b)* . b . (-t)* . a . T*"),
+            parse_regex("(-b)* . b . (-t)* . Tick{0,0} . a . T*"),
         )
         assert got == expected
+        same_words(got, parse_regex("(-b)* \\/ (-b)* . b . (-t)* . a . T*"))
+
+    def test_unbounded_window_takes_the_least_count_then_anything(self):
+        got = present_regex("a", "b", Interval(2, None))
+        expected = Union(
+            parse_regex("(-b)*"),
+            parse_regex("(-b)* . b . (-t)* . Tick{2,2} . T* . a . T*"),
+        )
+        assert got == expected
+        same_words(got, parse_regex("(-b)* \\/ (-b)* . b . (-t)* . Tick . Tick . T* . a . T*"))
 
     @pytest.mark.parametrize(
         "interval",

@@ -24,6 +24,7 @@ from obscheck.mucalc import (
     Or,
     SuffixO,
     SuffixStar,
+    SuffixTicks,
     Var,
     check_monotone,
     eval_all,
@@ -43,7 +44,7 @@ def random_formula(rng: random.Random, depth: int, bound: tuple[str, ...]):
         atoms.append(lambda: Var(rng.choice(bound)))
     if depth == 0:
         return rng.choice(atoms)()
-    roll = rng.randrange(12)
+    roll = rng.randrange(13)
     sub = lambda: random_formula(rng, depth - 1, bound)
     if roll == 0:
         return rng.choice(atoms)()
@@ -67,6 +68,9 @@ def random_formula(rng: random.Random, depth: int, bound: tuple[str, ...]):
         return SuffixStar(sub(), random_label_expr(rng))
     if roll == 10:
         return tick_suffix(sub())
+    if roll == 11:
+        lo = rng.randint(0, 2)
+        return SuffixTicks(sub(), lo, lo + rng.randint(0, 2))
     var = rng.choice(["X", "Y", "Z"])
     body = random_formula(rng, depth - 1, bound + (var,))
     return Min(var, body) if rng.random() < 0.5 else Max(var, body)
@@ -359,6 +363,101 @@ class TestSemiNaiveStar:
         assert eval_mu(g, SuffixStar(INIT, Atom("a"))).is_all
         assert calls[0] == n  # n - 1 productive rounds and the empty last one
         assert imaged[0] == n
+
+
+def _ticks_spelled(f, lo: int, hi: int):
+    """`f o Tick{lo,hi}` spelled as the union of `f o Tick ... o Tick`."""
+    counts = []
+    for k in range(hi + 1):
+        if k >= lo:
+            counts.append(f)
+        f = tick_suffix(f)
+    out = counts[0]
+    for g in counts[1:]:
+        out = Or(out, g)
+    return out
+
+
+class TestCountedTicks:
+    """`f o Tick{lo,hi}` against the union it abbreviates, for closed and
+    open `f`; its tick loop images each count's set once."""
+
+    def test_parse_and_print(self):
+        f = parse_mu("`0 o b o Tick{2,5} * a")
+        assert f == SuffixStar(SuffixTicks(SuffixO(INIT, Atom("b")), 2, 5), Atom("a"))
+        assert print_mu(f) == "`0 o b o Tick{2,5} * a"
+        assert parse_mu("`0 o Tick { 0 , 1 }") == SuffixTicks(INIT, 0, 1)
+        assert print_mu(SuffixTicks(FwdDiamond(Atom("a"), TRUE), 1, 1)) == "(<a>T) o Tick{1,1}"
+        with pytest.raises(ParseError, match=r"^empty tick count range \{2,1\} \(at offset 9\)$"):
+            parse_mu("`0 o Tick{2,1}")
+        with pytest.raises(ParseError, match=r"^tick count 1000000000 over the limit of 100000 \(at offset 9\)$"):
+            parse_mu("`0 o Tick{0,1000000000}")
+        with pytest.raises(ParseError, match=r"^unexpected character '\{' \(at offset 6\)$"):
+            parse_mu("`0 o a{1,2}")
+        # A label named Tick takes no count: the count is then out of place.
+        with pytest.raises(ParseError, match=r"^expected '>', found '\{1,2\}' \(at offset 5\)$"):
+            parse_mu("<Tick{1,2}>T")
+
+    @pytest.mark.parametrize("lo", [0, 10**9])
+    def test_loop_stops_once_a_count_repeats_the_set(self, lo, monkeypatch):
+        """On a tick cycle the set of count k + 1 is that of count k, so
+        the loop stops there whatever the counts."""
+        g = Lts(2, 0, [(0, "a", 1), (1, "t", 1)])
+        calls = [0]
+        image = lts._image
+
+        def counting_image(bits, masks):
+            calls[0] += 1
+            return image(bits, masks)
+
+        monkeypatch.setattr(lts, "_image", counting_image)
+        expected = g.set_of([1]) if lo else g.set_of([0, 1])
+        assert eval_mu(g, SuffixTicks(Or(INIT, SuffixO(INIT, Atom("a"))), lo, 10**9)) == expected
+        assert calls[0] < 10
+
+    def test_matches_the_spelled_union(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            g = random_lts(rng, max_states=12)
+            inner = random_label_expr(rng)
+            env = {"S": g.set_of(s for s in range(g.num_states) if rng.random() < 0.3)}
+            lo = rng.randint(0, 3)
+            hi = lo + rng.randint(0, 3)
+            for arg in (INIT, BwdDiamond(TRUE, inner), Var("S"), Or(Var("S"), BwdDiamond(Var("S"), inner))):
+                got = eval_mu(g, SuffixTicks(arg, lo, hi), env=env)
+                assert got == eval_mu(g, _ticks_spelled(arg, lo, hi), env=env), print_mu(arg)
+
+    def test_under_a_binder(self):
+        # min X | `0 \/ X o Tick{0,1} reaches what min X | `0 \/ X o Tick does.
+        rng = random.Random(47)
+        for _ in range(60):
+            g = random_lts(rng, max_states=10)
+            got = eval_mu(g, Min("X", Or(INIT, SuffixTicks(Var("X"), 0, 1))))
+            assert got == eval_mu(g, Min("X", Or(INIT, tick_suffix(Var("X")))))
+
+    def test_window_from_0_reuses_the_loop(self, monkeypatch):
+        """After `f o Tick{lo,hi}`, the window `f o Tick{0,hi}` over the same
+        `f` costs no image work; the other way round it does, so the visited
+        formula of a counted step puts its end first."""
+        g = chain_lts(*["t", "z"] * 20)
+        calls = [0]
+        image = lts._image
+
+        def counting_image(bits, masks):
+            calls[0] += 1
+            return image(bits, masks)
+
+        window, every = SuffixTicks(INIT, 5, 9), SuffixTicks(INIT, 0, 9)
+        expected = [eval_mu(g, _ticks_spelled(INIT, 5, 9)), eval_mu(g, _ticks_spelled(INIT, 0, 9))]
+        assert expected[0] == g.set_of(range(9, 19)) and expected[1] == g.set_of(range(19))
+        monkeypatch.setattr(lts, "_image", counting_image)
+        assert eval_mu(g, window) == expected[0]
+        window_calls, calls[0] = calls[0], 0
+        assert eval_all(g, (window, every)) == expected
+        assert calls[0] == window_calls
+        calls[0] = 0
+        eval_all(g, (every, window))
+        assert calls[0] > window_calls
 
 
 def _monotone_formula(rng: random.Random, free: tuple[str, ...]):

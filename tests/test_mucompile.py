@@ -91,6 +91,27 @@ class TestLinearSize:
         large = compile_visited(present_regex("a", "b", Interval(60, 120, upper_open=True)))
         assert distinct_nodes(large) <= 2.2 * distinct_nodes(small)
 
+    def test_formula_size_does_not_depend_on_the_window(self):
+        sizes = {
+            distinct_nodes(compile_visited(present_regex("a", "b", Interval(lo, 2 * lo, upper_open=True))))
+            for lo in (30, 3000)
+        }
+        assert len(sizes) == 1
+
+
+class TestCountedTicks:
+    def test_end_and_visited_text(self):
+        regex = parse_regex("b . Tick{2,3} . a")
+        end, visited = compile_both(regex)
+        assert print_mu(end) == "`0 o b o Tick{2,3} o a"
+        assert print_mu(visited) == "`0 \\/ `0 o b \\/ (`0 o b o Tick{2,3} \\/ `0 o b o Tick{0,3}) \\/ `0 o b o Tick{2,3} o a"
+        assert (parse_mu(print_mu(end)), parse_mu(print_mu(visited))) == (end, visited)
+
+    def test_window_from_0_is_its_own_visited_set(self):
+        end, visited = compile_both(parse_regex("b . Tick{0,3}"))
+        assert print_mu(visited) == "`0 \\/ `0 o b \\/ `0 o b o Tick{0,3}"
+        assert visited.right is end
+
 
 class TestErrorCondition:
     def test_formula_shape(self):

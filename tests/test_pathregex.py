@@ -21,6 +21,7 @@ from obscheck.pathregex import (
     Seq,
     Star,
     Tick,
+    Ticks,
     Union,
     build_nfa,
     match_word,
@@ -28,6 +29,7 @@ from obscheck.pathregex import (
     oracle_states,
     oracle_visited_states,
     parse_regex,
+    seq_of,
 )
 from obscheck.mucalc import eval_mu
 from obscheck.mucompile import compile_both
@@ -45,7 +47,7 @@ class TestParse:
         assert parse_regex("(-b)*") == Seq(EPS, Star(LNot(Atom("b"))))
 
     def test_full_window_branch(self):
-        text = "(-b)* . b . (-t)* . Tick . Tick . Tick . Tick . a . T*"
+        text = "(-b)* . b . (-t)* . Tick{4,4} . a . T*"
         got = parse_regex(text)
         expected = pres45().right  # the non-trivial branch of the pattern
         assert got == expected
@@ -61,6 +63,27 @@ class TestParse:
     def test_eps_keyword(self):
         assert parse_regex("eps") == EPS
         assert parse_regex("eps . a") == Seq(EPS, One(Atom("a")))
+
+    def test_counted_tick_step(self):
+        assert parse_regex("Tick{2,5}") == Seq(EPS, Ticks(2, 5))
+        assert parse_regex("a . Tick { 0 , 3 } . b") == seq_of([One(Atom("a")), Ticks(0, 3), One(Atom("b"))])
+        assert parse_regex("Tick{1,1}") != parse_regex("Tick")
+
+    def test_empty_tick_count_range_rejected(self):
+        with pytest.raises(ParseError, match=r"^empty tick count range \{3,2\} \(at offset 8\)$"):
+            parse_regex("a . Tick{3,2}")
+        with pytest.raises(ValueError, match="empty tick count range"):
+            Ticks(3, 2)
+
+    def test_tick_count_over_the_limit_rejected(self):
+        with pytest.raises(ParseError, match=r"^tick count 1000000000 over the limit of 100000 \(at offset 8\)$"):
+            parse_regex("b . Tick{0,1000000000}")
+        assert parse_regex("Tick{100000,100000}") == Seq(EPS, Ticks(100000, 100000))
+
+    @pytest.mark.parametrize("text, offset", [("a . b{1,2}", 5), ("(Tick){1,2}", 6), ("Tick{1,2}{1,2}", 9)])
+    def test_a_count_after_anything_but_tick_is_an_unexpected_character(self, text, offset):
+        with pytest.raises(ParseError, match=rf"^unexpected character '{{' \(at offset {offset}\)$"):
+            parse_regex(text)
 
 
 class TestTickSteps:
@@ -79,6 +102,32 @@ class TestTickSteps:
         assert_same_meaning(pres45().right, spelled)
 
 
+class TestCountedTicks:
+    """`Tick{lo,hi}` means the union of `Tick^k` for k from lo to hi."""
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 2), (1, 1), (1, 3), (2, 4)])
+    def test_counted_step_is_the_union_of_its_counts(self, lo, hi):
+        spelled = " \\/ ".join(" . ".join(["Tick"] * k) or "eps" for k in range(lo, hi + 1))
+        assert_same_meaning(parse_regex(f"Tick{{{lo},{hi}}}"), parse_regex(spelled))
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (1, 2), (2, 2)])
+    def test_counted_step_between_other_steps(self, lo, hi):
+        spelled = " \\/ ".join(
+            " . ".join(["b*"] + ["Tick"] * k + ["a"]) for k in range(lo, hi + 1)
+        )
+        assert_same_meaning(parse_regex(f"b* . Tick{{{lo},{hi}}} . a"), parse_regex(spelled))
+
+    @pytest.mark.parametrize("between", [["z*"], []])
+    def test_counted_steps_in_a_row(self, between):
+        """The exits of one counted step lead into the next, whose own least
+        count may be 0."""
+        regex = parse_regex(" . ".join(["Tick{1,2}", *between, "Tick{0,2}"]))
+        spelled = " \\/ ".join(
+            " . ".join(["Tick"] * i + between + ["Tick"] * j) for i in range(1, 3) for j in range(3)
+        )
+        assert_same_meaning(regex, parse_regex(spelled))
+
+
 def assert_same_meaning(regex, spelled, max_length=7):
     """`regex` and `spelled` accept the same words up to `max_length`, by
     build_nfa and by match_word, and their compiled end and visited formulas
@@ -95,13 +144,26 @@ def assert_same_meaning(regex, spelled, max_length=7):
             assert eval_mu(g, f) == eval_mu(g, spelled_f)
 
 
+def shared_chain_pattern(lo: int, hi: int):
+    """The `present` pattern as a branch per tick count from lo to hi, each
+    branch extending one shared chain of Ticks:
+    Union(Union(Union(no_trigger, b_lo), ...), b_hi), b_k = chain_k . a . T*."""
+    not_b = Star(LNot(Atom("b")))
+    chain = seq_of([TICK] * lo, seq_of([not_b, One(Atom("b")), Star(LNot(Atom("t")))]))
+    regex = Seq(EPS, not_b)
+    for _ in range(lo, hi + 1):
+        regex = Union(regex, seq_of((One(Atom("a")), Star(Top())), chain))
+        chain = Seq(chain, TICK)
+    return regex
+
+
 class TestSharedChain:
     def test_branches_extend_one_chain(self):
-        # Union(Union(Union(no_trigger, b4), b5), b6), b_k = chain_k . a . T*
+        """The branches that extend one chain of Ticks, one per tick count,
+        are one counted step in the pattern, with the same meaning."""
         regex = present_regex("a", "b", Interval(4, 7, upper_open=True))
-        b4, b5, b6 = regex.left.left.right, regex.left.right, regex.right
-        assert b5.head.head.head is b4.head.head
-        assert b6.head.head.head is b5.head.head
+        assert regex.right.head.head.step == Ticks(4, 6)
+        assert_same_meaning(regex, shared_chain_pattern(4, 6))
 
     def test_nfa_grows_linearly_with_the_window(self):
         small = build_nfa(present_regex("a", "b", Interval(30, 60, upper_open=True)))
@@ -267,6 +329,17 @@ def naive_match(regex, word):
                 word[k] == "t" and "t" not in word[k + 1 : end] and spells(node.head, k)
                 for k in range(end)
             )
+        if type(step) is Ticks:  # from lo to hi Ticks, each as above
+
+            def ticks(count, end):  # does word[:end] spell the head and `count` Ticks?
+                if count == 0:
+                    return spells(node.head, end)
+                return any(
+                    word[k] == "t" and "t" not in word[k + 1 : end] and ticks(count - 1, k)
+                    for k in range(end)
+                )
+
+            return any(ticks(count, end) for count in range(step.lo, step.hi + 1))
         if type(step) is One:
             return end > 0 and holds(step.label, word[end - 1]) and spells(node.head, end - 1)
         while not spells(node.head, end):  # a star: give it one more symbol
@@ -283,7 +356,8 @@ label_exprs = st.recursive(
     lambda inner: inner.map(LNot) | st.builds(LAnd, inner, inner) | st.builds(LOr, inner, inner),
     max_leaves=4,
 )
-steps = label_exprs.map(One) | label_exprs.map(Star) | st.just(Star(Top())) | st.just(TICK)
+counted = st.builds(lambda lo, more: Ticks(lo, lo + more), st.integers(0, 2), st.integers(0, 2))
+steps = label_exprs.map(One) | label_exprs.map(Star) | st.just(Star(Top())) | st.just(TICK) | counted
 # Sequences may extend unions, which the concrete syntax never writes.
 regexes = st.recursive(
     st.just(EPS),

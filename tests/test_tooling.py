@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import obscheck
-from obscheck import cli
+from obscheck import cli, mucalc, pathregex
+from obscheck.lts import Atom
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -131,3 +132,63 @@ def test_every_parser_default_is_immutable():
     assert len(parsers) == 7
     # argparse.SUPPRESS is a str
     assert [entry for entry in defaults if type(entry[2]) not in (type(None), bool, int, str)] == []
+
+
+
+def _concrete_subclasses(cls) -> set[type]:
+    found, todo = set(), [cls]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    return found
+
+
+def _node_types(node, base) -> set[type]:
+    """The types of `node` and of every `base` instance under it."""
+    found, todo = set(), [node]
+    while todo:
+        node = todo.pop()
+        found.add(type(node))
+        todo += [value for value in vars(node).values() if isinstance(value, base)]
+    return found
+
+
+# Between them, these formulas hold a node of every type, printed as
+# print_mu prints them.
+FORMULAS = [
+    "T",
+    "`0",
+    "min X | (-X => X)",
+    "max Y | ((Y /\\ <a>Y <=> Y<-b>) \\/ Y)",
+    "`0 o a * (-t) o Tick o Tick{2,5}",
+]
+
+# Every path-expression node and step type, in its documented spelling.
+REGEXES = {
+    "eps": pathregex.EPS,
+    "a . b* \\/ Tick": pathregex.Union(
+        pathregex.seq_of([pathregex.One(Atom("a")), pathregex.Star(Atom("b"))]),
+        pathregex.Seq(pathregex.EPS, pathregex.TICK),
+    ),
+    "Tick{2,5}": pathregex.Seq(pathregex.EPS, pathregex.Ticks(2, 5)),
+}
+
+
+def test_every_formula_node_round_trips_through_the_concrete_syntax():
+    """A formula node that the printer or the parser does not know fails here."""
+    formulas = [mucalc.parse_mu(text) for text in FORMULAS]
+    covered = set().union(*(_node_types(f, mucalc.MuFormula) for f in formulas))
+    assert _concrete_subclasses(mucalc.MuFormula) <= covered
+    for text, f in zip(FORMULAS, formulas):
+        assert mucalc.print_mu(f) == text
+        assert mucalc.parse_mu(mucalc.print_mu(f)) == f
+
+
+def test_every_path_step_has_a_concrete_syntax():
+    """A path-expression node or step that the parser does not know fails here."""
+    kinds = (pathregex.PathRegex, pathregex.Step)
+    covered = set().union(*(_node_types(regex, kinds) for regex in REGEXES.values()))
+    assert set().union(*map(_concrete_subclasses, kinds)) <= covered
+    for text, regex in REGEXES.items():
+        assert pathregex.parse_regex(text) == regex
