@@ -59,7 +59,7 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# The largest count a `Tick{lo,hi}` may be written with.  Matching and the
+# The largest count a `Tick{lo,hi}` may have.  Matching and the
 # oracle's automaton take memory and time linear in the count.
 MAX_TICK_COUNT = 100_000
 
@@ -104,11 +104,11 @@ class Cursor:
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
 
-    def take_tick_count(self) -> tuple[int, int] | None:
-        """The `{lo,hi}` after a `Tick`, as (lo, hi), or None if none follows."""
+    def take_tick_count(self) -> tuple[int, int]:
+        """The `{lo,hi}` after a `Tick`, as (lo, hi); (1, 1) if none follows."""
         tok = self._tokens[self._i]
         if tok.kind != "count":
-            return None
+            return 1, 1
         lo, hi = (int(part) for part in tok.text[1:-1].split(","))
         if lo > hi:
             raise ParseError(f"empty tick count range {{{lo},{hi}}}", tok.pos)

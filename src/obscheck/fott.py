@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .lts import NOT_TICK, TICK_LABEL, Atom, Interval, Top
 from .lts import Not as LabelNot
-from .pathregex import EPS, One, PathRegex, Seq, Star, Ticks, Union, Word, seq_of
+from .pathregex import EPS, One, PathRegex, Seq, Star, Tick, Union, Word, seq_of
 
 
 class FottError(ValueError):
@@ -542,6 +542,6 @@ def present_regex(a: str, b: str, interval: Interval) -> PathRegex:
         raise FottError("the observed event and its trigger must differ")
     lo, hi = interval_ticks(interval)
     not_b = Star(LabelNot(Atom(b)))
-    window = [Ticks(lo, lo), Star(Top())] if hi is None else [Ticks(lo, hi)]
+    window = [Tick(lo, lo), Star(Top())] if hi is None else [Tick(lo, hi)]
     steps = [not_b, One(Atom(b)), Star(NOT_TICK), *window, One(Atom(a)), Star(Top())]
     return Union(Seq(EPS, not_b), seq_of(steps))

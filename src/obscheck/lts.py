@@ -218,10 +218,6 @@ class StateSet:
             raise ValueError("bit vector wider than the graph it belongs to")
 
     @classmethod
-    def empty(cls, width: int) -> "StateSet":
-        return cls(width, 0)
-
-    @classmethod
     def of(cls, width: int, states: Iterable[int]) -> "StateSet":
         bits = 0
         for s in states:
@@ -273,10 +269,6 @@ class StateSet:
     @property
     def is_all(self) -> bool:
         return self.bits == (1 << self.width) - 1
-
-    def issubset(self, other: "StateSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
 
     def __repr__(self):
         return f"StateSet({self.width}, {{{', '.join(map(str, self))}}})"
@@ -366,10 +358,7 @@ class Lts:
     def __repr__(self):
         return f"Lts(states={self._n}, initial={self._initial}, transitions={len(self._transitions)})"
 
-    # -- set constructors tied to this graph
-
-    def empty_set(self) -> StateSet:
-        return StateSet.empty(self._n)
+    # -- state sets of this graph
 
     def set_of(self, states: Iterable[int]) -> StateSet:
         return StateSet.of(self._n, states)
@@ -413,18 +402,6 @@ class Lts:
     def pre_bits(self, bits: int, expr: LabelExpr) -> int:
         """Predecessors (as a bit mask) of the states in `bits` along matching labels."""
         return _image(bits, self._image_masks(expr, False))
-
-    def post(self, s: StateSet, expr: LabelExpr) -> StateSet:
-        """{ q' | some q in s has an edge q -l-> q' with l matching expr }."""
-        if s.width != self._n:
-            raise ValueError("state set belongs to a different graph")
-        return StateSet(self._n, self.post_bits(s.bits, expr))
-
-    def pre(self, s: StateSet, expr: LabelExpr) -> StateSet:
-        """{ q | some q' in s has an edge q -l-> q' with l matching expr }."""
-        if s.width != self._n:
-            raise ValueError("state set belongs to a different graph")
-        return StateSet(self._n, self.pre_bits(s.bits, expr))
 
 
 # ---------------------------------------------------------------------------

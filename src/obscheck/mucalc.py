@@ -7,10 +7,11 @@ least/greatest fixpoints, and the derived suffix operators
 
     f o A              ==  f<A>
     f * A              ==  min X | f \\/ X<A>
+    f o Tick           ==  (f o t) * (-t)
     f o Tick{lo,hi}    ==  the union of f o Tick ... o Tick, lo to hi times
 
-which the compiler from path expressions leans on (`f o Tick` abbreviates
-`(f o t) * (-t)`).  Derived forms are kept in the tree (printing preserves
+which the compiler from path expressions leans on (`f o Tick` is
+`f o Tick{1,1}`).  Derived forms are kept in the tree (printing preserves
 them) and only normalized during evaluation.  `f * A` is evaluated
 semi-naively: each round images only the states the previous round added,
 so each state a star reaches is imaged once.  `f o Tick{lo,hi}` is one loop
@@ -138,11 +139,6 @@ TRUE = TrueConst()
 INIT = InitConst()
 
 
-def tick_suffix(f: MuFormula) -> MuFormula:
-    """The `f o Tick` abbreviation: (f o t) * (-t)."""
-    return SuffixStar(SuffixO(f, TICK), NOT_TICK)
-
-
 # Reserved words of the concrete syntax; none may name a fixpoint variable.
 _KEYWORDS = {"min", "max", "o", "T", "Tick"}
 
@@ -224,8 +220,7 @@ def _parse_postfix(cur: Cursor, bound) -> MuFormula:
             cur.advance()
             if cur.at_ident("Tick"):
                 cur.advance()
-                count = cur.take_tick_count()
-                expr = tick_suffix(expr) if count is None else SuffixTicks(expr, *count)
+                expr = SuffixTicks(expr, *cur.take_tick_count())
             else:
                 expr = SuffixO(expr, parse_label_operand_at(cur))
         elif cur.at("*"):
@@ -261,7 +256,7 @@ def _parse_primary(cur: Cursor, bound) -> MuFormula:
 # Printing
 #
 # parse_mu(print_mu(f)) is structurally f; derived forms stay derived, and
-# the (f o t) * (-t) shape is abbreviated back to `f o Tick`.
+# `f o Tick{1,1}` is printed `f o Tick`.
 
 _ATOMS = (TrueConst, InitConst, Var)
 _POSTFIX = (BwdDiamond, SuffixO, SuffixStar, SuffixTicks)
@@ -298,15 +293,9 @@ def _print(f: MuFormula, need: int) -> str:
     elif t is FwdDiamond:
         out, level = f"<{format_label_expr(f.label)}>{_print(f.arg, 5)}", 5
     elif t in _POSTFIX:
-        if (
-            t is SuffixStar
-            and type(f.arg) is SuffixO
-            and f.arg.label == TICK
-            and f.label == NOT_TICK
-        ):
-            out, level = _print_postfix_left(f.arg.arg) + " o Tick", 5
-        elif t is SuffixTicks:
-            out, level = f"{_print_postfix_left(f.arg)} o Tick{{{f.lo},{f.hi}}}", 5
+        if t is SuffixTicks:
+            count = "" if f.lo == f.hi == 1 else f"{{{f.lo},{f.hi}}}"
+            out, level = f"{_print_postfix_left(f.arg)} o Tick{count}", 5
         elif t is BwdDiamond:
             out, level = f"{_print_postfix_left(f.arg)}<{format_label_expr(f.label)}>", 5
         else:

@@ -8,24 +8,23 @@ of its branches:
     end(eps)                = `0
     end(R . A)              = end(R) o A
     end(R . A*)             = end(R) * A
-    end(R . Tick)           = (end(R) o t) * (-t)
     end(R . Tick{lo,hi})    = end(R) o Tick{lo,hi}
     end(R1 \\/ R2)          = end(R1) \\/ end(R2)
 
     visited(eps)               = `0
     visited(R . step)          = visited(R) \\/ end(R . step)
-    visited(R . Tick{lo,hi})   = visited(R) \\/ (end(R . Tick{lo,hi})
+    visited(R . Tick{lo,hi})   = visited(R) \\/ (end(R . Tick{lo,hi})    if lo > 1
                                               \\/ end(R) o Tick{0,hi})
     visited(R1 \\/ R2)         = visited(R1) \\/ visited(R2)
 
 A counted step's visited set takes every count up to hi, those below lo
 too, since the words that stop short of lo ticks are prefixes of matching
-words (for lo = 0 the end window is that union already).  The evaluator's
-tick loop for the end window also leaves the window from 0, so the loop
-over end(R) runs once for both, but only if the end window is evaluated
-first: the order of the two operands is what makes the reuse, not the
-meaning, and `test_window_from_0_reuses_the_loop` in the evaluator's tests
-pins it.
+words.  For lo <= 1 the general rule gives that union already: count 0 is
+end(R), which visited(R) holds.  The evaluator's tick loop for the end
+window also leaves the window from 0, so the loop over end(R) runs once for
+both, but only if the end window is evaluated first: the order of the two
+operands is what makes the reuse, not the meaning, and
+`test_window_from_0_reuses_the_loop` in the evaluator's tests pins it.
 
 Also houses the error-condition and reachability formula builders used by
 the checker.
@@ -49,10 +48,9 @@ from .mucalc import (
     SuffixStar,
     SuffixTicks,
     Var,
-    tick_suffix,
 )
 from .lts import Top
-from .pathregex import Eps, One, PathRegex, Seq, Star, Tick, Ticks, Union
+from .pathregex import Eps, One, PathRegex, Seq, Star, Tick, Union
 
 
 def _compile(regex: PathRegex, memo: dict[int, tuple[MuFormula, MuFormula]]):
@@ -73,13 +71,11 @@ def _compile(regex: PathRegex, memo: dict[int, tuple[MuFormula, MuFormula]]):
         elif type(step) is Star:
             end = SuffixStar(e0, step.label)
         elif type(step) is Tick:
-            end = tick_suffix(e0)
-        elif type(step) is Ticks:
             end = SuffixTicks(e0, step.lo, step.hi)
         else:
             raise TypeError(f"unknown step: {step!r}")
         reached = end
-        if type(step) is Ticks and step.lo:
+        if type(step) is Tick and step.lo > 1:
             # Every count up to hi is visited, those below lo too.  The end
             # must come first: its tick loop leaves the window from 0, which
             # eval_all then reuses instead of imaging the chain again.

@@ -1,9 +1,10 @@
-"""Regular path expressions over label expressions, with a Tick macro.
+"""Regular path expressions over label expressions, with a counted Tick step.
 
 The grammar is deliberately restricted to the shapes the formula compiler
 can handle: single steps, stars over label expressions (never over
-sequences), the Tick macro `t . (-t)*`, the counted step `Tick{lo,hi}` (from
-lo to hi Ticks), union, and the empty word `eps`.
+sequences), the tick step `Tick{lo,hi}` (from lo to hi Ticks, each Tick
+being `t . (-t)*`; plain `Tick` is `Tick{1,1}`), union, and the empty word
+`eps`.
 
 Besides the matcher, this module carries the brute-force oracles used to
 cross-validate the compiler: NFA x graph product reachability, with no
@@ -17,9 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from ._scan import Cursor, ParseError, tokenize
-from .lts import NOT_TICK, LabelExpr, Lts, StateSet, eval_label_expr, parse_label_operand_at
-from .lts import TICK as TICK_ATOM
+from ._scan import MAX_TICK_COUNT, Cursor, ParseError, tokenize
+from .lts import NOT_TICK, TICK, LabelExpr, Lts, StateSet, eval_label_expr, parse_label_operand_at
 
 Word = tuple[str, ...]
 
@@ -67,23 +67,20 @@ class Star(Step):
 
 @dataclass(frozen=True)
 class Tick(Step):
-    pass
+    """`Tick{lo,hi}`: any number of Ticks from lo to hi, both included;
+    plain `Tick` is `Tick{1,1}`."""
 
-
-@dataclass(frozen=True)
-class Ticks(Step):
-    """`Tick{lo,hi}`: any number of Ticks from lo to hi, both included."""
-
-    lo: int
-    hi: int
+    lo: int = 1
+    hi: int = 1
 
     def __post_init__(self):
         if not 0 <= self.lo <= self.hi:
             raise ValueError(f"empty tick count range {{{self.lo},{self.hi}}}")
+        if self.hi > MAX_TICK_COUNT:
+            raise ValueError(f"tick count {self.hi} over the limit of {MAX_TICK_COUNT}")
 
 
 EPS = Eps()
-TICK = Tick()
 
 
 def seq_of(steps: Iterable[Step], regex: PathRegex = EPS) -> PathRegex:
@@ -132,8 +129,7 @@ def _parse_seq(cur: Cursor) -> PathRegex:
 def _parse_step(cur: Cursor) -> Step:
     if cur.at_ident("Tick"):
         cur.advance()
-        count = cur.take_tick_count()
-        return TICK if count is None else Ticks(*count)
+        return Tick(*cur.take_tick_count())
     label = _parse_operand(cur)
     if cur.take("*"):
         return Star(label)
@@ -169,25 +165,21 @@ def _parse_operand(cur: Cursor) -> LabelExpr:
 
 
 # ---------------------------------------------------------------------------
-# Tick steps and word matching
-
-
-# The steps a Tick stands for: `t` followed by `(-t)*`.
-TICK_STEPS = (One(TICK_ATOM), Star(NOT_TICK))
+# Word matching
 
 
 def _compile_matcher(regex: PathRegex):
     """(start, accept, stars, skippable, labels, text, rows): match_word's
     tables over the step positions of the expression's branches.
 
-    Each branch is the step list it spells, with a Tick compiled in place
-    from TICK_STEPS as in build_nfa and a `Tick{lo,hi}` as hi of them in a
-    row; a union under a sequence is expanded into the cross product of its
-    branches with the steps after it, and `R . Tick{0,hi}` is read as that
-    union, `R \\/ R . Tick{1,hi}`.  Every step of every branch is one bit,
-    and each branch has one more bit past its end; a branch's bits run up
-    from its first step, and the branches follow one another.  `start` has
-    the first bit of each branch, closed as match_word closes its state;
+    Each branch is the step list it spells, with a `Tick{lo,hi}` compiled
+    in place as hi Ticks in a row, each a `t` step and a `(-t)*` step as in
+    build_nfa; a union under a sequence is expanded into the cross product
+    of its branches with the steps after it, and `R . Tick{0,hi}` is read as
+    that union, `R \\/ R . Tick{1,hi}`.  Every step of every branch is one
+    bit, and each branch has one more bit past its end; a branch's bits run
+    up from its first step, and the branches follow one another.  `start`
+    has the first bit of each branch, closed as match_word closes its state;
     `accept` has the bit past each end, `stars` every star step, and
     `skippable` every star step and the `t` of every optional Tick: the
     Ticks of a `Tick{lo,hi}` past the lo-th.
@@ -204,22 +196,22 @@ def _compile_matcher(regex: PathRegex):
     optional: list[bool] = []
     index: dict[LabelExpr | tuple[LabelExpr, bool], int] = {}
 
-    def char_of(step: Step, skip: bool = False) -> str:
+    def char_of(label: LabelExpr, star: bool = False, skip: bool = False) -> str:
         # The `t` of an optional Tick is keyed apart from a plain `t`.
-        key = (step.label, skip) if skip else step.label
+        key = (label, skip) if skip else label
         j = index.get(key)
         if j is None:
             index[key] = j = len(labels)
-            labels.append(step.label)
+            labels.append(label)
             optional.append(skip)
-        return chr(1 + 2 * j + (type(step) is Star))
+        return chr(1 + 2 * j + star)
 
     def branches(node: PathRegex) -> list[str]:
         # Each branch of `node`, spelled last step first.  The union spine is
         # walked with a stack, so its length is not bound by recursion depth.
         out: list[str] = []
         todo = [node]
-        tick = ""  # TICK_STEPS spelled last first, once a Tick is met
+        tick = ""  # one Tick spelled last first, once a Tick is met
         while todo:
             node = todo.pop()
             if type(node) is Union:
@@ -228,23 +220,20 @@ def _compile_matcher(regex: PathRegex):
             parts: list[str] = []
             while type(node) is Seq:
                 step = node.step
-                if type(step) is Tick:
-                    tick = tick or char_of(TICK_STEPS[1]) + char_of(TICK_STEPS[0])
-                    parts.append(tick)
-                elif type(step) is Ticks and step.lo == 0:
+                if type(step) is not Tick:
+                    parts.append(char_of(step.label, type(step) is Star))
+                elif step.lo == 0:
                     # No Tick, or from 1 to hi of them: a union under the
                     # sequence, unless hi = 0 leaves the first branch only.
                     if step.hi:
-                        node = Union(node.head, Seq(node.head, Ticks(1, step.hi)))
+                        node = Union(node.head, Seq(node.head, Tick(1, step.hi)))
                         break
-                elif type(step) is Ticks:
-                    # hi Ticks, those past the lo-th optional.
-                    tick = tick or char_of(TICK_STEPS[1]) + char_of(TICK_STEPS[0])
-                    if step.hi > step.lo:
-                        parts.append((tick[0] + char_of(TICK_STEPS[0], True)) * (step.hi - step.lo))
-                    parts.append(tick * step.lo)
                 else:
-                    parts.append(char_of(step))
+                    # hi Ticks, those past the lo-th optional.
+                    tick = tick or char_of(NOT_TICK, True) + char_of(TICK)
+                    if step.hi > step.lo:
+                        parts.append((tick[0] + char_of(TICK, skip=True)) * (step.hi - step.lo))
+                    parts.append(tick * step.lo)
                 node = node.head
             steps = "".join(parts)
             if type(node) is Eps:
@@ -347,30 +336,30 @@ def build_nfa(regex: PathRegex) -> Nfa:
             ends = frozenset((0,))
         elif type(node) is Union:
             ends = go(node.left) | go(node.right)
-        elif type(node.step) is Ticks:
+        elif type(node.step) is Tick:
             ends = go(node.head)
             exits = set(ends) if node.step.lo == 0 else set()
             for count in range(1, node.step.hi + 1):
                 q = len(edges)
                 edges.append([(NOT_TICK, q)])
                 for f in ends:
-                    edges[f].append((TICK_ATOM, q))
+                    edges[f].append((TICK, q))
                 ends = (q,)
                 if count >= node.step.lo:
                     exits.add(q)
             ends = frozenset(exits)
         else:
             ends = go(node.head)
-            for step in TICK_STEPS if type(node.step) is Tick else (node.step,):
-                q = len(edges)
-                edges.append([])
-                for f in ends:
-                    edges[f].append((step.label, q))
-                if type(step) is Star:
-                    edges[q].append((step.label, q))
-                    ends = ends | {q}
-                else:
-                    ends = frozenset((q,))
+            label = node.step.label
+            q = len(edges)
+            edges.append([])
+            for f in ends:
+                edges[f].append((label, q))
+            if type(node.step) is Star:
+                edges[q].append((label, q))
+                ends = ends | {q}
+            else:
+                ends = frozenset((q,))
         memo[id(node)] = ends
         return ends
 
@@ -420,10 +409,8 @@ def oracle_states(g: Lts, regex: PathRegex) -> tuple[StateSet, StateSet]:
     after fewer ticks than the least count are still on their way through
     the step.
 
-    The product gives that union.  Each NFA state ends a syntactic prefix,
-    where the `t` state inside an expanded Tick counts as an end of that
-    Tick's prefix (its `(-t)*` may take no step), and the k-th state of a
-    `Tick{lo,hi}` ends R . Tick^k.  A word leads into a state only if it
+    The product gives that union.  Each NFA state ends a syntactic prefix:
+    the k-th state of a `Tick{lo,hi}` ends R . Tick^k.  A word leads into a state only if it
     matches the prefix that state ends, and each word of a prefix leads into
     one of its ends, so the union is the set of graph states over all
     reached pairs."""

@@ -10,7 +10,7 @@ from obscheck.lts import Atom, Lts
 from obscheck.lts import Not as LNot
 from obscheck.lts import Or as LOr
 from obscheck.lts import Top
-from obscheck.pathregex import One, PathRegex, Star, Tick, Ticks, Union, seq_of
+from obscheck.pathregex import One, PathRegex, Star, Tick, Union, seq_of
 from obscheck.timednet import builtin_present, explore, parse_net
 
 # Every @given test draws the same examples on every run, so tier-1 results
@@ -58,7 +58,7 @@ def random_step(rng: random.Random):
     if roll < 0.9:
         return Tick()
     lo = rng.randint(0, 2)
-    return Ticks(lo, lo + rng.randint(0, 2))
+    return Tick(lo, lo + rng.randint(0, 2))
 
 
 def random_regex(rng: random.Random, max_steps: int = 5) -> PathRegex:

@@ -185,7 +185,7 @@ def test_criterion_7_fixpoint_soundness_micro():
                 if eval_mu(g, body, env={"X": cand}) == cand:
                     fixpoints.append(cand)
             least = min(fixpoints, key=len)
-            ok &= all(least.issubset(other) for other in fixpoints)
+            ok &= all((least - other).is_empty for other in fixpoints)
             ok &= got == least
     _outcome(7, "iterated fixpoints equal enumerated least solutions", ok)
 

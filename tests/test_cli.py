@@ -256,6 +256,16 @@ class TestCheck:
         assert main(argv) == 2
         assert capsys.readouterr().err == "obscheck: --hi must be an integer or 'inf'\n"
 
+    @pytest.mark.parametrize("hi, count", [(["1000000", "--hi-open"], 999999), (["10000000"], 10000000)])
+    def test_check_window_over_the_limit_exits_two(self, capsys, hi, count):
+        """`--lo`/`--hi` reach the tick step without the parser, whose
+        limit the step itself keeps: one line, before any tick is built."""
+        argv = ["check", "--model", "builtin:present:4:5", "--pattern", "present", "--lo", "4", "--hi", *hi]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"obscheck: tick count {count} over the limit of 100000\n"
+
 
 class TestSharedParser:
     """`main` parses with one parser built at import; no call may see another's flags."""

@@ -32,7 +32,6 @@ from obscheck.mucalc import (
     is_tautology,
     parse_mu,
     print_mu,
-    tick_suffix,
 )
 from obscheck._scan import ParseError
 
@@ -66,8 +65,8 @@ def random_formula(rng: random.Random, depth: int, bound: tuple[str, ...]):
         return SuffixO(sub(), random_label_expr(rng))
     if roll == 9:
         return SuffixStar(sub(), random_label_expr(rng))
-    if roll == 10:
-        return tick_suffix(sub())
+    if roll == 10:  # one Tick spelled out
+        return SuffixStar(SuffixO(sub(), Atom("t")), LNot(Atom("t")))
     if roll == 11:
         lo = rng.randint(0, 2)
         return SuffixTicks(sub(), lo, lo + rng.randint(0, 2))
@@ -90,7 +89,7 @@ class TestParse:
         assert parse_mu("T") == TRUE
 
     def test_o_tick_abbreviation(self):
-        assert parse_mu("`0 o Tick") == tick_suffix(INIT)
+        assert parse_mu("`0 o Tick") == SuffixTicks(INIT, 1, 1)
 
     def test_binder_extends_maximally_right(self):
         f = parse_mu("min X | X o a")
@@ -273,7 +272,7 @@ class TestEval:
                     if eval_mu(g, body, env={"X": cand}) == cand:
                         fixpoints.append(cand)
                 least = min(fixpoints, key=lambda s: len(s))
-                assert all(least.issubset(other) for other in fixpoints)
+                assert all((least - other).is_empty for other in fixpoints)
                 assert got == least
 
     def test_greatest_fixpoint_equals_enumeration_on_micro_graphs(self):
@@ -366,12 +365,13 @@ class TestSemiNaiveStar:
 
 
 def _ticks_spelled(f, lo: int, hi: int):
-    """`f o Tick{lo,hi}` spelled as the union of `f o Tick ... o Tick`."""
+    """`f o Tick{lo,hi}` spelled as the union of `f o Tick ... o Tick`, each
+    `f o Tick` as `(f o t) * (-t)`."""
     counts = []
     for k in range(hi + 1):
         if k >= lo:
             counts.append(f)
-        f = tick_suffix(f)
+        f = SuffixStar(SuffixO(f, Atom("t")), LNot(Atom("t")))
     out = counts[0]
     for g in counts[1:]:
         out = Or(out, g)
@@ -387,7 +387,9 @@ class TestCountedTicks:
         assert f == SuffixStar(SuffixTicks(SuffixO(INIT, Atom("b")), 2, 5), Atom("a"))
         assert print_mu(f) == "`0 o b o Tick{2,5} * a"
         assert parse_mu("`0 o Tick { 0 , 1 }") == SuffixTicks(INIT, 0, 1)
-        assert print_mu(SuffixTicks(FwdDiamond(Atom("a"), TRUE), 1, 1)) == "(<a>T) o Tick{1,1}"
+        assert print_mu(SuffixTicks(FwdDiamond(Atom("a"), TRUE), 1, 1)) == "(<a>T) o Tick"
+        spelled = parse_mu("`0 o t * (-t)")  # no longer abbreviated: it is another node
+        assert print_mu(spelled) == "`0 o t * (-t)" and spelled != parse_mu("`0 o Tick")
         with pytest.raises(ParseError, match=r"^empty tick count range \{2,1\} \(at offset 9\)$"):
             parse_mu("`0 o Tick{2,1}")
         with pytest.raises(ParseError, match=r"^tick count 1000000000 over the limit of 100000 \(at offset 9\)$"):
@@ -428,12 +430,12 @@ class TestCountedTicks:
                 assert got == eval_mu(g, _ticks_spelled(arg, lo, hi), env=env), print_mu(arg)
 
     def test_under_a_binder(self):
-        # min X | `0 \/ X o Tick{0,1} reaches what min X | `0 \/ X o Tick does.
+        # min X | `0 \/ X o Tick{0,1} reaches what min X | `0 \/ (X o t) * (-t) does.
         rng = random.Random(47)
         for _ in range(60):
             g = random_lts(rng, max_states=10)
             got = eval_mu(g, Min("X", Or(INIT, SuffixTicks(Var("X"), 0, 1))))
-            assert got == eval_mu(g, Min("X", Or(INIT, tick_suffix(Var("X")))))
+            assert got == eval_mu(g, Min("X", Or(INIT, SuffixStar(SuffixO(Var("X"), Atom("t")), LNot(Atom("t"))))))
 
     def test_window_from_0_reuses_the_loop(self, monkeypatch):
         """After `f o Tick{lo,hi}`, the window `f o Tick{0,hi}` over the same

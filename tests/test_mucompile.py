@@ -107,6 +107,12 @@ class TestCountedTicks:
         assert print_mu(visited) == "`0 \\/ `0 o b \\/ (`0 o b o Tick{2,3} \\/ `0 o b o Tick{0,3}) \\/ `0 o b o Tick{2,3} o a"
         assert (parse_mu(print_mu(end)), parse_mu(print_mu(visited))) == (end, visited)
 
+    def test_one_tick_is_the_count_one_to_one(self):
+        """`Tick{1,1}` is `Tick`, and a window from 1 needs no window from 0
+        in its visited formula: count 0 is end(R), already visited."""
+        assert print_mu(compile_end(parse_regex("a . Tick{1,1}"))) == "`0 o a o Tick"
+        assert print_mu(compile_visited(parse_regex("a . Tick{1,3}"))) == "`0 \\/ `0 o a \\/ `0 o a o Tick{1,3}"
+
     def test_window_from_0_is_its_own_visited_set(self):
         end, visited = compile_both(parse_regex("b . Tick{0,3}"))
         assert print_mu(visited) == "`0 \\/ `0 o b \\/ `0 o b o Tick{0,3}"

@@ -169,9 +169,9 @@ REGEXES = {
     "eps": pathregex.EPS,
     "a . b* \\/ Tick": pathregex.Union(
         pathregex.seq_of([pathregex.One(Atom("a")), pathregex.Star(Atom("b"))]),
-        pathregex.Seq(pathregex.EPS, pathregex.TICK),
+        pathregex.Seq(pathregex.EPS, pathregex.Tick()),
     ),
-    "Tick{2,5}": pathregex.Seq(pathregex.EPS, pathregex.Ticks(2, 5)),
+    "Tick{2,5}": pathregex.Seq(pathregex.EPS, pathregex.Tick(2, 5)),
 }
 
 
@@ -192,3 +192,17 @@ def test_every_path_step_has_a_concrete_syntax():
     assert set().union(*map(_concrete_subclasses, kinds)) <= covered
     for text, regex in REGEXES.items():
         assert pathregex.parse_regex(text) == regex
+
+
+def test_one_tick_label_and_one_tick_step():
+    """The tick label is spelled once, as `lts.TICK_LABEL`, and a path
+    expression has one tick step, `Tick{lo,hi}`, plain `Tick` included."""
+    found = []
+    for path in sorted(Path(obscheck.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Constant) and node.value == "t":
+                found.append(f"{path.stem}: {lines[node.lineno - 1].strip()}")
+    assert found == ['lts: TICK_LABEL = "t"']
+    assert _concrete_subclasses(pathregex.Step) == {pathregex.One, pathregex.Star, pathregex.Tick}
