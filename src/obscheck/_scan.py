@@ -64,6 +64,15 @@ def tokenize(text: str) -> list[Token]:
 MAX_TICK_COUNT = 100_000
 
 
+def tick_count_error(lo: int, hi: int) -> str | None:
+    """Why `Tick{lo,hi}` is not a tick count, or None if it is one."""
+    if not 0 <= lo <= hi:
+        return f"empty tick count range {{{lo},{hi}}}"
+    if hi > MAX_TICK_COUNT:
+        return f"tick count {hi} over the limit of {MAX_TICK_COUNT}"
+    return None
+
+
 class Cursor:
     """A stream of tokens with one-token lookahead."""
 
@@ -110,10 +119,8 @@ class Cursor:
         if tok.kind != "count":
             return 1, 1
         lo, hi = (int(part) for part in tok.text[1:-1].split(","))
-        if lo > hi:
-            raise ParseError(f"empty tick count range {{{lo},{hi}}}", tok.pos)
-        if hi > MAX_TICK_COUNT:
-            raise ParseError(f"tick count {hi} over the limit of {MAX_TICK_COUNT}", tok.pos)
+        if error := tick_count_error(lo, hi):
+            raise ParseError(error, tok.pos)
         self._i += 1
         return lo, hi
 

@@ -15,14 +15,9 @@ import json
 import sys
 
 from . import __version__
-from .checker import (
-    Report,
-    check_reachable,
-    full_report,
-    internal_label_expr,
-)
-from .fott import Interval, present_regex
-from .lts import Atom, Lts, load_aut, parse_label_expr, save_aut, to_dot
+from .checker import Report, check_reachable, full_report
+from .fott import present_regex
+from .lts import Atom, Interval, Lts, load_aut, parse_label_expr, save_aut, to_dot
 from .mucalc import eval_mu, is_tautology, parse_mu, print_mu
 from .mucompile import compile_end, compile_visited
 from .pathregex import oracle_states, parse_regex
@@ -45,6 +40,8 @@ def _load_model(spec: str):
                 raise UsageError("builtin:present bounds must be integers") from None
             return builtin_present(d1, d2)
         if parts[1] == "mouse":
+            if len(parts) != 2:
+                raise UsageError("expected builtin:mouse")
             return builtin_mouse()
         raise UsageError(f"unknown builtin model {spec!r}")
     with open(spec, encoding="utf-8") as fh:
@@ -166,7 +163,7 @@ def _cmd_check(args) -> int:
     events = [Atom(text.strip()) for text in args.events.split(",") if text.strip()]
     if not events:
         raise UsageError("--events must name at least one label")
-    internal = parse_label_expr(args.internal) if args.internal else internal_label_expr(events)
+    internal = parse_label_expr(args.internal) if args.internal else None
     report = full_report(g, pattern, args.error_label, events, internal)
     _print_report(report, args)
     return 0 if report.ok else 1

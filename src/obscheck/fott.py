@@ -282,8 +282,6 @@ def _compile(f: FottFormula, assigned: frozenset[str]) -> tuple:
         elif t is EqLit or t is DurIn:
             arg = tuple(node.word) if t is EqLit else node.interval
             blocks[b].append((t, (scope[node.var],), arg))
-        else:
-            raise TypeError(f"not a trace formula: {node!r}")
     # Innermost blocks first: a Not is ready once its argument's free slots are
     # bound, and the argument's plan starts with exactly those bound.
     n = len(blocks)
@@ -500,12 +498,18 @@ def _cat_step(case: str, whole: int, pre: int, suf: int, nxt):
 # Pattern generators: "a after the first b within I"
 
 
+def _present_ticks(a: str, b: str, interval: Interval) -> tuple[int, int | None]:
+    """The window's tick counts, as `interval_ticks` gives them, once the
+    pattern is known to have two distinct events and an integer duration."""
+    if a == b:
+        raise FottError("the observed event and its trigger must differ")
+    return interval_ticks(interval)
+
+
 def present_fott(a: str, b: str, interval: Interval) -> FottFormula:
     """Trace formula: either b never occurs, or the trace splits as
     y b z a w with b not in y and the duration of z inside the interval."""
-    if a == b:
-        raise FottError("the observed event and its trigger must differ")
-    interval_ticks(interval)  # reject empty integer windows early
+    _present_ticks(a, b, interval)  # reject bad arguments early
     x, y, z, w = "x", "y", "z", "w"
     r1, r2, r3, pb, pa = "r1", "r2", "r3", "pb", "pa"
     split = exists_many(
@@ -538,9 +542,7 @@ def present_regex(a: str, b: str, interval: Interval) -> PathRegex:
     takes its least count of ticks followed by anything:
     `... . Tick{lo,lo} . T* . a . T*`.
     """
-    if a == b:
-        raise FottError("the observed event and its trigger must differ")
-    lo, hi = interval_ticks(interval)
+    lo, hi = _present_ticks(a, b, interval)
     not_b = Star(LabelNot(Atom(b)))
     window = [Tick(lo, lo), Star(Top())] if hi is None else [Tick(lo, hi)]
     steps = [not_b, One(Atom(b)), Star(NOT_TICK), *window, One(Atom(a)), Star(Top())]

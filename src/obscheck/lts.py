@@ -80,10 +80,6 @@ def eval_label_expr(expr: LabelExpr, label: str) -> bool:
 
 def parse_label_expr_at(cur: Cursor) -> LabelExpr:
     """Parse a label expression from an open cursor (used by embedding parsers)."""
-    return _parse_or(cur)
-
-
-def _parse_or(cur: Cursor) -> LabelExpr:
     expr = _parse_and(cur)
     while cur.take("\\/"):
         expr = Or(expr, _parse_and(cur))
@@ -103,7 +99,7 @@ def parse_label_operand_at(cur: Cursor) -> LabelExpr:
     if cur.take("-"):
         return Not(parse_label_operand_at(cur))
     if cur.take("("):
-        expr = _parse_or(cur)
+        expr = parse_label_expr_at(cur)
         cur.expect(")")
         return expr
     tok = cur.peek()
@@ -120,7 +116,7 @@ def parse_label_expr(text: str) -> LabelExpr:
     if not text.strip():
         raise ParseError("empty label expression", 0)
     cur = Cursor(tokenize(text))
-    expr = _parse_or(cur)
+    expr = parse_label_expr_at(cur)
     cur.expect_end()
     return expr
 

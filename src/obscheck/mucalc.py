@@ -5,24 +5,25 @@ The formula language has the true constant `T`, the initial-state constant
 satisfies f), a backward diamond `f<A>` (some A-predecessor satisfies f),
 least/greatest fixpoints, and the derived suffix operators
 
-    f o A              ==  f<A>
     f * A              ==  min X | f \\/ X<A>
     f o Tick           ==  (f o t) * (-t)
     f o Tick{lo,hi}    ==  the union of f o Tick ... o Tick, lo to hi times
 
 which the compiler from path expressions leans on (`f o Tick` is
-`f o Tick{1,1}`).  Derived forms are kept in the tree (printing preserves
-them) and only normalized during evaluation.  `f * A` is evaluated
-semi-naively: each round images only the states the previous round added,
-so each state a star reaches is imaged once.  `f o Tick{lo,hi}` is one loop
-over the tick count, which images each count's set once.
+`f o Tick{1,1}`).  The backward diamond is also written `f o A`: both
+spellings parse to one node, printed `f o A`.  Derived forms are kept in
+the tree (printing preserves them) and only normalized during evaluation.
+`f * A` is evaluated semi-naively: each round images only the states the
+previous round added, so each state a star reaches is imaged once.
+`f o Tick{lo,hi}` is one loop over the tick count, which images each
+count's set once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._scan import Cursor, ParseError, tokenize
+from ._scan import Cursor, ParseError, tick_count_error, tokenize
 from .lts import (
     NOT_TICK,
     TICK,
@@ -114,12 +115,6 @@ class Max(MuFormula):
 
 
 @dataclass(frozen=True)
-class SuffixO(MuFormula):
-    arg: MuFormula
-    label: LabelExpr
-
-
-@dataclass(frozen=True)
 class SuffixStar(MuFormula):
     arg: MuFormula
     label: LabelExpr
@@ -133,6 +128,10 @@ class SuffixTicks(MuFormula):
     arg: MuFormula
     lo: int
     hi: int
+
+    def __post_init__(self):
+        if error := tick_count_error(self.lo, self.hi):
+            raise ValueError(error)
 
 
 TRUE = TrueConst()
@@ -222,7 +221,7 @@ def _parse_postfix(cur: Cursor, bound) -> MuFormula:
                 cur.advance()
                 expr = SuffixTicks(expr, *cur.take_tick_count())
             else:
-                expr = SuffixO(expr, parse_label_operand_at(cur))
+                expr = BwdDiamond(expr, parse_label_operand_at(cur))
         elif cur.at("*"):
             cur.advance()
             expr = SuffixStar(expr, parse_label_operand_at(cur))
@@ -255,11 +254,11 @@ def _parse_primary(cur: Cursor, bound) -> MuFormula:
 # ---------------------------------------------------------------------------
 # Printing
 #
-# parse_mu(print_mu(f)) is structurally f; derived forms stay derived, and
-# `f o Tick{1,1}` is printed `f o Tick`.
+# parse_mu(print_mu(f)) is structurally f; derived forms stay derived,
+# `f<A>` is printed `f o A` and `f o Tick{1,1}` is printed `f o Tick`.
 
 _ATOMS = (TrueConst, InitConst, Var)
-_POSTFIX = (BwdDiamond, SuffixO, SuffixStar, SuffixTicks)
+_POSTFIX = (BwdDiamond, SuffixStar, SuffixTicks)
 
 
 def print_mu(f: MuFormula) -> str:
@@ -292,15 +291,15 @@ def _print(f: MuFormula, need: int) -> str:
         out, level = "-" + _print(f.arg, 4), 4
     elif t is FwdDiamond:
         out, level = f"<{format_label_expr(f.label)}>{_print(f.arg, 5)}", 5
-    elif t in _POSTFIX:
-        if t is SuffixTicks:
-            count = "" if f.lo == f.hi == 1 else f"{{{f.lo},{f.hi}}}"
-            out, level = f"{_print_postfix_left(f.arg)} o Tick{count}", 5
-        elif t is BwdDiamond:
-            out, level = f"{_print_postfix_left(f.arg)}<{format_label_expr(f.label)}>", 5
-        else:
-            op = "o" if t is SuffixO else "*"
-            out, level = f"{_print_postfix_left(f.arg)} {op} {_operand(f.label)}", 5
+    elif t is SuffixTicks:
+        count = "" if f.lo == f.hi == 1 else f"{{{f.lo},{f.hi}}}"
+        out, level = f"{_print_postfix_left(f.arg)} o Tick{count}", 5
+    elif t is BwdDiamond:
+        # A bare label named Tick after `o` would read back as a tick step.
+        label = "(Tick)" if f.label == Atom("Tick") else _operand(f.label)
+        out, level = f"{_print_postfix_left(f.arg)} o {label}", 5
+    elif t is SuffixStar:
+        out, level = f"{_print_postfix_left(f.arg)} * {_operand(f.label)}", 5
     else:
         raise TypeError(f"not a formula: {f!r}")
     if level < need:
@@ -347,7 +346,7 @@ _CHILDREN = {
     Iff: (("left", 0, "<=> left"), ("right", 0, "<=> right")),
     Min: (("body", 1, "min"),),
     Max: (("body", 1, "max"),),
-    **dict.fromkeys((FwdDiamond, BwdDiamond, SuffixO, SuffixStar, SuffixTicks), (("arg", 1, "<>"),)),
+    **dict.fromkeys((FwdDiamond, BwdDiamond, SuffixStar, SuffixTicks), (("arg", 1, "<>"),)),
 }
 
 
@@ -485,7 +484,7 @@ def eval_all(
             out = (ev(node.left, scope) ^ ev(node.right, scope)) ^ mask
         elif t is FwdDiamond:
             out = g.pre_bits(ev(node.arg, scope), node.label)
-        elif t is BwdDiamond or t is SuffixO:
+        elif t is BwdDiamond:
             out = g.post_bits(ev(node.arg, scope), node.label)
         elif t is SuffixStar:
             out = star(ev(node.arg, scope), node.label)
@@ -530,8 +529,6 @@ def eval_all(
                     raise AssertionError("fixpoint exceeded the state-count bound")
                 cur = nxt
             out = cur
-        else:
-            raise TypeError(f"not a formula: {node!r}")
         if closed:
             memo[id(node)] = out
         return out

@@ -44,7 +44,6 @@ from .mucalc import (
     MuFormula,
     Not,
     Or,
-    SuffixO,
     SuffixStar,
     SuffixTicks,
     Var,
@@ -67,7 +66,7 @@ def _compile(regex: PathRegex, memo: dict[int, tuple[MuFormula, MuFormula]]):
         e0, v0 = _compile(regex.head, memo)
         step = regex.step
         if type(step) is One:
-            end = SuffixO(e0, step.label)
+            end = BwdDiamond(e0, step.label)
         elif type(step) is Star:
             end = SuffixStar(e0, step.label)
         elif type(step) is Tick:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from ._scan import MAX_TICK_COUNT, Cursor, ParseError, tokenize
+from ._scan import Cursor, ParseError, tick_count_error, tokenize
 from .lts import NOT_TICK, TICK, LabelExpr, Lts, StateSet, eval_label_expr, parse_label_operand_at
 
 Word = tuple[str, ...]
@@ -74,10 +74,8 @@ class Tick(Step):
     hi: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.lo <= self.hi:
-            raise ValueError(f"empty tick count range {{{self.lo},{self.hi}}}")
-        if self.hi > MAX_TICK_COUNT:
-            raise ValueError(f"tick count {self.hi} over the limit of {MAX_TICK_COUNT}")
+        if error := tick_count_error(self.lo, self.hi):
+            raise ValueError(error)
 
 
 EPS = Eps()

@@ -1,10 +1,12 @@
 """Shared fixtures and seeded random model generators."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
 
+from obscheck import lts
 from obscheck.lts import And as LAnd
 from obscheck.lts import Atom, Lts
 from obscheck.lts import Not as LNot
@@ -77,6 +79,27 @@ def random_lts(rng: random.Random, max_states: int = 12, max_labels: int = 4) ->
         for _ in range(rng.randint(0, 3 * n))
     ]
     return Lts(n, 0, edges, extra_labels=labels)
+
+
+@dataclass
+class ImageCount:
+    calls: int = 0  # calls of the post/pre image
+    bits: int = 0  # states fed to it, summed over the calls
+
+
+@pytest.fixture
+def image_count(monkeypatch) -> ImageCount:
+    """Counts the post/pre image work done from here to the end of the test."""
+    count = ImageCount()
+    image = lts._image
+
+    def counting_image(bits, masks):
+        count.calls += 1
+        count.bits += bin(bits).count("1")
+        return image(bits, masks)
+
+    monkeypatch.setattr(lts, "_image", counting_image)
+    return count
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from conftest import ZENO_NET, chain_lts, random_label_expr, random_lts, random_regex
-from obscheck import checker, lts, pathregex
+from obscheck import checker, pathregex
 from obscheck.checker import (
     Report,
     Verdict,
@@ -283,23 +283,15 @@ MISMATCH_VERDICTS = [
 
 
 class TestFullReportWork:
-    def test_image_work_grows_linearly_with_the_window(self, monkeypatch):
+    def test_image_work_grows_linearly_with_the_window(self, image_count):
         """The states fed to the post/pre image, summed over one report,
         about double when the window doubles."""
-        imaged = [0]
-        image = lts._image
-
-        def counting_image(bits, masks):
-            imaged[0] += bin(bits).count("1")
-            return image(bits, masks)
-
-        monkeypatch.setattr(lts, "_image", counting_image)
         work = []
         for lo in (75, 150, 300):
             net, regex = builtin_present(lo, 2 * lo), pattern(lo, 2 * lo)
-            imaged[0] = 0
+            image_count.bits = 0
             report = full_report(net, regex, "error", EVENTS)
-            work.append(imaged[0])
+            work.append(image_count.bits)
             assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS, lo
         assert work[1] <= 2.2 * work[0] and work[2] <= 2.2 * work[1], work
 
@@ -329,18 +321,6 @@ class TestFullReportWork:
             for v in eq.verdicts + naive.verdicts:
                 assert full.verdict(v.name) == v
 
-    @pytest.fixture
-    def image_calls(self, monkeypatch):
-        calls = [0]
-        image = lts._image
-
-        def counting_image(bits, masks):
-            calls[0] += 1
-            return image(bits, masks)
-
-        monkeypatch.setattr(lts, "_image", counting_image)
-        return calls
-
     @pytest.mark.parametrize(
         "model, window, most, verdicts",
         [
@@ -348,7 +328,7 @@ class TestFullReportWork:
             ((20, 40), (20, 39), 350, MISMATCH_VERDICTS),
         ],
     )
-    def test_image_calls_per_report(self, image_calls, model, window, most, verdicts):
+    def test_image_calls_per_report(self, image_count, model, window, most, verdicts):
         """One `eval_all` batch per report serves the pattern's two formulas,
         the error condition and the error region, so a report images exactly
         what a direct `check_eq` and `check_innocuous` image together: the
@@ -356,11 +336,11 @@ class TestFullReportWork:
         g, regex = explore(builtin_present(*model)), pattern(*window)
         report = full_report(g, regex, "error", EVENTS)
         assert [(v.name, v.holds) for v in report.verdicts] == verdicts
-        assert image_calls[0] <= most
-        report_calls, image_calls[0] = image_calls[0], 0
+        assert image_count.calls <= most
+        report_calls, image_count.calls = image_count.calls, 0
         check_eq(g, regex, "error")
         check_innocuous(g, EVENTS, INTERNAL)
-        assert report_calls == image_calls[0]
+        assert report_calls == image_count.calls
 
     @pytest.mark.parametrize(
         "model, window, report_calls, eq_calls, innocuous_calls, naive_calls",
@@ -371,7 +351,7 @@ class TestFullReportWork:
         ids=["20_40_vs_20_39", "30_60"],
     )
     def test_report_images_the_error_region_once(
-        self, image_calls, model, window, report_calls, eq_calls, innocuous_calls, naive_calls
+        self, image_count, model, window, report_calls, eq_calls, innocuous_calls, naive_calls
     ):
         """The region inside the error condition is the one the naive check
         reads, so a report no longer images it a second time, while the
@@ -386,23 +366,23 @@ class TestFullReportWork:
             lambda: check_innocuous(g, EVENTS, INTERNAL),
             lambda: check_inclusion_naive(g, regex, "error"),
         ):
-            image_calls[0] = 0
+            image_count.calls = 0
             run()
-            counts.append(image_calls[0])
+            counts.append(image_count.calls)
         assert counts == [report_calls, eq_calls, innocuous_calls, naive_calls]
         assert report_calls == eq_calls + innocuous_calls
 
-    def test_direct_check_eq_images_as_much_as_the_tautology(self, image_calls):
+    def test_direct_check_eq_images_as_much_as_the_tautology(self, image_count):
         """Read off the visited and error sets, a direct `check_eq` does the
         image work of the `visited <=> -errors` tautology alone, and its
         failure witnesses agree with the tautology's."""
         g, regex = explore(builtin_present(20, 40)), pattern(20, 39)
         iff = Iff(compile_both(regex)[1], Not(error_condition("error")))
         taut = is_tautology(g, iff)
-        tautology_calls, image_calls[0] = image_calls[0], 0
+        tautology_calls, image_count.calls = image_count.calls, 0
         report = check_eq(g, regex, "error")
         assert [(v.name, v.holds) for v in report.verdicts] == MISMATCH_VERDICTS[:3]
-        assert image_calls[0] == tautology_calls == 177
+        assert image_count.calls == tautology_calls == 177
         assert report.verdict("eq_tautology").witness_state == taut.witness
         assert report.verdict("eq_soundness").witness_state == report.verdict("eq_tautology").witness_state
 

@@ -57,6 +57,13 @@ class TestGen:
         assert main(["gen", "--model", str(net)]) == 0
         assert "states: 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spec", ["builtin:mouse:junk", "builtin:mouse:"])
+    def test_mouse_takes_no_arguments(self, capsys, spec):
+        assert main(["gen", "--model", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "obscheck: expected builtin:mouse\n"
+
 
 class TestEval:
     def test_state_list(self, tmp_path, capsys):

@@ -5,7 +5,6 @@ from collections import deque
 import pytest
 
 from conftest import chain_lts, random_label_expr, random_lts
-from obscheck import lts
 from obscheck.lts import Atom, Lts, StateSet, Top, eval_label_expr
 from obscheck.lts import Not as LNot
 from obscheck.lts import Or as LOr
@@ -22,7 +21,6 @@ from obscheck.mucalc import (
     Min,
     Not,
     Or,
-    SuffixO,
     SuffixStar,
     SuffixTicks,
     Var,
@@ -33,7 +31,8 @@ from obscheck.mucalc import (
     parse_mu,
     print_mu,
 )
-from obscheck._scan import ParseError
+from obscheck._scan import MAX_TICK_COUNT, ParseError
+from obscheck.pathregex import Tick
 
 
 def random_formula(rng: random.Random, depth: int, bound: tuple[str, ...]):
@@ -62,11 +61,11 @@ def random_formula(rng: random.Random, depth: int, bound: tuple[str, ...]):
     if roll == 7:
         return BwdDiamond(sub(), random_label_expr(rng))
     if roll == 8:
-        return SuffixO(sub(), random_label_expr(rng))
+        return BwdDiamond(sub(), random_label_expr(rng))
     if roll == 9:
         return SuffixStar(sub(), random_label_expr(rng))
     if roll == 10:  # one Tick spelled out
-        return SuffixStar(SuffixO(sub(), Atom("t")), LNot(Atom("t")))
+        return SuffixStar(BwdDiamond(sub(), Atom("t")), LNot(Atom("t")))
     if roll == 11:
         lo = rng.randint(0, 2)
         return SuffixTicks(sub(), lo, lo + rng.randint(0, 2))
@@ -83,7 +82,7 @@ class TestParse:
 
     def test_postfix_chain_is_left_associative(self):
         f = parse_mu("`0 * (-b) o b")
-        assert f == SuffixO(SuffixStar(INIT, LNot(Atom("b"))), Atom("b"))
+        assert f == BwdDiamond(SuffixStar(INIT, LNot(Atom("b"))), Atom("b"))
 
     def test_true_constant(self):
         assert parse_mu("T") == TRUE
@@ -93,7 +92,7 @@ class TestParse:
 
     def test_binder_extends_maximally_right(self):
         f = parse_mu("min X | X o a")
-        assert f == Min("X", SuffixO(Var("X"), Atom("a")))
+        assert f == Min("X", BwdDiamond(Var("X"), Atom("a")))
 
     def test_unbound_variable_rejected(self):
         with pytest.raises(ParseError, match="unbound"):
@@ -101,6 +100,11 @@ class TestParse:
 
     def test_backward_diamond(self):
         assert parse_mu("T<error>") == BwdDiamond(TRUE, Atom("error"))
+
+    def test_both_backward_spellings_are_one_node(self):
+        f = parse_mu("T<a \\/ b>")
+        assert f == parse_mu("T o (a \\/ b)") == BwdDiamond(TRUE, LOr(Atom("a"), Atom("b")))
+        assert print_mu(f) == "T o (a \\/ b)"
 
     def test_error_condition_text(self):
         f = parse_mu("<error>T \\/ ((T<error> * T) /\\ -(`0 * (-error)))")
@@ -126,9 +130,15 @@ class TestPrint:
         assert print_mu(f) == "min X | (<a>T \\/ <-(a \\/ b \\/ t)>X)"
 
     def test_prefix_diamond_bracketed_left_of_postfix(self):
-        f = SuffixO(FwdDiamond(Atom("a"), TRUE), Atom("b"))
+        f = BwdDiamond(FwdDiamond(Atom("a"), TRUE), Atom("b"))
         assert print_mu(f) == "(<a>T) o b"
         assert parse_mu(print_mu(f)) == f
+
+    def test_label_named_tick_after_o_is_bracketed(self):
+        # Bare, it would read back as the tick step `o Tick`.
+        f = parse_mu("T<Tick>")
+        assert print_mu(f) == "T o (Tick)" and parse_mu(print_mu(f)) == f
+        assert print_mu(parse_mu("T * Tick")) == "T * Tick"
 
     def test_round_trip_1000_random_formulas(self):
         rng = random.Random(42)
@@ -345,23 +355,14 @@ class TestSemiNaiveStar:
                 expected = grown
             assert got == expected
 
-    def test_chain_takes_one_round_per_state(self, monkeypatch):
+    def test_chain_takes_one_round_per_state(self, image_count):
         """On a chain of n states, `0 * a needs n - 1 productive rounds, which
         stays inside the state-count bound, and images each state once."""
         n = 300
         g = chain_lts(*["a"] * (n - 1))
-        imaged, calls = [0], [0]
-        image = lts._image
-
-        def counting_image(bits, masks):
-            calls[0] += 1
-            imaged[0] += bin(bits).count("1")
-            return image(bits, masks)
-
-        monkeypatch.setattr(lts, "_image", counting_image)
         assert eval_mu(g, SuffixStar(INIT, Atom("a"))).is_all
-        assert calls[0] == n  # n - 1 productive rounds and the empty last one
-        assert imaged[0] == n
+        assert image_count.calls == n  # n - 1 productive rounds and the empty last one
+        assert image_count.bits == n
 
 
 def _ticks_spelled(f, lo: int, hi: int):
@@ -371,7 +372,7 @@ def _ticks_spelled(f, lo: int, hi: int):
     for k in range(hi + 1):
         if k >= lo:
             counts.append(f)
-        f = SuffixStar(SuffixO(f, Atom("t")), LNot(Atom("t")))
+        f = SuffixStar(BwdDiamond(f, Atom("t")), LNot(Atom("t")))
     out = counts[0]
     for g in counts[1:]:
         out = Or(out, g)
@@ -384,7 +385,7 @@ class TestCountedTicks:
 
     def test_parse_and_print(self):
         f = parse_mu("`0 o b o Tick{2,5} * a")
-        assert f == SuffixStar(SuffixTicks(SuffixO(INIT, Atom("b")), 2, 5), Atom("a"))
+        assert f == SuffixStar(SuffixTicks(BwdDiamond(INIT, Atom("b")), 2, 5), Atom("a"))
         assert print_mu(f) == "`0 o b o Tick{2,5} * a"
         assert parse_mu("`0 o Tick { 0 , 1 }") == SuffixTicks(INIT, 0, 1)
         assert print_mu(SuffixTicks(FwdDiamond(Atom("a"), TRUE), 1, 1)) == "(<a>T) o Tick"
@@ -400,22 +401,26 @@ class TestCountedTicks:
         with pytest.raises(ParseError, match=r"^expected '>', found '\{1,2\}' \(at offset 5\)$"):
             parse_mu("<Tick{1,2}>T")
 
-    @pytest.mark.parametrize("lo", [0, 10**9])
-    def test_loop_stops_once_a_count_repeats_the_set(self, lo, monkeypatch):
+    @pytest.mark.parametrize("lo, hi, text", [(3, 1, "`0 o Tick{3,1}"), (0, 100_001, "`0 o Tick{0,100001}")])
+    def test_a_tick_node_checks_its_count_as_the_parser_does(self, lo, hi, text):
+        """So every tick node prints text that parse_mu reads back."""
+        with pytest.raises(ParseError) as parsed:
+            parse_mu(text)
+        message, _, offset = str(parsed.value).rpartition(" (at offset ")
+        assert offset == "9)"
+        for build in (lambda: SuffixTicks(INIT, lo, hi), lambda: Tick(lo, hi)):
+            with pytest.raises(ValueError) as built:
+                build()
+            assert type(built.value) is ValueError and str(built.value) == message
+
+    @pytest.mark.parametrize("lo", [0, MAX_TICK_COUNT])
+    def test_loop_stops_once_a_count_repeats_the_set(self, lo, image_count):
         """On a tick cycle the set of count k + 1 is that of count k, so
         the loop stops there whatever the counts."""
         g = Lts(2, 0, [(0, "a", 1), (1, "t", 1)])
-        calls = [0]
-        image = lts._image
-
-        def counting_image(bits, masks):
-            calls[0] += 1
-            return image(bits, masks)
-
-        monkeypatch.setattr(lts, "_image", counting_image)
         expected = g.set_of([1]) if lo else g.set_of([0, 1])
-        assert eval_mu(g, SuffixTicks(Or(INIT, SuffixO(INIT, Atom("a"))), lo, 10**9)) == expected
-        assert calls[0] < 10
+        assert eval_mu(g, SuffixTicks(Or(INIT, BwdDiamond(INIT, Atom("a"))), lo, MAX_TICK_COUNT)) == expected
+        assert image_count.calls < 10
 
     def test_matches_the_spelled_union(self):
         rng = random.Random(43)
@@ -435,31 +440,24 @@ class TestCountedTicks:
         for _ in range(60):
             g = random_lts(rng, max_states=10)
             got = eval_mu(g, Min("X", Or(INIT, SuffixTicks(Var("X"), 0, 1))))
-            assert got == eval_mu(g, Min("X", Or(INIT, SuffixStar(SuffixO(Var("X"), Atom("t")), LNot(Atom("t"))))))
+            assert got == eval_mu(g, Min("X", Or(INIT, SuffixStar(BwdDiamond(Var("X"), Atom("t")), LNot(Atom("t"))))))
 
-    def test_window_from_0_reuses_the_loop(self, monkeypatch):
+    def test_window_from_0_reuses_the_loop(self, image_count):
         """After `f o Tick{lo,hi}`, the window `f o Tick{0,hi}` over the same
         `f` costs no image work; the other way round it does, so the visited
         formula of a counted step puts its end first."""
         g = chain_lts(*["t", "z"] * 20)
-        calls = [0]
-        image = lts._image
-
-        def counting_image(bits, masks):
-            calls[0] += 1
-            return image(bits, masks)
-
         window, every = SuffixTicks(INIT, 5, 9), SuffixTicks(INIT, 0, 9)
         expected = [eval_mu(g, _ticks_spelled(INIT, 5, 9)), eval_mu(g, _ticks_spelled(INIT, 0, 9))]
         assert expected[0] == g.set_of(range(9, 19)) and expected[1] == g.set_of(range(19))
-        monkeypatch.setattr(lts, "_image", counting_image)
+        image_count.calls = 0
         assert eval_mu(g, window) == expected[0]
-        window_calls, calls[0] = calls[0], 0
+        window_calls, image_count.calls = image_count.calls, 0
         assert eval_all(g, (window, every)) == expected
-        assert calls[0] == window_calls
-        calls[0] = 0
+        assert image_count.calls == window_calls
+        image_count.calls = 0
         eval_all(g, (every, window))
-        assert calls[0] > window_calls
+        assert image_count.calls > window_calls
 
 
 def _monotone_formula(rng: random.Random, free: tuple[str, ...]):
@@ -479,19 +477,7 @@ class TestEvalAll:
         with pytest.raises(ValueError, match="different graph"):
             eval_all(g, (TRUE, Var("S")), env={"S": other.set_of([1])})
 
-    @pytest.fixture
-    def image_calls(self, monkeypatch):
-        calls = [0]
-        image = lts._image
-
-        def counting_image(bits, masks):
-            calls[0] += 1
-            return image(bits, masks)
-
-        monkeypatch.setattr(lts, "_image", counting_image)
-        return calls
-
-    def test_batches_match_one_call_per_formula(self, image_calls):
+    def test_batches_match_one_call_per_formula(self, image_count):
         """300 seeded batches share closed subterms by identity (`f`, `-f`,
         `f \\/ h`), every other one under an environment; each gives every
         formula its own set.  The same batch with one unbound or non-monotone
@@ -506,20 +492,20 @@ class TestEvalAll:
             assert eval_all(g, batch, env) == [eval_mu(g, x, env) for x in batch], print_mu(f)
             bad = And(h, Var("U")) if case % 3 else Min("X", And(f, Not(Var("X"))))
             at = rng.randrange(len(batch) + 1)
-            image_calls[0] = 0
+            image_count.calls = 0
             with pytest.raises(EvalError):
                 eval_all(g, batch[:at] + (bad,) + batch[at:], env)
-            assert image_calls[0] == 0
+            assert image_count.calls == 0
 
-    def test_closed_subterms_are_shared_within_a_batch(self, image_calls):
+    def test_closed_subterms_are_shared_within_a_batch(self, image_count):
         g = chain_lts("a", "b", "a")
         star = SuffixStar(INIT, Top())
         assert eval_mu(g, star).is_all
-        alone, image_calls[0] = image_calls[0], 0
+        alone, image_count.calls = image_count.calls, 0
         batch = (star, Or(Not(star), star), And(star, Var("S")))
         sets = eval_all(g, batch, env={"S": g.set_of([1])})
         assert sets[0].is_all and sets[1].is_all and sets[2] == g.set_of([1])
-        assert image_calls[0] == alone > 0
+        assert image_count.calls == alone > 0
 
 
 class TestTautology:

@@ -8,11 +8,11 @@ from obscheck.lts import Or as LOr
 from obscheck.mucalc import (
     INIT,
     TRUE,
+    BwdDiamond,
     FwdDiamond,
     Min,
     MuFormula,
     Or,
-    SuffixO,
     Var,
     eval_mu,
     parse_mu,
@@ -67,7 +67,7 @@ class TestCompileVisited:
 
     def test_single_step(self):
         f = compile_visited(parse_regex("a"))
-        assert f == Or(INIT, SuffixO(INIT, Atom("a")))
+        assert f == Or(INIT, BwdDiamond(INIT, Atom("a")))
 
     def test_pattern_agrees_with_oracle_on_builtin(self):
         g = explore(builtin_present(4, 5))

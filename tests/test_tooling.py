@@ -160,9 +160,12 @@ FORMULAS = [
     "T",
     "`0",
     "min X | (-X => X)",
-    "max Y | ((Y /\\ <a>Y <=> Y<-b>) \\/ Y)",
+    "max Y | ((Y /\\ <a>Y <=> Y o (-b)) \\/ Y)",
     "`0 o a * (-t) o Tick o Tick{2,5}",
 ]
+
+# Other spellings of the same nodes, which print_mu prints as given here.
+RESPELLED = {"max Y | Y<-b>": "max Y | Y o (-b)"}
 
 # Every path-expression node and step type, in its documented spelling.
 REGEXES = {
@@ -183,6 +186,29 @@ def test_every_formula_node_round_trips_through_the_concrete_syntax():
     for text, f in zip(FORMULAS, formulas):
         assert mucalc.print_mu(f) == text
         assert mucalc.parse_mu(mucalc.print_mu(f)) == f
+    for text, printed in RESPELLED.items():
+        assert mucalc.print_mu(mucalc.parse_mu(text)) == printed
+        assert mucalc.parse_mu(text) == mucalc.parse_mu(printed)
+
+
+def test_one_node_per_formula_operator():
+    """`f<A>` and `f o A` are one node, the backward diamond."""
+    assert {cls.__name__ for cls in _concrete_subclasses(mucalc.MuFormula)} == {
+        "TrueConst",
+        "InitConst",
+        "Var",
+        "Not",
+        "And",
+        "Or",
+        "Implies",
+        "Iff",
+        "FwdDiamond",
+        "BwdDiamond",
+        "Min",
+        "Max",
+        "SuffixStar",
+        "SuffixTicks",
+    }
 
 
 def test_every_path_step_has_a_concrete_syntax():
@@ -206,3 +232,15 @@ def test_one_tick_label_and_one_tick_step():
                 found.append(f"{path.stem}: {lines[node.lineno - 1].strip()}")
     assert found == ['lts: TICK_LABEL = "t"']
     assert _concrete_subclasses(pathregex.Step) == {pathregex.One, pathregex.Star, pathregex.Tick}
+
+
+def test_the_tick_count_rule_is_written_once():
+    """Each tick-count message is spelled once, in `_scan`, whose one check
+    the parser and every tick node call."""
+    messages = ("empty tick count range", "over the limit of")
+    found = []
+    for path in sorted(Path(obscheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found += [(path.stem, message) for message in messages if message in node.value]
+    assert sorted(found) == [("_scan", message) for message in messages]
