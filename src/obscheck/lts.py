@@ -436,11 +436,33 @@ def load_aut(text: str) -> Lts:
 
 
 def save_aut(g: Lts) -> str:
-    """Canonical text: transitions sorted by (source, label text, target)."""
-    lines = [f"des ({g.initial}, {len(g.transitions)}, {g.num_states})"]
-    lines += [f'({src}, "{label}", {dst})' for src, label, dst in g._sorted_transitions()]
-    lines.append("")  # a last empty line ends the text with a newline, without a copy
-    return "\n".join(lines)
+    """Canonical text: transitions sorted by (source, label text, target).
+    `_edge_text` joins the lines a block at a time."""
+    mid = {label: f', "{label}", ' for label in g.labels}
+    return _edge_text(
+        g,
+        f"des ({g.initial}, {len(g.transitions)}, {g.num_states})\n",
+        lambda edges, names: [f"({names[src]}{mid[label]}{names[dst]})\n" for src, label, dst in edges],
+        "",
+    )
+
+
+# Edge lines joined at a time.  One list of every line raised peak memory:
+# the allocator keeps the pages of the freed line strings.
+_BLOCK = 4096
+
+
+def _edge_text(g: Lts, head: str, lines, end: str) -> str:
+    """`head`, one line per transition in `_sorted_transitions` order, then
+    `end`.  `lines(edges, names)` writes the lines of a block of edges, with
+    `names[s]` the text of state s, made once per state."""
+    names = list(map(str, range(g.num_states)))
+    edges = g._sorted_transitions()
+    blocks = [head]
+    for i in range(0, len(edges), _BLOCK):
+        blocks.append("".join(lines(edges[i : i + _BLOCK], names)))
+    blocks.append(end)
+    return "".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +472,12 @@ def save_aut(g: Lts) -> str:
 def _dot_quote(text: str) -> str:
     if text.isidentifier():
         return text
-    return '"' + text.replace('"', '\\"') + '"'
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(g: Lts, highlight: StateSet | None = None) -> str:
-    """Graphviz digraph; the initial state is double-circled, highlights filled."""
+    """Graphviz digraph; the initial state is double-circled, highlights
+    filled.  `_edge_text` joins the edge lines a block at a time."""
     if highlight is not None and highlight.width != g.num_states:
         raise ValueError("highlight set belongs to a different graph")
     lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=circle];"]
@@ -466,9 +489,11 @@ def to_dot(g: Lts, highlight: StateSet | None = None) -> str:
         if (filled >> state) & 1:
             attrs.append("style=filled")
         lines.append(f"  {state} [{', '.join(attrs)}];")
-    quoted = {label: _dot_quote(label) for label in g.labels}
-    lines += [
-        f"  {src} -> {dst} [label={quoted[label]}];" for src, label, dst in g._sorted_transitions()
-    ]
-    lines += ["}", ""]
-    return "\n".join(lines)
+    lines.append("")
+    tail = {label: f" [label={_dot_quote(label)}];\n" for label in g.labels}
+    return _edge_text(
+        g,
+        "\n".join(lines),
+        lambda edges, names: [f"  {names[src]} -> {names[dst]}{tail[label]}" for src, label, dst in edges],
+        "}\n",
+    )

@@ -76,9 +76,6 @@ _CMP_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
 
 _NOTHING: frozenset[str] = frozenset()
 
-# The reactions of a row that queues none; shared, and never written to.
-_NO_REACTIONS: dict[str, int] = {}
-
 # Upper end of an unbounded clock range: clocks are clamped far below it.
 _UNBOUNDED = sys.maxsize
 
@@ -274,12 +271,12 @@ class _Compiled:
     - `init`: the code of the initial state;
     - `moves[p][loc]`: the event and elapse moves leaving location `loc` of
       process p, in transition order, each
-        (lo, hi, blocks_from, label, keep, put, guards, reactors):
+        (lo, hi, blocks_from, label, keep, put, guards, probed):
       the clock window as the inclusive range lo..hi, the clock value from
       which the offered move blocks the tick (_UNBOUNDED: never), the step
       `(s & keep) | put`, each guard as (offset, mask, operator, value - lo)
-      on a variable field, and the processes whose reactions on the label may
-      be queued (none for an elapse);
+      on a variable field, and whether it may queue reactions: some process
+      probes the label (never for an elapse);
     - `fire[bit]`: the step (label, keep, put) of a pending bit: it moves its
       observer, resets that observer's clock and drops all of that
       observer's pending bits;
@@ -326,10 +323,7 @@ class _Compiled:
             offset += width
 
         var_fields = dict(zip(net.variables, self.vars))
-        watchers: dict[str, list[int]] = {}  # event label -> processes reacting to it
-        for p, probes in enumerate(self.probes):
-            for event in dict.fromkeys(event for _, event, _, _, _ in probes):
-                watchers.setdefault(event, []).append(p)
+        watched = {event for probes in self.probes for _, event, _, _, _ in probes}
         self.fire = []
         self.moves = [[[] for _ in proc.locations] for proc in processes]
         for p, proc in enumerate(processes):
@@ -353,13 +347,13 @@ class _Compiled:
                          _CMP_OPS[c.op], c.value - var_fields[c.var][2])
                         for c in kind.guard
                     )
-                    reactors = tuple(watchers.get(tr.label, ()))
+                    probed = tr.label in watched
                 else:
                     lo, hi = _clock_range(kind.window)
                     blocks_from = hi if kind.urgent else _UNBOUNDED
-                    keep, guards, reactors = ~_field_mask(offset, width), (), ()
+                    keep, guards, probed = ~_field_mask(offset, width), (), False
                 self.moves[p][loc_index[p][tr.source]].append(
-                    (lo, hi, blocks_from, tr.label, keep, put, guards, reactors)
+                    (lo, hi, blocks_from, tr.label, keep, put, guards, probed)
                 )
 
         suppresses: dict[str, set[str]] = {}
@@ -384,9 +378,12 @@ def _search(compiled: _Compiled, max_states: int) -> tuple[Lts, list[int]]:
 
     A process's moves, reactions and tick increment depend only on its own
     field, so each field value met is compiled once into a row, kept for
-    this call: its admitted moves, each with whether it blocks the tick at
-    this clock; its tick increment (0 at the clamp); and per observed event
-    the pending bits it queues.
+    this call: (moves, tick increment, reaction items).  The moves are those
+    its clock admits, each with whether it blocks the tick at this clock;
+    the increment is 0 at the clamp; each reaction item is (event, the
+    pending bits it queues).  Equal rows are stored once.  At a state with
+    nothing pending, one fold ORs the reaction items of all rows into one
+    dict, from which each offered move on a probed label takes its bits.
     """
     procs, moves_at, probes = compiled.procs, compiled.moves, compiled.probes
     clamps, ticks = compiled.clamps, compiled.ticks
@@ -395,8 +392,8 @@ def _search(compiled: _Compiled, max_states: int) -> tuple[Lts, list[int]]:
         loc_bits = procs[p][1]
         loc, clock = field & ((1 << loc_bits) - 1), field >> loc_bits
         moves = tuple(
-            (label, keep, put, guards, reactors, clock >= blocks_from)
-            for lo, hi, blocks_from, label, keep, put, guards, reactors in moves_at[p][loc]
+            (label, keep, put, guards, probed, clock >= blocks_from)
+            for lo, hi, blocks_from, label, keep, put, guards, probed in moves_at[p][loc]
             if lo <= clock <= hi
         )
         queues: dict[str, int] = {}
@@ -404,9 +401,10 @@ def _search(compiled: _Compiled, max_states: int) -> tuple[Lts, list[int]]:
             if source == loc and lo <= clock <= hi:
                 queues[event] = queues.get(event, 0) | 1 << bit
         inc = ticks[p] if clock < clamps[p][loc] else 0
-        return moves, inc, queues or _NO_REACTIONS
+        return moves, inc, tuple(queues.items())
 
     readers = [(p, offset, (1 << width) - 1, {}) for p, (offset, _, width) in enumerate(procs)]
+    distinct: dict = {}  # each row once, whichever processes and fields share it
     fire, suppresses = compiled.fire, compiled.suppresses
     pending_mask = (1 << len(fire)) - 1
     index = {compiled.init: 0}
@@ -423,20 +421,25 @@ def _search(compiled: _Compiled, max_states: int) -> tuple[Lts, list[int]]:
                 bits ^= low
         else:
             here = []
+            queued: dict[str, int] = {}
             inc = 0
             for p, offset, mask, rows in readers:
                 field = (s >> offset) & mask
                 row = rows.get(field)
                 if row is None:
-                    row = rows[field] = build_row(p, field)
-                here.append(row)
-                inc += row[1]
+                    row = build_row(p, field)
+                    row = rows[field] = distinct.setdefault(row, row)
+                moves, step, items = row
+                here.append(moves)
+                inc += step
+                for event, bits in items:
+                    queued[event] = queued.get(event, 0) | bits
             # Every enabled move is offered and the priorities then filter
             # what the labels of all of them suppress.
             suppressed = _NOTHING
             blockers = []  # labels of the moves that block the tick if offered
-            for moves, _, _ in here:
-                for label, keep, put, guards, reactors, blocks in moves:
+            for moves in here:
+                for label, keep, put, guards, probed, blocks in moves:
                     for offset, mask, op, value in guards:
                         if not op((s >> offset) & mask, value):
                             break
@@ -445,8 +448,8 @@ def _search(compiled: _Compiled, max_states: int) -> tuple[Lts, list[int]]:
                             suppressed = suppressed | suppresses[label]
                         if blocks:
                             blockers.append(label)
-                        for q in reactors:
-                            put |= here[q][2].get(label, 0)
+                        if probed:
+                            put |= queued.get(label, 0)
                         out.append((label, (s & keep) | put))
             if suppressed:
                 out = [step for step in out if step[0] not in suppressed]

@@ -346,6 +346,15 @@ class TestDot:
         out = capsys.readouterr().out
         assert out.count("style=filled") == 3
 
+    def test_backslash_label_from_a_graph_file(self, tmp_path, capsys):
+        path = tmp_path / "x.aut"
+        path.write_text('des (0, 1, 2)\n(0, "a\\", 1)\n')
+        assert main(["dot", "--graph", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "digraph lts {\n  rankdir=LR;\n  node [shape=circle];\n"
+            '  0 [shape=doublecircle];\n  0 -> 1 [label="a\\\\"];\n}\n'
+        )
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--version"])

@@ -19,6 +19,7 @@ from obscheck.lts import (
     parse_label_expr,
     save_aut,
     to_dot,
+    _BLOCK,
 )
 from obscheck.timednet import builtin_present, explore
 
@@ -271,3 +272,46 @@ class TestDot:
             '(0, "a", 2)', '(0, "b", 1)', '(1, "b", 2)', '(2, "t", 0)'
         ]
         assert to_dot(g) == expected  # after save_aut, from the shared sort
+
+    def test_backslash_and_quote_in_a_label_are_escaped(self):
+        g = Lts(2, 0, [(0, "a\\", 1), (1, 'q"', 0)])
+        assert to_dot(g) == (
+            "digraph lts {\n  rankdir=LR;\n  node [shape=circle];\n"
+            "  0 [shape=doublecircle];\n"
+            '  0 -> 1 [label="a\\\\"];\n  1 -> 0 [label="q\\""];\n}\n'
+        )
+
+
+class TestWritersAcrossBlocks:
+    """save_aut and to_dot on more edges than two blocks of lines, against
+    renderings spelled one line at a time."""
+
+    QUOTED = {"a": "a", "b_2": "b_2", "x y": '"x y"'}
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        rng, labels = random.Random(5), list(self.QUOTED)
+        edges = [(rng.randrange(3000), rng.choice(labels), rng.randrange(3000)) for _ in range(10_000)]
+        g = Lts(3000, 17, edges, extra_labels=["unused"])
+        assert len(g.transitions) > 2 * _BLOCK and list(g.transitions) != sorted(g.transitions)
+        return g
+
+    def test_save_aut(self, graph):
+        lines = [f"des (17, {len(graph.transitions)}, 3000)"]
+        lines += [f'({src}, "{label}", {dst})' for src, label, dst in sorted(graph.transitions)]
+        assert save_aut(graph) == "\n".join(lines) + "\n"
+        assert load_aut(save_aut(graph)) == graph
+
+    @pytest.mark.parametrize("highlight", [None, (0, 17, 2999)])
+    def test_to_dot(self, graph, highlight):
+        lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=circle];"]
+        for state in sorted({17, *(highlight or ())}):
+            attrs = ["shape=doublecircle"] if state == 17 else []
+            attrs += ["style=filled"] if state in (highlight or ()) else []
+            lines.append(f"  {state} [{', '.join(attrs)}];")
+        lines += [
+            f"  {src} -> {dst} [label={self.QUOTED[label]}];" for src, label, dst in sorted(graph.transitions)
+        ]
+        lines.append("}")
+        marked = None if highlight is None else graph.set_of(highlight)
+        assert to_dot(graph, marked) == "\n".join(lines) + "\n"
