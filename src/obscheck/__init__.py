@@ -20,7 +20,7 @@ from .checker import (
     full_report,
     internal_label_expr,
 )
-from .fott import delta, eval_fott, interval_ticks, present_fott, present_regex
+from .fott import eval_fott, interval_ticks, present_fott, present_regex
 from .lts import (
     Interval,
     LabelExpr,

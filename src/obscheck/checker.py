@@ -131,39 +131,31 @@ def find_tickless_cycle(g: Lts, internal: LabelExpr) -> list[str] | None:
     Returns the label sequence of one such cycle, or None.  Edges carrying
     events or the tick are ignored; a run looping on them is a matter of
     environment choice, not of the observer constraining time.
+
+    One depth-first search (Tarjan 1972) over `g.out_edges`.  Its one stack
+    is the current path: (state, label into it, iterator over its remaining
+    out-edges).  An internal edge back onto the stack closes the cycle.
     """
     is_internal = {label: label != TICK_LABEL and eval_label_expr(internal, label) for label in g.labels}
-    adj: list[list[tuple[str, int]]] = [[] for _ in range(g.num_states)]
-    for src, label, dst in g.transitions:
-        if is_internal[label]:
-            adj[src].append((label, dst))
-    color = [0] * g.num_states  # 0 unvisited, 1 on the DFS path, 2 done
+    color = [0] * g.num_states  # 0 unvisited, 1 on the stack, 2 done
     for root in range(g.num_states):
         if color[root]:
             continue
-        path_nodes = [root]
-        path_labels: list[str] = []
-        stack = [(root, 0)]
         color[root] = 1
+        stack = [(root, "", iter(g.out_edges(root)))]
         while stack:
-            node, i = stack[-1]
-            if i < len(adj[node]):
-                stack[-1] = (node, i + 1)
-                label, dst = adj[node][i]
-                if color[dst] == 1:
-                    cut = path_nodes.index(dst)
-                    return path_labels[cut:] + [label]
-                if color[dst] == 0:
+            node, _, edges = stack[-1]
+            for label, dst in edges:
+                if is_internal[label] and color[dst] != 2:
+                    if color[dst] == 1:
+                        cut = next(i for i, entry in enumerate(stack) if entry[0] == dst)
+                        return [entry[1] for entry in stack[cut + 1 :]] + [label]
                     color[dst] = 1
-                    path_nodes.append(dst)
-                    path_labels.append(label)
-                    stack.append((dst, 0))
+                    stack.append((dst, label, iter(g.out_edges(dst))))
+                    break
             else:
                 stack.pop()
                 color[node] = 2
-                path_nodes.pop()
-                if path_labels:
-                    path_labels.pop()
     return None
 
 

@@ -49,11 +49,6 @@ def interval_ticks(interval: Interval) -> tuple[int, int | None]:
     return ticks
 
 
-def delta(word: Sequence[str]) -> int:
-    """Duration of a discrete trace: its number of ticks."""
-    return sum(1 for s in word if s == TICK_LABEL)
-
-
 # ---------------------------------------------------------------------------
 # Formula AST
 

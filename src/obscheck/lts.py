@@ -469,8 +469,12 @@ def _edge_text(g: Lts, head: str, lines, end: str) -> str:
 # DOT rendering (text only; drawing is left to external viewers)
 
 
+# DOT's keywords, in any case, cannot stand bare as an attribute value.
+_DOT_KEYWORDS = frozenset(("node", "edge", "graph", "digraph", "subgraph", "strict"))
+
+
 def _dot_quote(text: str) -> str:
-    if text.isidentifier():
+    if text.isidentifier() and text.lower() not in _DOT_KEYWORDS:
         return text
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

@@ -593,37 +593,26 @@ _CMP_RE = re.compile(r"(\w+)\s*(=|!=|<=|>=|<|>)\s*(-?\d+)$")
 _ASSIGN_RE = re.compile(r"(\w+)\s*:=\s*(-?\d+)$")
 
 
-def _parse_window(text: str, line: int) -> Interval:
-    m = _WINDOW_RE.match(text.strip())
+def _match(pattern: re.Pattern, text: str, what: str, line: int) -> re.Match:
+    m = pattern.match(text)
     if m is None:
-        raise NetError(f"malformed time window {text!r}", line)
-    left, lo, hi, right = m.groups()
+        raise NetError(f"malformed {what} {text!r}", line)
+    return m
+
+
+def _parse_list(text: str | None, pattern: re.Pattern, what: str, line: int) -> list[tuple[str, ...]]:
+    """The groups of each comma-separated part; none for an absent list."""
+    return [_match(pattern, part.strip(), what, line).groups() for part in text.split(",")] if text else []
+
+
+def _parse_window(text: str, line: int) -> Interval:
+    left, lo, hi, right = _match(_WINDOW_RE, text, "time window", line).groups()
     lower_open = left == "]"
     if hi == "w":
         if right != "[":
             raise NetError("an unbounded window must end with '['", line)
         return Interval(int(lo), None, lower_open=lower_open)
     return Interval(int(lo), int(hi), lower_open=lower_open, upper_open=right == "[")
-
-
-def _parse_guard(text: str, line: int) -> tuple[Cmp, ...]:
-    cmps = []
-    for part in text.split(","):
-        m = _CMP_RE.match(part.strip())
-        if m is None:
-            raise NetError(f"malformed guard {part.strip()!r}", line)
-        cmps.append(Cmp(m.group(1), m.group(2), int(m.group(3))))
-    return tuple(cmps)
-
-
-def _parse_assigns(text: str, line: int) -> tuple[tuple[str, int], ...]:
-    assigns = []
-    for part in text.split(","):
-        m = _ASSIGN_RE.match(part.strip())
-        if m is None:
-            raise NetError(f"malformed assignment {part.strip()!r}", line)
-        assigns.append((m.group(1), int(m.group(2))))
-    return tuple(assigns)
 
 
 def parse_net(text: str) -> TimedNet:
@@ -656,41 +645,28 @@ def parse_net(text: str) -> TimedNet:
         if not line:
             continue
         if line.startswith("var "):
-            m = _VAR_RE.match(line)
-            if m is None:
-                raise NetError(f"malformed variable declaration {line!r}", lineno)
-            name, lo, hi, init = m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4))
+            name, lo, hi, init = _match(_VAR_RE, line, "variable declaration", lineno).groups()
             if name in variables:
                 raise NetError(f"duplicate variable {name!r}", lineno)
-            variables[name] = VarDecl(lo, hi, init)
+            variables[name] = VarDecl(int(lo), int(hi), int(init))
         elif line.startswith("process"):
-            m = _PROCESS_RE.match(line)
-            if m is None:
-                raise NetError(f"malformed process declaration {line!r}", lineno)
+            m = _match(_PROCESS_RE, line, "process declaration", lineno)
             close_current()
             current = {"name": m.group(1), "init": None, "locations": [], "transitions": [], "line": lineno}
         elif line.startswith("init"):
-            m = _INIT_RE.match(line)
-            if m is None or current is None:
-                raise NetError("init outside a process" if current is None else f"malformed init {line!r}", lineno)
+            if current is None:
+                raise NetError("init outside a process", lineno)
+            m = _match(_INIT_RE, line, "init", lineno)
             current["init"] = m.group(1)
             current["locations"].append(m.group(1))
         elif line.startswith("priority"):
-            m = _PRIORITY_RE.match(line)
-            if m is None:
-                raise NetError(f"malformed priority declaration {line!r}", lineno)
-            priorities.append((m.group(1), m.group(2)))
+            priorities.append(_match(_PRIORITY_RE, line, "priority declaration", lineno).groups())
         elif line.startswith("from"):
             if current is None:
                 raise NetError("transition outside a process", lineno)
-            m = _FROM_RE.match(line)
-            if m is None:
-                raise NetError(f"malformed transition {line!r}", lineno)
-            source, kind_kw, middle, target = m.groups()
+            source, kind_kw, middle, target = _match(_FROM_RE, line, "transition", lineno).groups()
             if kind_kw == "on":
-                mm = _ON_RE.match(middle)
-                if mm is None:
-                    raise NetError(f"malformed event transition {middle!r}", lineno)
+                mm = _match(_ON_RE, middle, "event transition", lineno)
                 event = mm.group(1)
                 label = mm.group("label") or event
                 if label != event:
@@ -699,22 +675,20 @@ def parse_net(text: str) -> TimedNet:
                         f"{label!r} differs from {event!r}",
                         lineno,
                     )
+                guard = _parse_list(mm.group("guard"), _CMP_RE, "guard", lineno)
+                assigns = _parse_list(mm.group("do"), _ASSIGN_RE, "assignment", lineno)
                 kind = Event(
-                    guard=_parse_guard(mm.group("guard"), lineno) if mm.group("guard") else (),
-                    assigns=_parse_assigns(mm.group("do"), lineno) if mm.group("do") else (),
+                    guard=tuple(Cmp(var, op, int(k)) for var, op, k in guard),
+                    assigns=tuple((var, int(k)) for var, k in assigns),
                     urgent=bool(mm.group("urgent")),
                     keepclock=bool(mm.group("keepclock")),
                 )
             elif kind_kw == "elapse":
-                mm = _ELAPSE_RE.match(middle)
-                if mm is None:
-                    raise NetError(f"malformed elapse transition {middle!r}", lineno)
+                mm = _match(_ELAPSE_RE, middle, "elapse transition", lineno)
                 label = mm.group("label")
                 kind = Elapse(_parse_window(mm.group("window"), lineno), urgent=bool(mm.group("urgent")))
             else:
-                mm = _PROBE_RE.match(middle)
-                if mm is None:
-                    raise NetError(f"malformed probe transition {middle!r}", lineno)
+                mm = _match(_PROBE_RE, middle, "probe transition", lineno)
                 label = mm.group("label")
                 window = _parse_window(mm.group("window"), lineno) if mm.group("window") else Interval(0, None)
                 kind = Reaction(mm.group(1), window)

@@ -20,7 +20,7 @@ from obscheck.checker import (
     internal_label_expr,
 )
 from obscheck.fott import Interval, present_regex
-from obscheck.lts import Atom, Lts, parse_label_expr
+from obscheck.lts import TICK_LABEL, Atom, Lts, eval_label_expr, parse_label_expr
 from obscheck.mucalc import Iff, Implies, Not, eval_all, eval_mu, is_tautology
 from obscheck.mucompile import compile_both, error_condition, reach_formula
 from obscheck.pathregex import oracle_states, oracle_visited_states, parse_regex
@@ -189,6 +189,64 @@ class TestTicklessCycle:
         assert find_tickless_cycle(present45_graph, INTERNAL) is None
         mouse_internal = internal_label_expr([Atom("click")])
         assert find_tickless_cycle(explore(builtin_mouse()), mouse_internal) is None
+
+    def test_same_cycle_as_the_reference_search(self):
+        rng = random.Random(20)
+        lengths = []
+        for _ in range(400):
+            g = random_lts(rng, max_states=rng.choice((4, 12, 30)))
+            internal = random_label_expr(rng)
+            cycle = find_tickless_cycle(g, internal)
+            assert cycle == reference_tickless_cycle(g, internal)
+            if cycle is not None:
+                lengths.append(len(cycle))
+                assert all(label != TICK_LABEL and eval_label_expr(internal, label) for label in cycle)
+                assert any(state in replay(g, state, cycle) for state in range(g.num_states))
+        # Both outcomes, and cycles of more than one step, are well sampled.
+        assert 50 < len(lengths) < 350 and sum(n > 1 for n in lengths) > 20
+
+
+def reference_tickless_cycle(g, internal):
+    """The same search spelled another way: a copy of the internal edges,
+    walked with an index stack, the path kept in two parallel lists."""
+    is_internal = {label: label != TICK_LABEL and eval_label_expr(internal, label) for label in g.labels}
+    adj = [[] for _ in range(g.num_states)]
+    for src, label, dst in g.transitions:
+        if is_internal[label]:
+            adj[src].append((label, dst))
+    color = [0] * g.num_states
+    for root in range(g.num_states):
+        if color[root]:
+            continue
+        path_nodes, path_labels, stack = [root], [], [(root, 0)]
+        color[root] = 1
+        while stack:
+            node, i = stack[-1]
+            if i < len(adj[node]):
+                stack[-1] = (node, i + 1)
+                label, dst = adj[node][i]
+                if color[dst] == 1:
+                    return path_labels[path_nodes.index(dst) :] + [label]
+                if color[dst] == 0:
+                    color[dst] = 1
+                    path_nodes.append(dst)
+                    path_labels.append(label)
+                    stack.append((dst, 0))
+            else:
+                stack.pop()
+                color[node] = 2
+                path_nodes.pop()
+                if path_labels:
+                    path_labels.pop()
+    return None
+
+
+def replay(g, start, labels):
+    """The states reached from `start` along `labels`."""
+    states = {start}
+    for label in labels:
+        states = {dst for src, lab, dst in g.transitions if src in states and lab == label}
+    return states
 
 
 class TestFullReport:

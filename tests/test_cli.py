@@ -355,6 +355,15 @@ class TestDot:
             '  0 [shape=doublecircle];\n  0 -> 1 [label="a\\\\"];\n}\n'
         )
 
+    def test_dot_keyword_labels_are_quoted(self, tmp_path, capsys):
+        path = tmp_path / "k.aut"
+        path.write_text('des (0, 2, 2)\n(0, "node", 1)\n(1, "Graph", 0)\n')
+        assert main(["dot", "--graph", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "digraph lts {\n  rankdir=LR;\n  node [shape=circle];\n"
+            '  0 [shape=doublecircle];\n  0 -> 1 [label="node"];\n  1 -> 0 [label="Graph"];\n}\n'
+        )
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--version"])

@@ -16,7 +16,6 @@ from obscheck.fott import (
     after_scope,
     and_chain,
     check_anchored,
-    delta,
     eval_fott,
     exists_many,
     free_variables,
@@ -38,21 +37,6 @@ intervals = st.builds(
     st.integers(0, 3),
     st.one_of(st.none(), st.integers(0, 2)),
 )
-
-
-class TestDelta:
-    def test_counts_ticks_only(self):
-        assert delta(("t", "t", "z", "a", "t")) == 3
-
-    def test_empty_word(self):
-        assert delta(()) == 0
-
-    def test_witness_word(self):
-        assert delta(("b", "t", "t", "t", "t", "a")) == 4
-
-    @given(words, words)
-    def test_additive_under_concatenation(self, u, v):
-        assert delta(u + v) == delta(u) + delta(v)
 
 
 class TestIntervalTicks:
@@ -346,7 +330,7 @@ def _holds(f, env, universe) -> bool:
     if t is EqCat:
         return env[f.whole] == env[f.prefix] + env[f.suffix]
     if t is DurIn:
-        return f.interval.contains(delta(env[f.var]))
+        return f.interval.contains(env[f.var].count("t"))
     # A conjunction under quantifiers.  Each quantifier is renamed apart to a
     # (name, n) key; the keys take every value in turn, in order of first
     # use, and each conjunct is checked once all its names have values (a

@@ -281,6 +281,15 @@ class TestDot:
             '  0 -> 1 [label="a\\\\"];\n  1 -> 0 [label="q\\""];\n}\n'
         )
 
+    def test_dot_keywords_in_any_case_are_quoted(self):
+        g = Lts(2, 0, [(0, "node", 1), (1, "Graph", 0), (0, "STRICT", 0), (1, "nodes", 1)])
+        assert to_dot(g) == (
+            "digraph lts {\n  rankdir=LR;\n  node [shape=circle];\n"
+            "  0 [shape=doublecircle];\n"
+            '  0 -> 0 [label="STRICT"];\n  0 -> 1 [label="node"];\n'
+            '  1 -> 0 [label="Graph"];\n  1 -> 1 [label=nodes];\n}\n'
+        )
+
 
 class TestWritersAcrossBlocks:
     """save_aut and to_dot on more edges than two blocks of lines, against

@@ -729,6 +729,30 @@ class TestParseNet:
         with pytest.raises(NetError, match="line 3"):
             parse_net("process P\ninit l\nfrom l wobble q to l")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("var x : 0..2", "line 1: malformed variable declaration 'var x : 0..2'"),
+            ("process P Q", "line 1: malformed process declaration 'process P Q'"),
+            ("init l", "line 1: init outside a process"),
+            ("init l m", "line 1: init outside a process"),
+            ("process P\ninit l m", "line 2: malformed init 'init l m'"),
+            ("priority a b", "line 1: malformed priority declaration 'priority a b'"),
+            ("process P\ninit l\nfrom l wobble q to l", "line 3: malformed transition 'from l wobble q to l'"),
+            ("process P\ninit l\nfrom l on e f to l", "line 3: malformed event transition 'e f'"),
+            ("process P\ninit l\nfrom l elapse [0,1] to l", "line 3: malformed elapse transition '[0,1]'"),
+            ("process P\ninit l\n\nfrom l probe e to l", "line 4: malformed probe transition 'e'"),
+            ("process P\ninit l\nfrom l elapse [a,1] urgent label go to l", "line 3: malformed time window '[a,1]'"),
+            ("process P\ninit l\nfrom l probe e when elapsed in [0,] label r to l", "line 3: malformed time window '[0,]'"),
+            ("process P\ninit l\nfrom l on e when x = 1,  y  to l", "line 3: malformed guard 'y'"),
+            ("process P\ninit l\nfrom l on e when x = 1 do x = 2 to l", "line 3: malformed assignment 'x = 2'"),
+        ],
+    )
+    def test_malformed_line_message(self, text, message):
+        with pytest.raises(NetError) as err:
+            parse_net(text)
+        assert str(err.value) == message
+
     def test_nonurgent_bounded_elapse_rejected(self):
         text = "process P\ninit l\nfrom l elapse [2,5] label go to m"
         with pytest.raises(NetError, match="urgent"):

@@ -244,3 +244,16 @@ def test_the_tick_count_rule_is_written_once():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 found += [(path.stem, message) for message in messages if message in node.value]
     assert sorted(found) == [("_scan", message) for message in messages]
+
+
+def test_the_malformed_line_rule_is_written_once():
+    """The `.net` parser spells "malformed" once, in `_match`, which every
+    declaration, transition body, window, guard and assignment goes through."""
+    tree = ast.parse((Path(obscheck.__file__).parent / "timednet.py").read_text())
+    found = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "malformed" in node.value
+    ]
+    match = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_match")
+    assert len(found) == 1 and any(node is found[0] for node in ast.walk(match))
