@@ -5,16 +5,18 @@ Traces are words over event symbols plus the tick `t` and the silent step
 conjunction, negation, existential quantification, equality with a literal
 word, binary concatenation, and duration-in-interval constraints.
 
-Evaluation is a small backtracking solver restricted to *anchored*
-formulas: every quantified variable must be connected to a free variable
-through a chain of concatenation equations (or pinned by a literal), so its
-value is always a contiguous piece of an already known word.  A formula is
-compiled, once per set of assigned names, to a fixed solve plan kept on the
-formula; running it enumerates the split points of concatenations.  The plan
-binds literal words once, in the slot list every run starts from; it goes
-straight to the occurrences of a known head word where a split is followed
-by `suffix = head . tail`; and it reads a double negation as an existence
-test.
+Evaluation is a small backtracking solver.  A formula is compiled, once per
+set of assigned names, to a fixed solve plan kept on the formula: each block
+(the formula, or a negation's argument) is scheduled by taking, again and
+again, the first constraint whose inputs are bound.  The formula is
+*anchored* for those names when every block's schedule takes all of its
+constraints, so that each variable is pinned by a literal or is a contiguous
+piece of an already known word before anything reads it; `check_anchored`
+asks exactly that of the plan.  Running a plan enumerates the split points
+of concatenations.  The plan binds literal words once, in the slot list every
+run starts from; it goes straight to the occurrences of a known head word
+where a split is followed by `suffix = head . tail`; and it reads a double
+negation as an existence test.
 
 The generators at the bottom produce, for the existence pattern
 "event a after the first b within an interval", both the trace formula and
@@ -58,8 +60,8 @@ class FottFormula:
 
     @cached_property
     def _plans(self) -> dict:
-        """eval_fott's solve plans, one per set of assigned names, stored on
-        the formula itself so that they are freed with it."""
+        """The solve plans that eval_fott runs and check_anchored reads, one per
+        set of assigned names, stored on the formula so they are freed with it."""
         return {}
 
 
@@ -171,44 +173,11 @@ def free_variables(f: FottFormula) -> frozenset[str]:
 
 
 def check_anchored(f: FottFormula, free: Sequence[str]) -> None:
-    """Every quantified variable must be connected to a free variable through
-    concatenation equations, or pinned to a literal word."""
-    quantified: set[str] = set()
-    links: list[tuple[str, str]] = []
-    grounded: set[str] = set(free)
-
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is And:
-            stack += (node.left, node.right)
-        elif t is Not:
-            stack.append(node.arg)
-        elif t is Exists:
-            quantified.add(node.var)
-            stack.append(node.body)
-        elif t is EqCat:
-            links.append((node.whole, node.prefix))
-            links.append((node.whole, node.suffix))
-        elif t is EqLit:
-            grounded.add(node.var)
-
-    parent: dict[str, str] = {}
-
-    def find(v: str) -> str:
-        root = v
-        while parent.get(root, root) != root:
-            root = parent[root]
-        parent[v] = root
-        return root
-
-    for a, b in links:
-        parent[find(a)] = find(b)
-    anchors = {find(v) for v in grounded}
-    loose = sorted(v for v in quantified if find(v) not in anchors)
-    if loose:
-        raise FottError(f"unanchored quantified variable(s): {', '.join(loose)}")
+    """Raise unless `f`, planned with the `free` names assigned, is anchored:
+    every block's schedule takes all of its constraints.  The plan is the one
+    `eval_fott` then runs."""
+    if not _solve_plan(f, frozenset(free))[3]:
+        raise FottError(_UNANCHORED)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +206,7 @@ def check_anchored(f: FottFormula, free: Sequence[str]) -> None:
 
 def eval_fott(f: FottFormula, asg: Mapping[str, Sequence[str]]) -> bool:
     """Standard semantics on the given assignment of the free variables."""
-    key = frozenset(asg)
-    plan = f._plans.get(key)
-    if plan is None:
-        plan = f._plans[key] = _compile(f, key)
-    inputs, template, run = plan
+    inputs, template, run, _ = _solve_plan(f, frozenset(asg))
     env = template[:]
     for var, slot in inputs:
         w = tuple(asg[var])
@@ -249,9 +214,17 @@ def eval_fott(f: FottFormula, asg: Mapping[str, Sequence[str]]) -> bool:
     return run(env)
 
 
+def _solve_plan(f: FottFormula, assigned: frozenset[str]) -> tuple:
+    plan = f._plans.get(assigned)
+    if plan is None:
+        plan = f._plans[assigned] = _compile(f, assigned)
+    return plan
+
+
 def _compile(f: FottFormula, assigned: frozenset[str]) -> tuple:
     """The plan of `f` with the `assigned` names bound on entry: the (name,
-    slot) pairs to load, the template of the slot list, and the first step."""
+    slot) pairs to load, the template of the slot list, the first step, and
+    whether every block's schedule takes all of its constraints."""
     roots = {v: i for i, v in enumerate(sorted(free_variables(f)))}
     size = len(roots)
     blocks: list[list[tuple]] = [[]]  # block 0 is f, block k > 0 a Not's argument
@@ -280,7 +253,7 @@ def _compile(f: FottFormula, assigned: frozenset[str]) -> tuple:
     # Innermost blocks first: a Not is ready once its argument's free slots are
     # bound, and the argument's plan starts with exactly those bound.
     n = len(blocks)
-    frees, runs, tests = [None] * n, [None] * n, [None] * n
+    frees, runs, tests, ready = ([None] * n for _ in range(4))
     template: list = [None] * size
     inputs = tuple((v, roots[v]) for v in sorted(assigned) if v in roots)
     for b in reversed(range(n)):
@@ -289,16 +262,17 @@ def _compile(f: FottFormula, assigned: frozenset[str]) -> tuple:
             used.update(frees[arg] if kind is Not else slots)
         frees[b] = frozenset(s for s in used if s < marks[b])
         bound = {s for _, s in inputs} if b == 0 else set(frees[b])
-        runs[b], tests[b] = _plan(blocks[b], bound, frees, runs, tests, template)
-    return inputs, template, runs[0]
+        runs[b], tests[b], ready[b] = _plan(blocks[b], bound, frees, runs, tests, template)
+    return inputs, template, runs[0], all(ready)
 
 
 def _plan(
     items: list[tuple], bound: set[int], frees: list, runs: list, tests: list, template: list
 ):
     """The first step of one block, each conjunct compiled for the slots bound
-    when the schedule reaches it; and, when the block's plan is a single Not,
-    the first step of that Not's argument (the block's negation)."""
+    when the schedule reaches it; when the block's plan is a single Not, the
+    first step of that Not's argument (the block's negation); and whether the
+    schedule took every conjunct."""
     # (straight, step maker, its arguments before the next step), where a
     # straight step runs its next step at most once
     ops: list[tuple] = []
@@ -320,7 +294,7 @@ def _plan(
             else:
                 template[slots[0]] = (arg, 0, len(arg))
         elif kind is DurIn:
-            ops.append((True, _dur_step, slots[0], arg.contains))
+            ops.append((True, _dur_step, slots[0], arg.integer_range()))
         elif kind is Not:
             ops.append((False, _not_step, runs[arg], tests[arg]))
         else:
@@ -354,7 +328,7 @@ def _plan(
             for _, make, *args in group:
                 run = make(*args, run)
     lone_not = end is _done and len(ops) == 1 and ops[0][1] is _not_step
-    return run, ops[0][2] if lone_not else None
+    return run, ops[0][2] if lone_not else None, end is _done
 
 
 # The step makers.  A step takes the slot list, checks or binds, and then runs
@@ -365,8 +339,11 @@ def _done(env: list) -> bool:
     return True
 
 
+_UNANCHORED = "formula is not anchored: no constraint is ready to solve"
+
+
 def _stuck(env: list) -> bool:
-    raise FottError("formula is not anchored: no constraint is ready to solve")
+    raise FottError(_UNANCHORED)
 
 
 def _loop_step(checks: list, nxt):
@@ -389,10 +366,15 @@ def _lit_step(slot: int, word: Word, nxt):
     return same
 
 
-def _dur_step(slot: int, contains, nxt):
+def _dur_step(slot: int, ticks: tuple[int, int | None] | None, nxt):
+    """The tick count of the slot lies in `ticks`, an interval's integer
+    range; None, for an interval that holds no integer, admits no count."""
+    least, most = ticks or (1, 0)
+    most = float("inf") if most is None else most
+
     def step(env: list) -> bool:
         w, lo, hi = env[slot]
-        return contains(w[lo:hi].count(TICK_LABEL)) and nxt(env)
+        return least <= w[lo:hi].count(TICK_LABEL) <= most and nxt(env)
 
     return step
 

@@ -170,16 +170,8 @@ class Interval:
             raise ValueError("negative upper bound")
 
     def contains(self, k: int) -> bool:
-        if self.lower_open:
-            if k <= self.lower:
-                return False
-        elif k < self.lower:
-            return False
-        if self.upper is None:
-            return True
-        if self.upper_open:
-            return k < self.upper
-        return k <= self.upper
+        ticks = self.integer_range()
+        return ticks is not None and ticks[0] <= k and (ticks[1] is None or k <= ticks[1])
 
     def integer_range(self) -> tuple[int, int | None] | None:
         """The integers inside, as an inclusive range (lo, hi) with hi=None
@@ -274,12 +266,14 @@ class StateSet:
 # The transition system
 
 
-def _image(bits: int, masks: list[int]) -> int:
-    """Union of the masks of the states in `bits`."""
+def _image(bits: int, edges: list[tuple[tuple[str, int], ...]], matches: dict[str, bool]) -> int:
+    """The states reached from those in `bits` along the edges whose label `matches`."""
     out = 0
     while bits:
         low = bits & -bits
-        out |= masks[low.bit_length() - 1]
+        for label, there in edges[low.bit_length() - 1]:
+            if matches[label]:
+                out |= 1 << there
         bits ^= low
     return out
 
@@ -319,8 +313,8 @@ class Lts:
             raise ValueError("'T' is reserved for label expressions, not transitions")
         self._transitions = edges
         self._labels = tuple(labels)
-        self._images: dict[tuple[LabelExpr, bool], list[int]] = {}
-        self._out: list[tuple[tuple[str, int], ...]] | None = None
+        self._edge_lists: list[list[tuple[tuple[str, int], ...]] | None] = [None, None]
+        self._matches: dict[LabelExpr, dict[str, bool]] = {}
         self._sorted: list[tuple[int, str, int]] | None = None
 
     @property
@@ -361,13 +355,21 @@ class Lts:
 
     # -- adjacency
 
-    def out_edges(self, state: int) -> tuple[tuple[str, int], ...]:
-        if self._out is None:
-            out: list[list[tuple[str, int]]] = [[] for _ in range(self._n)]
+    def _adjacency(self, forward: bool) -> list[tuple[tuple[str, int], ...]]:
+        """Per state, its (label, successor) pairs, or with forward=False its
+        (label, predecessor) pairs, in transition order; built once per direction."""
+        edges = self._edge_lists[forward]
+        if edges is None:
+            grouped: list[list[tuple[str, int]]] = [[] for _ in range(self._n)]
             for src, label, dst in self._transitions:
-                out[src].append((label, dst))
-            self._out = [tuple(edges) for edges in out]
-        return self._out[state]
+                here, there = (src, dst) if forward else (dst, src)
+                grouped[here].append((label, there))
+            edges = self._edge_lists[forward] = list(map(tuple, grouped))
+        return edges
+
+    def out_edges(self, state: int) -> tuple[tuple[str, int], ...]:
+        """`state`'s (label, successor) pairs; a built forward list is read directly, without a call."""
+        return (self._edge_lists[True] or self._adjacency(True))[state]
 
     def _sorted_transitions(self) -> list[tuple[int, str, int]]:
         """The transitions sorted by (source, label text, target), the order
@@ -376,28 +378,20 @@ class Lts:
             self._sorted = sorted(self._transitions)
         return self._sorted
 
-    def _image_masks(self, expr: LabelExpr, forward: bool) -> list[int]:
-        """Per state, the bit mask of its successors (forward) or predecessors
-        along the labels matching `expr`; built once per expression."""
-        key = (expr, forward)
-        masks = self._images.get(key)
-        if masks is None:
-            matches = {label: eval_label_expr(expr, label) for label in self._labels}
-            masks = [0] * self._n
-            for src, label, dst in self._transitions:
-                if matches[label]:
-                    here, there = (src, dst) if forward else (dst, src)
-                    masks[here] |= 1 << there
-            self._images[key] = masks
-        return masks
+    def _matching(self, expr: LabelExpr) -> dict[str, bool]:
+        """Per label, whether it matches `expr`; built once per expression."""
+        matches = self._matches.get(expr)
+        if matches is None:
+            matches = self._matches[expr] = {label: eval_label_expr(expr, label) for label in self._labels}
+        return matches
 
     def post_bits(self, bits: int, expr: LabelExpr) -> int:
         """Successors (as a bit mask) of the states in `bits` along matching labels."""
-        return _image(bits, self._image_masks(expr, True))
+        return _image(bits, self._adjacency(True), self._matching(expr))
 
     def pre_bits(self, bits: int, expr: LabelExpr) -> int:
         """Predecessors (as a bit mask) of the states in `bits` along matching labels."""
-        return _image(bits, self._image_masks(expr, False))
+        return _image(bits, self._adjacency(False), self._matching(expr))
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,10 @@ def image_count(monkeypatch) -> ImageCount:
     count = ImageCount()
     image = lts._image
 
-    def counting_image(bits, masks):
+    def counting_image(bits, edges, matches):
         count.calls += 1
         count.bits += bin(bits).count("1")
-        return image(bits, masks)
+        return image(bits, edges, matches)
 
     monkeypatch.setattr(lts, "_image", counting_image)
     return count

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -352,6 +353,23 @@ class TestFullReportWork:
             work.append(image_count.bits)
             assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS, lo
         assert work[1] <= 2.2 * work[0] and work[2] <= 2.2 * work[1], work
+
+    def test_report_memory_grows_linearly_with_the_window(self):
+        """The `tracemalloc` peak of a report on a fresh graph grows at most
+        2.2x per doubling of the window, from [250,500[ to [1000,2000[: the
+        image tables hold the edges, not a mask as wide as the graph per
+        state."""
+        peaks = []
+        for lo in (250, 1000):
+            g, regex = explore(builtin_present(lo, 2 * lo)), pattern(lo, 2 * lo)
+            tracemalloc.start()
+            try:
+                report = full_report(g, regex, "error", EVENTS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS, lo
+        assert peaks[1] <= 2.2**2 * peaks[0], peaks
 
     def test_one_compile_and_one_product_per_report(self, present45_graph, monkeypatch):
         compiles, products = [], []

@@ -253,6 +253,39 @@ class TestCheck:
         assert main(argv + (["--json"] if fmt == "json" else [])) == code
         assert capsys.readouterr().out == (DATA / f"{expected}.{fmt}").read_text()
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="the address-space limit is Linux's RLIMIT_AS")
+    def test_large_window_checks_within_300_mb_of_address_space(self):
+        """The graph is kept as edge lists, so a report's memory grows with
+        the edges, not with the states squared: on 30,013 states `check`
+        gives its verdicts with its address space capped at 300,000 KB."""
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (300_000 * 1024, 300_000 * 1024))
+
+        src = os.path.dirname(os.path.dirname(obscheck.__file__))
+        argv = ["check", "--model", "builtin:present:5000:10000", "--pattern", "present"]
+        done = subprocess.run(
+            [sys.executable, "-m", "obscheck", *argv, "--lo", "5000", "--hi", "10000", "--hi-open"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            preexec_fn=cap,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert [line for line in done.stdout.splitlines() if not line.startswith("  trace: ")] == [
+            "eq_tautology: HOLDS",
+            "reach[a]: HOLDS",
+            "reach[b]: HOLDS",
+            "reach[t]: HOLDS",
+            "innocuous: HOLDS",
+            "naive_errors_in_complement: HOLDS",
+            "naive_complement_in_errors: FAILS (witness state 30007)",
+            "oracle_agreement: HOLDS",
+            "no_tickless_cycle: HOLDS",
+            "overall: PASS",
+        ]
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["check", "--frobnicate"])

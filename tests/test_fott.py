@@ -104,8 +104,18 @@ class TestDerivedConstructors:
 
     def test_unanchored_formula_rejected(self):
         loose = Exists("y", and_chain((EqLit("u", ("a",)), DurIn("y", Interval(0, None)))))
-        with pytest.raises(FottError, match="unanchored"):
+        with pytest.raises(FottError, match="not anchored"):
             check_anchored(loose, ("x",))
+
+    def test_prefix_of_an_unknown_word_is_rejected(self):
+        """`h = x . k` links h and k to the free x, but neither h nor k is a
+        piece of a known word, so no plan can solve it: `check_anchored`
+        rejects what `eval_fott` would reject."""
+        f = exists_many(("h", "k"), EqCat("h", "x", "k"))
+        with pytest.raises(FottError, match="not anchored"):
+            check_anchored(f, ("x",))
+        with pytest.raises(FottError, match="not anchored"):
+            eval_fott(f, {"x": ("a",)})
 
 
 class TestSolvePlans:

@@ -257,3 +257,15 @@ def test_the_malformed_line_rule_is_written_once():
     ]
     match = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_match")
     assert len(found) == 1 and any(node is found[0] for node in ast.walk(match))
+
+
+def test_the_anchoring_message_is_written_once():
+    """`fott` spells "not anchored" in one string constant, which both the
+    stuck step of a plan and `check_anchored` raise."""
+    tree = ast.parse((Path(obscheck.__file__).parent / "fott.py").read_text())
+    found = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "not anchored" in node.value
+    ]
+    assert found == ["formula is not anchored: no constraint is ready to solve"]
