@@ -441,105 +441,105 @@ def eval_all(
             raise EvalError("binder is not monotone in its variable: " + " / ".join(violation))
 
     n = g.num_states
-    mask = (1 << n) - 1
-    # Sets of closed nodes by node id, and, under (id(f), hi), the union of
-    # f o Tick^k for every k up to hi, which one tick loop over f leaves.
-    memo: dict[int | tuple[int, int], int] = {}
+    if any(sset.width != n for sset in (env or {}).values()):
+        raise ValueError("environment set belongs to a different graph")
+    scope0 = {name: sset.bits for name, sset in (env or {}).items()}
+    # What each `_ev` call shares: the graph, the all-states mask, the
+    # polarities and a memo of the sets of closed nodes by node id and, under
+    # (id(f), hi), of the union of f o Tick^k for every k up to hi, which one
+    # tick loop over f leaves.
+    run = (g, (1 << n) - 1, polarity, {})
+    return [StateSet(n, _ev(f, scope0, run)) for f in formulas]
 
-    def star(cur: int, label: LabelExpr) -> int:
-        # Semi-naive: only the states added last round are imaged again.
-        frontier = cur
+
+def _star(g: Lts, cur: int, label: LabelExpr) -> int:
+    # Semi-naive: only the states added last round are imaged again.
+    frontier = cur
+    rounds = 0
+    while True:
+        frontier = g.post_bits(frontier, label) & ~cur
+        if not frontier:
+            return cur
+        rounds += 1
+        if rounds > g.num_states:
+            raise AssertionError("fixpoint exceeded the state-count bound")
+        cur |= frontier
+
+
+def _ev(node: MuFormula, scope: dict[str, int], run: tuple) -> int:
+    g, mask, polarity, memo = run
+    closed = polarity[id(node)] is _CLOSED  # no binder is bad by now
+    if closed:
+        got = memo.get(id(node))
+        if got is not None:
+            return got
+    t = type(node)
+    if t is TrueConst:
+        out = mask
+    elif t is InitConst:
+        out = 1 << g.initial
+    elif t is Var:
+        out = scope[node.name]
+    elif t is Not:
+        out = _ev(node.arg, scope, run) ^ mask
+    elif t is And:
+        out = _ev(node.left, scope, run) & _ev(node.right, scope, run)
+    elif t is Or:
+        out = _ev(node.left, scope, run) | _ev(node.right, scope, run)
+    elif t is Implies:
+        out = (_ev(node.left, scope, run) ^ mask) | _ev(node.right, scope, run)
+    elif t is Iff:
+        out = (_ev(node.left, scope, run) ^ _ev(node.right, scope, run)) ^ mask
+    elif t is FwdDiamond:
+        out = g.pre_bits(_ev(node.arg, scope, run), node.label)
+    elif t is BwdDiamond:
+        out = g.post_bits(_ev(node.arg, scope, run), node.label)
+    elif t is SuffixStar:
+        out = _star(g, _ev(node.arg, scope, run), node.label)
+    elif t is SuffixTicks:
+        # One loop over the tick count k: `cur` is arg o Tick^k, `out`
+        # the union from k = lo and `every` the union from k = 0.  The
+        # visited formula of a counted step reads `every` as the window
+        # from 0, so a closed loop leaves it for that window to reuse;
+        # mucompile puts the end window first so that the reuse happens
+        # (test_window_from_0_reuses_the_loop pins the order).
+        every_key = (id(node.arg), node.hi)
+        out = memo.get(every_key) if closed and node.lo == 0 else None
+        if out is None:
+            cur = every = _ev(node.arg, scope, run)
+            out = cur if node.lo == 0 else 0
+            for k in range(1, node.hi + 1):
+                nxt = _star(g, g.post_bits(cur, TICK), NOT_TICK)
+                if nxt == cur:  # and so is every later count's set
+                    out |= cur
+                    break
+                cur = nxt
+                if not cur:
+                    break
+                every |= cur
+                if k >= node.lo:
+                    out |= cur
+            if closed:
+                memo[every_key] = every
+    elif t is Min or t is Max:
+        cur = 0 if t is Min else mask
         rounds = 0
         while True:
-            frontier = g.post_bits(frontier, label) & ~cur
-            if not frontier:
-                return cur
+            nxt = _ev(node.body, {**scope, node.var: cur}, run)
+            if nxt == cur:
+                break
+            if t is Min and cur & ~nxt:
+                raise AssertionError("least fixpoint iteration shrank")
+            if t is Max and nxt & ~cur:
+                raise AssertionError("greatest fixpoint iteration grew")
             rounds += 1
-            if rounds > n:
+            if rounds > g.num_states:
                 raise AssertionError("fixpoint exceeded the state-count bound")
-            cur |= frontier
-
-    def ev(node: MuFormula, scope: dict[str, int]) -> int:
-        closed = polarity[id(node)] is _CLOSED  # no binder is bad by now
-        if closed:
-            got = memo.get(id(node))
-            if got is not None:
-                return got
-        t = type(node)
-        if t is TrueConst:
-            out = mask
-        elif t is InitConst:
-            out = 1 << g.initial
-        elif t is Var:
-            out = scope[node.name]
-        elif t is Not:
-            out = ev(node.arg, scope) ^ mask
-        elif t is And:
-            out = ev(node.left, scope) & ev(node.right, scope)
-        elif t is Or:
-            out = ev(node.left, scope) | ev(node.right, scope)
-        elif t is Implies:
-            out = (ev(node.left, scope) ^ mask) | ev(node.right, scope)
-        elif t is Iff:
-            out = (ev(node.left, scope) ^ ev(node.right, scope)) ^ mask
-        elif t is FwdDiamond:
-            out = g.pre_bits(ev(node.arg, scope), node.label)
-        elif t is BwdDiamond:
-            out = g.post_bits(ev(node.arg, scope), node.label)
-        elif t is SuffixStar:
-            out = star(ev(node.arg, scope), node.label)
-        elif t is SuffixTicks:
-            # One loop over the tick count k: `cur` is arg o Tick^k, `out`
-            # the union from k = lo and `every` the union from k = 0.  The
-            # visited formula of a counted step reads `every` as the window
-            # from 0, so a closed loop leaves it for that window to reuse;
-            # mucompile puts the end window first so that the reuse happens
-            # (test_window_from_0_reuses_the_loop pins the order).
-            every_key = (id(node.arg), node.hi)
-            out = memo.get(every_key) if closed and node.lo == 0 else None
-            if out is None:
-                cur = every = ev(node.arg, scope)
-                out = cur if node.lo == 0 else 0
-                for k in range(1, node.hi + 1):
-                    nxt = star(g.post_bits(cur, TICK), NOT_TICK)
-                    if nxt == cur:  # and so is every later count's set
-                        out |= cur
-                        break
-                    cur = nxt
-                    if not cur:
-                        break
-                    every |= cur
-                    if k >= node.lo:
-                        out |= cur
-                if closed:
-                    memo[every_key] = every
-        elif t is Min or t is Max:
-            cur = 0 if t is Min else mask
-            rounds = 0
-            while True:
-                nxt = ev(node.body, {**scope, node.var: cur})
-                if nxt == cur:
-                    break
-                if t is Min and cur & ~nxt:
-                    raise AssertionError("least fixpoint iteration shrank")
-                if t is Max and nxt & ~cur:
-                    raise AssertionError("greatest fixpoint iteration grew")
-                rounds += 1
-                if rounds > n:
-                    raise AssertionError("fixpoint exceeded the state-count bound")
-                cur = nxt
-            out = cur
-        if closed:
-            memo[id(node)] = out
-        return out
-
-    scope0 = {}
-    if env:
-        for name, sset in env.items():
-            if sset.width != n:
-                raise ValueError("environment set belongs to a different graph")
-            scope0[name] = sset.bits
-    return [StateSet(n, ev(f, scope0)) for f in formulas]
+            cur = nxt
+        out = cur
+    if closed:
+        memo[id(node)] = out
+    return out
 
 
 @dataclass(frozen=True)

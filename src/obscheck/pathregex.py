@@ -204,43 +204,7 @@ def _compile_matcher(regex: PathRegex):
             optional.append(skip)
         return chr(1 + 2 * j + star)
 
-    def branches(node: PathRegex) -> list[str]:
-        # Each branch of `node`, spelled last step first.  The union spine is
-        # walked with a stack, so its length is not bound by recursion depth.
-        out: list[str] = []
-        todo = [node]
-        tick = ""  # one Tick spelled last first, once a Tick is met
-        while todo:
-            node = todo.pop()
-            if type(node) is Union:
-                todo += (node.left, node.right)
-                continue
-            parts: list[str] = []
-            while type(node) is Seq:
-                step = node.step
-                if type(step) is not Tick:
-                    parts.append(char_of(step.label, type(step) is Star))
-                elif step.lo == 0:
-                    # No Tick, or from 1 to hi of them: a union under the
-                    # sequence, unless hi = 0 leaves the first branch only.
-                    if step.hi:
-                        node = Union(node.head, Seq(node.head, Tick(1, step.hi)))
-                        break
-                else:
-                    # hi Ticks, those past the lo-th optional.
-                    tick = tick or char_of(NOT_TICK, True) + char_of(TICK)
-                    if step.hi > step.lo:
-                        parts.append((tick[0] + char_of(TICK, skip=True)) * (step.hi - step.lo))
-                    parts.append(tick * step.lo)
-                node = node.head
-            steps = "".join(parts)
-            if type(node) is Eps:
-                out.append(steps)
-            else:  # a union under a sequence
-                out += [steps + head for head in branches(node)]
-        return out
-
-    text = "\0" + "\0".join(branches(regex))
+    text = "\0" + "\0".join(_branches(regex, char_of))
     accept = int(text.translate("1" + "00" * len(labels)), 2)
     stars = skippable = int(text.translate("0" + "01" * len(labels)), 2)
     if any(optional):
@@ -250,6 +214,43 @@ def _compile_matcher(regex: PathRegex):
     start = (accept << 1 | 1) ^ (1 << len(text))
     start |= ((start & skippable) + skippable) ^ skippable
     return start, accept, stars, skippable, tuple(labels), text, {}
+
+
+def _branches(node: PathRegex, char_of) -> list[str]:
+    # Each branch of `node`, spelled last step first.  The union spine is
+    # walked with a stack, so its length is not bound by recursion depth.
+    out: list[str] = []
+    todo = [node]
+    tick = ""  # one Tick spelled last first, once a Tick is met
+    while todo:
+        node = todo.pop()
+        if type(node) is Union:
+            todo += (node.left, node.right)
+            continue
+        parts: list[str] = []
+        while type(node) is Seq:
+            step = node.step
+            if type(step) is not Tick:
+                parts.append(char_of(step.label, type(step) is Star))
+            elif step.lo == 0:
+                # No Tick, or from 1 to hi of them: a union under the
+                # sequence, unless hi = 0 leaves the first branch only.
+                if step.hi:
+                    node = Union(node.head, Seq(node.head, Tick(1, step.hi)))
+                    break
+            else:
+                # hi Ticks, those past the lo-th optional.
+                tick = tick or char_of(NOT_TICK, True) + char_of(TICK)
+                if step.hi > step.lo:
+                    parts.append((tick[0] + char_of(TICK, skip=True)) * (step.hi - step.lo))
+                parts.append(tick * step.lo)
+            node = node.head
+        steps = "".join(parts)
+        if type(node) is Eps:
+            out.append(steps)
+        else:  # a union under a sequence
+            out += [steps + head for head in _branches(node, char_of)]
+    return out
 
 
 def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
@@ -324,45 +325,44 @@ def build_nfa(regex: PathRegex) -> Nfa:
     (and where it started, if lo is 0).
     """
     edges: list[list[tuple[LabelExpr, int]]] = [[]]
-    memo: dict[int, frozenset[int]] = {}
-
-    def go(node: PathRegex) -> frozenset[int]:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if type(node) is Eps:
-            ends = frozenset((0,))
-        elif type(node) is Union:
-            ends = go(node.left) | go(node.right)
-        elif type(node.step) is Tick:
-            ends = go(node.head)
-            exits = set(ends) if node.step.lo == 0 else set()
-            for count in range(1, node.step.hi + 1):
-                q = len(edges)
-                edges.append([(NOT_TICK, q)])
-                for f in ends:
-                    edges[f].append((TICK, q))
-                ends = (q,)
-                if count >= node.step.lo:
-                    exits.add(q)
-            ends = frozenset(exits)
-        else:
-            ends = go(node.head)
-            label = node.step.label
-            q = len(edges)
-            edges.append([])
-            for f in ends:
-                edges[f].append((label, q))
-            if type(node.step) is Star:
-                edges[q].append((label, q))
-                ends = ends | {q}
-            else:
-                ends = frozenset((q,))
-        memo[id(node)] = ends
-        return ends
-
-    accepting = go(regex)
+    accepting = _nfa_ends(regex, edges, {})
     return Nfa(len(edges), 0, accepting, tuple(tuple(e) for e in edges))
+
+
+def _nfa_ends(node: PathRegex, edges: list[list[tuple[LabelExpr, int]]], memo: dict[int, frozenset[int]]):
+    got = memo.get(id(node))
+    if got is not None:
+        return got
+    if type(node) is Eps:
+        ends = frozenset((0,))
+    elif type(node) is Union:
+        ends = _nfa_ends(node.left, edges, memo) | _nfa_ends(node.right, edges, memo)
+    elif type(node.step) is Tick:
+        ends = _nfa_ends(node.head, edges, memo)
+        exits = set(ends) if node.step.lo == 0 else set()
+        for count in range(1, node.step.hi + 1):
+            q = len(edges)
+            edges.append([(NOT_TICK, q)])
+            for f in ends:
+                edges[f].append((TICK, q))
+            ends = (q,)
+            if count >= node.step.lo:
+                exits.add(q)
+        ends = frozenset(exits)
+    else:
+        ends = _nfa_ends(node.head, edges, memo)
+        label = node.step.label
+        q = len(edges)
+        edges.append([])
+        for f in ends:
+            edges[f].append((label, q))
+        if type(node.step) is Star:
+            edges[q].append((label, q))
+            ends = ends | {q}
+        else:
+            ends = frozenset((q,))
+    memo[id(node)] = ends
+    return ends
 
 
 # ---------------------------------------------------------------------------

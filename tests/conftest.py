@@ -1,5 +1,7 @@
 """Shared fixtures and seeded random model generators."""
 
+import contextlib
+import gc
 import random
 from dataclasses import dataclass
 
@@ -110,6 +112,18 @@ def present45_graph():
 @pytest.fixture(scope="session")
 def zeno_graph():
     return explore(parse_net(ZENO_NET))
+
+
+@contextlib.contextmanager
+def collector_off():
+    """Runs the block after a full collection with the cycle collector off,
+    so that what the block drops is freed by reference counting or not at all."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def chain_lts(*labels: str) -> Lts:

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from conftest import ZENO_NET, chain_lts, random_label_expr, random_lts, random_regex
+from conftest import ZENO_NET, chain_lts, collector_off, random_label_expr, random_lts, random_regex
 from obscheck import checker, pathregex
 from obscheck.checker import (
     Report,
@@ -20,12 +20,12 @@ from obscheck.checker import (
     full_report,
     internal_label_expr,
 )
-from obscheck.fott import Interval, present_regex
-from obscheck.lts import TICK_LABEL, Atom, Lts, eval_label_expr, parse_label_expr
-from obscheck.mucalc import Iff, Implies, Not, eval_all, eval_mu, is_tautology
-from obscheck.mucompile import compile_both, error_condition, reach_formula
-from obscheck.pathregex import oracle_states, oracle_visited_states, parse_regex
-from obscheck.timednet import builtin_mouse, builtin_present, explore, parse_net
+from obscheck.fott import Interval, eval_fott, present_fott, present_regex
+from obscheck.lts import TICK_LABEL, Atom, Lts, eval_label_expr, parse_label_expr, save_aut, to_dot
+from obscheck.mucalc import Iff, Implies, Not, eval_all, eval_mu, is_tautology, parse_mu
+from obscheck.mucompile import compile_both, compile_visited, error_condition, reach_formula
+from obscheck.pathregex import build_nfa, match_word, oracle_states, oracle_visited_states, parse_regex
+from obscheck.timednet import builtin_mouse, builtin_present, explore, explore_full, parse_net
 
 EVENTS = [Atom("a"), Atom("b"), Atom("t")]
 INTERNAL = internal_label_expr(EVENTS)
@@ -472,10 +472,47 @@ class TestFullReportWork:
             return end_f, visited_f
 
         monkeypatch.setattr(checker, "compile_both", capture)
-        report = full_report(present45_graph, pattern(4, 5), "error", EVENTS)
+        with collector_off():
+            report = full_report(present45_graph, pattern(4, 5), "error", EVENTS)
+            alive = [ref() is not None for ref in refs]
         assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS
-        gc.collect()
-        assert len(refs) == 1 and refs[0]() is None
+        assert alive == [False]
+
+    def test_calls_leave_no_cycles(self):
+        """Each call's working state, the graph it was given included, is
+        freed by reference counting when the call returns: with the cycle
+        collector off, a collection after each call finds nothing, and the
+        report's graph dies as soon as its caller drops it."""
+
+        def present(lo=4, hi=5):
+            return explore(builtin_present(lo, hi))
+
+        window = Interval(2, 4, upper_open=True)
+        calls = {
+            "eval_mu min": lambda: eval_mu(present(), parse_mu("min X | `0 \\/ X o T")),
+            "eval_mu visited": lambda: eval_mu(present(), compile_visited(pattern(4, 5))),
+            "oracle_states": lambda: oracle_states(present(), pattern(4, 5)),
+            "build_nfa": lambda: build_nfa(pattern(4, 5)),
+            "match_word": lambda: match_word(pattern(4, 5), ("b",) + ("t",) * 4 + ("a",)),
+            "full_report": lambda: full_report(present(12, 20), pattern(12, 20), "error", EVENTS),
+            "eval_fott": lambda: eval_fott(present_fott("a", "b", window), {"x": ("b", "t", "t", "a")}),
+            "explore_full": lambda: explore_full(builtin_present(12, 20)),
+            "save_aut": lambda: save_aut(present()),
+            "to_dot": lambda: to_dot(present()),
+        }
+        found = {}
+        with collector_off():
+            for name, call in calls.items():
+                call()
+                found[name] = gc.collect()
+            g = present(12, 20)
+            graph = weakref.ref(g)
+            report = full_report(g, pattern(12, 20), "error", EVENTS)
+            del g
+            alive = graph() is not None
+        assert found == dict.fromkeys(calls, 0)
+        assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS
+        assert not alive
 
     def test_window_600_at_the_default_recursion_limit(self):
         """Evaluated in the report's one batch after the visited formula,

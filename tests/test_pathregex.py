@@ -1,4 +1,3 @@
-import gc
 import itertools
 import random
 import weakref
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_lts, random_lts, random_regex
+from conftest import chain_lts, collector_off, random_lts, random_regex
 from obscheck._scan import ParseError
 from obscheck.fott import Interval, eval_fott, present_fott, present_regex
 from obscheck.lts import And as LAnd
@@ -216,18 +215,20 @@ class TestMatchWord:
 
     def test_expressions_are_freed_after_use(self):
         """Matching and evaluating keep no state that outlives the
-        expressions: once dropped, they are collected."""
+        expressions: once dropped, reference counting frees them, with no
+        help from the cycle collector."""
         refs = []
-        for i in range(200):
-            a = f"a{i}"
-            interval = Interval(i % 5, i % 5 + 1 + i % 3, upper_open=True)
-            regex, formula = present_regex(a, "b", interval), present_fott(a, "b", interval)
-            word = ("b",) + ("t",) * (i % 7) + (a,)
-            assert match_word(regex, word) == eval_fott(formula, {"x": word})
-            refs += [weakref.ref(regex), weakref.ref(formula)]
-        del regex, formula
-        gc.collect()
-        assert sum(ref() is not None for ref in refs) == 0
+        with collector_off():
+            for i in range(200):
+                a = f"a{i}"
+                interval = Interval(i % 5, i % 5 + 1 + i % 3, upper_open=True)
+                regex, formula = present_regex(a, "b", interval), present_fott(a, "b", interval)
+                word = ("b",) + ("t",) * (i % 7) + (a,)
+                assert match_word(regex, word) == eval_fott(formula, {"x": word})
+                refs += [weakref.ref(regex), weakref.ref(formula)]
+            del regex, formula
+            alive = sum(ref() is not None for ref in refs)
+        assert alive == 0
 
 
 class TestOracles:

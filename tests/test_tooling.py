@@ -1,8 +1,9 @@
 """The benchmark's tracer wraps obscheck functions by name; these tests check
 that every name it wraps still exists, without importing the benchmark.  The
 others keep the public API free of private keyword arguments, every error
-class a `ValueError`, the modules free of each other's private names, and
-every default of the shared command-line parser immutable."""
+class a `ValueError`, the modules free of each other's private names and of
+self-naming nested functions, and every default of the shared command-line
+parser immutable."""
 
 import argparse
 import ast
@@ -117,6 +118,24 @@ def test_no_private_names_cross_modules():
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
     assert crossings == []
+
+
+def test_no_nested_function_names_itself():
+    """A nested function that loads its own name holds its own closure cell,
+    a reference cycle that keeps each call's working state, and whatever it
+    closes over, alive until the cycle collector runs; a recursive walk is a
+    module-level function that takes its state as arguments instead."""
+    found = set()
+    for path in sorted(Path(obscheck.__file__).parent.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = (n for n in ast.walk(inner) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+                    if any(n.id == inner.name for n in names):
+                        found.add(f"{path.stem}: {inner.name} in {outer.name}")
+    assert found == set()
 
 
 def test_every_parser_default_is_immutable():
