@@ -6,14 +6,18 @@ sequences), the tick step `Tick{lo,hi}` (from lo to hi Ticks, each Tick
 being `t . (-t)*`; plain `Tick` is `Tick{1,1}`), union, and the empty word
 `eps`.
 
-Besides the matcher, this module carries the brute-force oracles used to
-cross-validate the compiler: NFA x graph product reachability, with no
-mu-calculus involved.
+Each expression compiles once, on first use, to one automaton (`build_nfa`).
+The word matcher runs it as a lazily built DFA, and the brute-force oracles
+that cross-validate the formula compiler run it in an NFA x graph product,
+with no mu-calculus involved.  Independent of the automaton stay the tests'
+`naive_match`, which splits words on the expression itself; `eval_fott` on
+the trace formula (criterion 4, perfbench's `trace_sweep`); and the
+mu-calculus route (`oracle_agreement`, `random_crosscheck`'s set checks).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -28,10 +32,14 @@ class PathRegex:
     __slots__ = ()
 
     @cached_property
-    def _matcher(self):
-        # match_word's compiled form, kept on the expression so that it is
-        # freed with it.
-        return _compile_matcher(self)
+    def _compiled(self):
+        # (automaton, its accepting states as a mask, {symbol: {state set:
+        # next state set}} for the DFA steps met so far), kept on the
+        # expression so that it is compiled once and freed with it.
+        edges: list[list[tuple[LabelExpr, int]]] = [[]]
+        accepting = _nfa_ends(self, edges, {})
+        nfa = Nfa(len(edges), 0, accepting, tuple(tuple(e) for e in edges))
+        return nfa, sum(1 << q for q in accepting), defaultdict(dict)
 
 
 class Step:
@@ -163,131 +171,7 @@ def _parse_operand(cur: Cursor) -> LabelExpr:
 
 
 # ---------------------------------------------------------------------------
-# Word matching
-
-
-def _compile_matcher(regex: PathRegex):
-    """(start, accept, stars, skippable, labels, text, rows): match_word's
-    tables over the step positions of the expression's branches.
-
-    Each branch is the step list it spells, with a `Tick{lo,hi}` compiled
-    in place as hi Ticks in a row, each a `t` step and a `(-t)*` step as in
-    build_nfa; a union under a sequence is expanded into the cross product
-    of its branches with the steps after it, and `R . Tick{0,hi}` is read as
-    that union, `R \\/ R . Tick{1,hi}`.  Every step of every branch is one
-    bit, and each branch has one more bit past its end; a branch's bits run
-    up from its first step, and the branches follow one another.  `start`
-    has the first bit of each branch, closed as match_word closes its state;
-    `accept` has the bit past each end, `stars` every star step, and
-    `skippable` every star step and the `t` of every optional Tick: the
-    Ticks of a `Tick{lo,hi}` past the lo-th.
-
-    `text` spells the positions from the highest bit down, one character
-    each: "\\0" past a branch end, else `chr(1 + 2 * j)` for a one-step over
-    `labels[j]` and `chr(2 + 2 * j)` for a star over it (so at most 557,056
-    distinct labels, the `t` of optional Ticks counted apart).  A mask is
-    then one `str.translate` of it into binary digits and one `int(..., 2)`,
-    linear in the number of positions whatever the number of labels.
-    `rows`, which match_word fills in, maps each symbol met so far to the
-    masks of the one-steps and of the stars whose labels match it."""
-    labels: list[LabelExpr] = []
-    optional: list[bool] = []
-    index: dict[LabelExpr | tuple[LabelExpr, bool], int] = {}
-
-    def char_of(label: LabelExpr, star: bool = False, skip: bool = False) -> str:
-        # The `t` of an optional Tick is keyed apart from a plain `t`.
-        key = (label, skip) if skip else label
-        j = index.get(key)
-        if j is None:
-            index[key] = j = len(labels)
-            labels.append(label)
-            optional.append(skip)
-        return chr(1 + 2 * j + star)
-
-    text = "\0" + "\0".join(_branches(regex, char_of))
-    accept = int(text.translate("1" + "00" * len(labels)), 2)
-    stars = skippable = int(text.translate("0" + "01" * len(labels)), 2)
-    if any(optional):
-        skippable |= int(text.translate("0" + "".join(["11" if skip else "00" for skip in optional])), 2)
-    # A branch starts one bit above the end of the branch below it, and the
-    # lowest at bit 0; the xor drops the bit above the top branch's end.
-    start = (accept << 1 | 1) ^ (1 << len(text))
-    start |= ((start & skippable) + skippable) ^ skippable
-    return start, accept, stars, skippable, tuple(labels), text, {}
-
-
-def _branches(node: PathRegex, char_of) -> list[str]:
-    # Each branch of `node`, spelled last step first.  The union spine is
-    # walked with a stack, so its length is not bound by recursion depth.
-    out: list[str] = []
-    todo = [node]
-    tick = ""  # one Tick spelled last first, once a Tick is met
-    while todo:
-        node = todo.pop()
-        if type(node) is Union:
-            todo += (node.left, node.right)
-            continue
-        parts: list[str] = []
-        while type(node) is Seq:
-            step = node.step
-            if type(step) is not Tick:
-                parts.append(char_of(step.label, type(step) is Star))
-            elif step.lo == 0:
-                # No Tick, or from 1 to hi of them: a union under the
-                # sequence, unless hi = 0 leaves the first branch only.
-                if step.hi:
-                    node = Union(node.head, Seq(node.head, Tick(1, step.hi)))
-                    break
-            else:
-                # hi Ticks, those past the lo-th optional.
-                tick = tick or char_of(NOT_TICK, True) + char_of(TICK)
-                if step.hi > step.lo:
-                    parts.append((tick[0] + char_of(TICK, skip=True)) * (step.hi - step.lo))
-                parts.append(tick * step.lo)
-            node = node.head
-        steps = "".join(parts)
-        if type(node) is Eps:
-            out.append(steps)
-        else:  # a union under a sequence
-            out += [steps + head for head in _branches(node, char_of)]
-    return out
-
-
-def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
-    """Word membership, decided directly on the expression (no automaton).
-
-    The state is the set of branch positions that the symbols read so far
-    can lead to, kept as one int over the positions of all branches
-    (Shift-And).  Each symbol is one step, whatever the number of branches:
-    a one-step whose label matches moves its bit to the next position, a
-    star whose label matches keeps it, and a bit on a star then also spreads
-    past the run of stars it stands in, since a star may take no step.  A
-    counted step `Tick{lo,hi}` keeps one chain of hi Ticks, of which those
-    past the lo-th are optional: their `t` may take no step either, so the
-    same carry spreads bits past them (Navarro and Raffinot's optional
-    characters, "Flexible Pattern Matching in Strings", ch. 4).  The word
-    matches if the state ends with a bit past some branch's end.
-    """
-    start, accept, stars, skippable, labels, text, rows = regex._matcher
-    state = start
-    for symbol in word:
-        row = rows.get(symbol)
-        if row is None:
-            table = "0" + "".join(["11" if eval_label_expr(label, symbol) else "00" for label in labels])
-            matched = int(text.translate(table), 2)
-            row = rows[symbol] = (matched & ~stars, matched & stars)
-        state = ((state & row[0]) << 1) | (state & row[1])
-        if not state:
-            return False
-        # Adding `skippable` carries each bit on a skippable position up
-        # through the rest of its run of them and on to the position after
-        # the run; the xor leaves the bits the carry went through.
-        state |= ((state & skippable) + skippable) ^ skippable
-    return state & accept != 0
-
-
-# ---------------------------------------------------------------------------
-# NFA compilation (the independent route exercised against match_word)
+# The automaton, which match_word and the product oracles both run
 
 
 @dataclass(frozen=True)
@@ -322,47 +206,80 @@ def build_nfa(regex: PathRegex) -> Nfa:
     path into a state still reads a word of the sub-expression that made it.
     A `Tick{lo,hi}` becomes hi states in a row, each entered by `t` and
     looping on `-t`, and ends at each of them whose count is at least lo
-    (and where it started, if lo is 0).
+    (and where it started, if lo is 0).  The automaton is compiled once per
+    expression and kept on it.
     """
-    edges: list[list[tuple[LabelExpr, int]]] = [[]]
-    accepting = _nfa_ends(regex, edges, {})
-    return Nfa(len(edges), 0, accepting, tuple(tuple(e) for e in edges))
+    return regex._compiled[0]
 
 
 def _nfa_ends(node: PathRegex, edges: list[list[tuple[LabelExpr, int]]], memo: dict[int, frozenset[int]]):
-    got = memo.get(id(node))
-    if got is not None:
-        return got
-    if type(node) is Eps:
-        ends = frozenset((0,))
-    elif type(node) is Union:
-        ends = _nfa_ends(node.left, edges, memo) | _nfa_ends(node.right, edges, memo)
-    elif type(node.step) is Tick:
-        ends = _nfa_ends(node.head, edges, memo)
-        exits = set(ends) if node.step.lo == 0 else set()
-        for count in range(1, node.step.hi + 1):
-            q = len(edges)
-            edges.append([(NOT_TICK, q)])
-            for f in ends:
-                edges[f].append((TICK, q))
-            ends = (q,)
-            if count >= node.step.lo:
-                exits.add(q)
-        ends = frozenset(exits)
-    else:
-        ends = _nfa_ends(node.head, edges, memo)
-        label = node.step.label
-        q = len(edges)
-        edges.append([])
-        for f in ends:
-            edges[f].append((label, q))
-        if type(node.step) is Star:
-            edges[q].append((label, q))
-            ends = ends | {q}
+    # The states that end `node`.  The left spine (sequence heads and union
+    # left operands) is walked in a loop, then compiled from the bottom up;
+    # only a union's right operand recurses, and the parser puts none there.
+    spine = []
+    while (ends := memo.get(id(node))) is None:
+        if type(node) is Eps:
+            ends = frozenset((0,))
+            break
+        spine.append(node)
+        node = node.left if type(node) is Union else node.head
+    for node in reversed(spine):
+        if type(node) is Union:
+            ends = ends | _nfa_ends(node.right, edges, memo)
+        elif type(node.step) is Tick:
+            exits = set(ends) if node.step.lo == 0 else set()
+            for count in range(1, node.step.hi + 1):
+                q = len(edges)
+                edges.append([(NOT_TICK, q)])
+                for f in ends:
+                    edges[f].append((TICK, q))
+                ends = (q,)
+                if count >= node.step.lo:
+                    exits.add(q)
+            ends = frozenset(exits)
         else:
-            ends = frozenset((q,))
-    memo[id(node)] = ends
+            label = node.step.label
+            q = len(edges)
+            edges.append([])
+            for f in ends:
+                edges[f].append((label, q))
+            if type(node.step) is Star:
+                edges[q].append((label, q))
+                ends = ends | {q}
+            else:
+                ends = frozenset((q,))
+        memo[id(node)] = ends
     return ends
+
+
+def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
+    """Word membership, decided by running the expression's automaton.
+
+    The state is the set of automaton states the symbols read so far lead
+    to, one int with a bit per state (Thompson, "Regular expression search
+    algorithm", 1968).  Each step from a set on a symbol is worked out from
+    the edges once and kept on the expression: a subset construction (Rabin
+    and Scott, 1959) built only as far as the words need, with at most one
+    entry per set met and symbol, and freed with the expression.
+    """
+    nfa, accepting, steps = regex._compiled
+    state = 1 << nfa.initial
+    for symbol in word:
+        row = steps[symbol]
+        nxt = row.get(state)
+        if nxt is None:
+            nxt, bits = 0, state
+            while bits:
+                low = bits & -bits
+                for label, q in nfa.edges[low.bit_length() - 1]:
+                    if eval_label_expr(label, symbol):
+                        nxt |= 1 << q
+                bits ^= low
+            row[state] = nxt
+        if not nxt:
+            return False
+        state = nxt
+    return state & accepting != 0
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,21 @@ class TestOracle:
         assert code == 0
         assert capsys.readouterr().out == "end: 2 3 4 5\nvisited: 0 1 2 3 4 5\n"
 
+    @pytest.mark.parametrize(
+        "regex, end",
+        [
+            (" \\/ ".join(f"a{i}" for i in range(3000)), "1"),
+            (" . ".join(["a"] * 5000), "0"),
+        ],
+        ids=["3000-way union", "5000-step sequence"],
+    )
+    def test_long_regex_is_compiled_without_recursion(self, tmp_path, capsys, regex, end):
+        """Neither length is bound by recursion depth in the automaton."""
+        graph = tmp_path / "g.aut"
+        graph.write_text('des (0, 3, 2)\n(0, "a", 1)\n(1, "a", 0)\n(0, "a2999", 1)\n')
+        assert main(["oracle", "--graph", str(graph), "--regex", regex]) == 0
+        assert capsys.readouterr().out == f"end: {end}\nvisited: 0 1\n"
+
     def test_runs_one_product(self, capsys, monkeypatch):
         calls = []
         product = pathregex._product_bits

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -231,6 +232,34 @@ class TestMatchWord:
         assert alive == 0
 
 
+class TestOneAutomaton:
+    """match_word runs build_nfa's automaton, compiled once per expression."""
+
+    @pytest.mark.parametrize("k", [8, 16, 32, 64])
+    def test_optional_ticks_stay_one_chain(self, k):
+        regex = seq_of([One(Atom("a")), *[Tick(0, 1)] * k, One(Atom("a"))])
+        assert build_nfa(regex).num_states == k + 3
+        for j in (0, k, k + 1):
+            assert match_word(regex, ("a",) + ("t",) * j + ("a",)) is (j <= k), j
+
+    def test_a_second_sweep_retains_nothing(self):
+        """Each step a sweep takes is kept on the expression the first time
+        it is taken, so the same words read again add nothing."""
+        regex = pres45()
+        words = [w for length in range(7) for w in itertools.product(ALPHABET, repeat=length)]
+        for w in words:
+            match_word(regex, w)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for w in words:
+                match_word(regex, w)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained == 0
+
+
 class TestOracles:
     def test_eps_reaches_only_initial(self):
         g = chain_lts("a", "t")
@@ -365,5 +394,6 @@ words = st.lists(st.sampled_from(ALPHABET), max_size=7).map(tuple)
 @settings(max_examples=200, deadline=None)
 @given(regexes, st.lists(words, min_size=1, max_size=8))
 def test_match_word_agrees_with_naive_backtracking(regex, sample):
+    nfa = build_nfa(regex)
     for word in sample:
-        assert match_word(regex, word) == naive_match(regex, word), word
+        assert match_word(regex, word) == nfa.accepts(word) == naive_match(regex, word), word

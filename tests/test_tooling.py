@@ -2,8 +2,8 @@
 that every name it wraps still exists, without importing the benchmark.  The
 others keep the public API free of private keyword arguments, every error
 class a `ValueError`, the modules free of each other's private names and of
-self-naming nested functions, and every default of the shared command-line
-parser immutable."""
+self-naming nested functions, `pathregex` with one reader of a tick step's
+counts, and every default of the shared command-line parser immutable."""
 
 import argparse
 import ast
@@ -251,6 +251,22 @@ def test_one_tick_label_and_one_tick_step():
                 found.append(f"{path.stem}: {lines[node.lineno - 1].strip()}")
     assert found == ['lts: TICK_LABEL = "t"']
     assert _concrete_subclasses(pathregex.Step) == {pathregex.One, pathregex.Star, pathregex.Tick}
+
+
+def test_one_reader_of_the_tick_counts_in_pathregex():
+    """A path expression turns into states in one place: inside `pathregex`,
+    only the automaton compiler reads a `Tick`'s counts, and only the node
+    itself checks them."""
+    tree = ast.parse((Path(obscheck.__file__).parent / "pathregex.py").read_text())
+    found = set()
+    for top in tree.body:
+        functions = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
+        if isinstance(top, ast.ClassDef):
+            functions = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
+        for name, function in functions or [("<module>", top)]:
+            if any(isinstance(n, ast.Attribute) and n.attr in ("lo", "hi") for n in ast.walk(function)):
+                found.add(name)
+    assert found == {"_nfa_ends", "Tick.__post_init__"}
 
 
 def test_the_tick_count_rule_is_written_once():
