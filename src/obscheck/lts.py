@@ -126,6 +126,11 @@ def format_label_expr(expr: LabelExpr) -> str:
     return _fmt(expr, 0)
 
 
+def format_label_operand(expr: LabelExpr) -> str:
+    """Print an expression as one operand, the form parse_label_operand_at reads."""
+    return _fmt(expr, 4)
+
+
 _LEVEL = {Or: 1, And: 2, Not: 3, Atom: 4, Top: 4}
 
 
@@ -218,24 +223,20 @@ class StateSet:
         if self.width != other.width:
             raise ValueError("state sets belong to different graphs")
 
-    def union(self, other: "StateSet") -> "StateSet":
+    def __or__(self, other: "StateSet") -> "StateSet":
         self._check(other)
         return StateSet(self.width, self.bits | other.bits)
 
-    def intersect(self, other: "StateSet") -> "StateSet":
+    def __and__(self, other: "StateSet") -> "StateSet":
         self._check(other)
         return StateSet(self.width, self.bits & other.bits)
 
-    def difference(self, other: "StateSet") -> "StateSet":
+    def __sub__(self, other: "StateSet") -> "StateSet":
         self._check(other)
         return StateSet(self.width, self.bits & ~other.bits)
 
     def complement(self) -> "StateSet":
         return StateSet(self.width, self.bits ^ ((1 << self.width) - 1))
-
-    __or__ = union
-    __and__ = intersect
-    __sub__ = difference
 
     def __contains__(self, state: int) -> bool:
         return 0 <= state < self.width and (self.bits >> state) & 1 == 1

@@ -31,8 +31,8 @@ from .lts import (
     LabelExpr,
     Lts,
     StateSet,
-    Top,
     format_label_expr,
+    format_label_operand,
     parse_label_expr_at,
     parse_label_operand_at,
 )
@@ -296,10 +296,10 @@ def _print(f: MuFormula, need: int) -> str:
         out, level = f"{_print_postfix_left(f.arg)} o Tick{count}", 5
     elif t is BwdDiamond:
         # A bare label named Tick after `o` would read back as a tick step.
-        label = "(Tick)" if f.label == Atom("Tick") else _operand(f.label)
+        label = "(Tick)" if f.label == Atom("Tick") else format_label_operand(f.label)
         out, level = f"{_print_postfix_left(f.arg)} o {label}", 5
     elif t is SuffixStar:
-        out, level = f"{_print_postfix_left(f.arg)} * {_operand(f.label)}", 5
+        out, level = f"{_print_postfix_left(f.arg)} * {format_label_operand(f.label)}", 5
     else:
         raise TypeError(f"not a formula: {f!r}")
     if level < need:
@@ -314,14 +314,6 @@ def _print_postfix_left(f: MuFormula) -> str:
     if type(f) is FwdDiamond:
         return "(" + text + ")"
     return text
-
-
-def _operand(label: LabelExpr) -> str:
-    if type(label) is Atom:
-        return label.name
-    if type(label) is Top:
-        return "T"
-    return "(" + format_label_expr(label) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Compilation of regular path expressions into mu-calculus formulas.
 
-Two encodings are produced by one recursion, memoized per expression node,
-so shared prefixes become shared subterms, which the evaluator memoizes:
-cost is linear in the expression's distinct nodes, not in the total length
-of its branches:
+Two encodings are produced by one recursion over the expression tree, which
+hands each node's end formula to both: end(R) is one object under both
+formulas, so the evaluator computes it once:
 
     end(eps)                = `0
     end(R . A)              = end(R) o A
@@ -32,7 +31,7 @@ the checker.
 
 from __future__ import annotations
 
-from .lts import Atom, LabelExpr
+from .lts import Atom, LabelExpr, Top
 from .lts import Not as LabelNot
 from .mucalc import (
     INIT,
@@ -48,22 +47,18 @@ from .mucalc import (
     SuffixTicks,
     Var,
 )
-from .lts import Top
 from .pathregex import Eps, One, PathRegex, Seq, Star, Tick, Union
 
 
-def _compile(regex: PathRegex, memo: dict[int, tuple[MuFormula, MuFormula]]):
-    got = memo.get(id(regex))
-    if got is not None:
-        return got
+def _compile(regex: PathRegex) -> tuple[MuFormula, MuFormula]:
     if type(regex) is Eps:
-        pair = (INIT, INIT)
-    elif type(regex) is Union:
-        e1, v1 = _compile(regex.left, memo)
-        e2, v2 = _compile(regex.right, memo)
-        pair = (Or(e1, e2), Or(v1, v2))
-    elif type(regex) is Seq:
-        e0, v0 = _compile(regex.head, memo)
+        return INIT, INIT
+    if type(regex) is Union:
+        e1, v1 = _compile(regex.left)
+        e2, v2 = _compile(regex.right)
+        return Or(e1, e2), Or(v1, v2)
+    if type(regex) is Seq:
+        e0, v0 = _compile(regex.head)
         step = regex.step
         if type(step) is One:
             end = BwdDiamond(e0, step.label)
@@ -79,26 +74,23 @@ def _compile(regex: PathRegex, memo: dict[int, tuple[MuFormula, MuFormula]]):
             # must come first: its tick loop leaves the window from 0, which
             # eval_all then reuses instead of imaging the chain again.
             reached = Or(end, SuffixTicks(e0, 0, step.hi))
-        pair = (end, Or(v0, reached))
-    else:
-        raise TypeError(f"not a path expression: {regex!r}")
-    memo[id(regex)] = pair
-    return pair
+        return end, Or(v0, reached)
+    raise TypeError(f"not a path expression: {regex!r}")
 
 
 def compile_end(regex: PathRegex) -> MuFormula:
     """Formula matching the states reached at the end of a matching word."""
-    return _compile(regex, {})[0]
+    return _compile(regex)[0]
 
 
 def compile_visited(regex: PathRegex) -> MuFormula:
     """Formula matching every state visited while firing a matching word."""
-    return _compile(regex, {})[1]
+    return _compile(regex)[1]
 
 
 def compile_both(regex: PathRegex) -> tuple[MuFormula, MuFormula]:
     """(end, visited) built in one pass, sharing subterms between the two."""
-    return _compile(regex, {})
+    return _compile(regex)
 
 
 def error_condition(err_label: str) -> MuFormula:

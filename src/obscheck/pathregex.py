@@ -33,13 +33,12 @@ class PathRegex:
 
     @cached_property
     def _compiled(self):
-        # (automaton, its accepting states as a mask, {symbol: {state set:
-        # next state set}} for the DFA steps met so far), kept on the
-        # expression so that it is compiled once and freed with it.
+        # (automaton, {symbol: {state set: next state set}} for the DFA
+        # steps met so far), kept on the expression so that it is compiled
+        # once and freed with it.
         edges: list[list[tuple[LabelExpr, int]]] = [[]]
-        accepting = _nfa_ends(self, edges, {})
-        nfa = Nfa(len(edges), 0, accepting, tuple(tuple(e) for e in edges))
-        return nfa, sum(1 << q for q in accepting), defaultdict(dict)
+        accepting = sum(1 << q for q in _nfa_ends(self, edges))
+        return Nfa(len(edges), accepting, tuple(map(tuple, edges))), defaultdict(dict)
 
 
 class Step:
@@ -176,15 +175,19 @@ def _parse_operand(cur: Cursor) -> LabelExpr:
 
 @dataclass(frozen=True)
 class Nfa:
-    """Nondeterministic automaton whose edges carry label expressions."""
+    """Nondeterministic automaton whose edges carry label expressions.
+
+    State 0 is the start.  `accepting` is a mask: bit q is set iff state q
+    accepts.  `accepts` runs the automaton as a plain set simulation, the
+    reference that `match_word`'s DFA memo is checked against.
+    """
 
     num_states: int
-    initial: int
-    accepting: frozenset[int]
+    accepting: int
     edges: tuple[tuple[tuple[LabelExpr, int], ...], ...]
 
     def accepts(self, word: Sequence[str]) -> bool:
-        current = {self.initial}
+        current = {0}
         for symbol in word:
             nxt = set()
             for q in current:
@@ -194,16 +197,15 @@ class Nfa:
             if not nxt:
                 return False
             current = nxt
-        return bool(current & self.accepting)
+        return any(self.accepting >> q & 1 for q in current)
 
 
 def build_nfa(regex: PathRegex) -> Nfa:
     """Compile to an automaton accepting exactly the word language.
 
     All branches share the single initial state 0; the restricted grammar
-    needs no epsilon edges.  Each sub-expression object is compiled once, so
-    the automaton is as large as the expression's DAG, not its tree; every
-    path into a state still reads a word of the sub-expression that made it.
+    needs no epsilon edges.  Every path into a state reads a word of the
+    sub-expression that made it.
     A `Tick{lo,hi}` becomes hi states in a row, each entered by `t` and
     looping on `-t`, and ends at each of them whose count is at least lo
     (and where it started, if lo is 0).  The automaton is compiled once per
@@ -212,20 +214,18 @@ def build_nfa(regex: PathRegex) -> Nfa:
     return regex._compiled[0]
 
 
-def _nfa_ends(node: PathRegex, edges: list[list[tuple[LabelExpr, int]]], memo: dict[int, frozenset[int]]):
+def _nfa_ends(node: PathRegex, edges: list[list[tuple[LabelExpr, int]]]) -> frozenset[int]:
     # The states that end `node`.  The left spine (sequence heads and union
     # left operands) is walked in a loop, then compiled from the bottom up;
     # only a union's right operand recurses, and the parser puts none there.
     spine = []
-    while (ends := memo.get(id(node))) is None:
-        if type(node) is Eps:
-            ends = frozenset((0,))
-            break
+    while type(node) is not Eps:
         spine.append(node)
         node = node.left if type(node) is Union else node.head
+    ends = frozenset((0,))
     for node in reversed(spine):
         if type(node) is Union:
-            ends = ends | _nfa_ends(node.right, edges, memo)
+            ends = ends | _nfa_ends(node.right, edges)
         elif type(node.step) is Tick:
             exits = set(ends) if node.step.lo == 0 else set()
             for count in range(1, node.step.hi + 1):
@@ -248,7 +248,6 @@ def _nfa_ends(node: PathRegex, edges: list[list[tuple[LabelExpr, int]]], memo: d
                 ends = ends | {q}
             else:
                 ends = frozenset((q,))
-        memo[id(node)] = ends
     return ends
 
 
@@ -262,8 +261,8 @@ def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
     and Scott, 1959) built only as far as the words need, with at most one
     entry per set met and symbol, and freed with the expression.
     """
-    nfa, accepting, steps = regex._compiled
-    state = 1 << nfa.initial
+    nfa, steps = regex._compiled
+    state = 1
     for symbol in word:
         row = steps[symbol]
         nxt = row.get(state)
@@ -279,7 +278,7 @@ def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
         if not nxt:
             return False
         state = nxt
-    return state & accepting != 0
+    return state & nfa.accepting != 0
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +288,11 @@ def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
 def _product_bits(g: Lts, nfa: Nfa) -> tuple[int, int]:
     """(end, visited) bit sets of the NFA x graph product: the graph states of
     the reached pairs whose NFA state accepts, and those of all reached pairs."""
-    n = nfa.num_states
-    start = g.initial * n + nfa.initial  # the pair (s, q) is kept as s * n + q
+    n, accepting = nfa.num_states, nfa.accepting
+    start = g.initial * n  # the pair (s, q) is kept as s * n + q
     seen = {start}
     queue = deque((start,))
-    end = 1 << g.initial if nfa.initial in nfa.accepting else 0
+    end = 1 << g.initial if accepting & 1 else 0
     visited = 1 << g.initial
     while queue:
         s, q = divmod(queue.popleft(), n)
@@ -306,7 +305,7 @@ def _product_bits(g: Lts, nfa: Nfa) -> tuple[int, int]:
                         seen.add(pair)
                         queue.append(pair)
                         visited |= 1 << dst
-                        if q2 in nfa.accepting:
+                        if accepting >> q2 & 1:
                             end |= 1 << dst
     return end, visited
 

@@ -181,8 +181,9 @@ class TestOracleEquivalence:
 
 
 def shared_regex(rng: random.Random):
-    """Random regex whose branches extend one chain object, as present_regex
-    builds them; half of the chains start with a union under a sequence."""
+    """Random regex whose branches extend one chain object, so that one node
+    sits in several branches; half of the chains start with a union under a
+    sequence."""
     steps = lambda k: [random_step(rng) for _ in range(rng.randint(0, k))]
     chain = seq_of(steps(3))
     if rng.random() < 0.5:

@@ -242,6 +242,14 @@ class TestOneAutomaton:
         for j in (0, k, k + 1):
             assert match_word(regex, ("a",) + ("t",) * j + ("a",)) is (j <= k), j
 
+    @pytest.mark.parametrize("n", [250, 500, 1000, 2000])
+    def test_wide_union_gives_one_state_per_branch(self, n):
+        regex = parse_regex(" \\/ ".join(f"a{i}" for i in range(n)))
+        nfa = build_nfa(regex)
+        assert nfa.num_states == n + 1
+        assert nfa.accepting.bit_count() == n and not nfa.accepting & 1
+        assert match_word(regex, (f"a{n - 1}",)) and not match_word(regex, ("b",))
+
     def test_a_second_sweep_retains_nothing(self):
         """Each step a sweep takes is kept on the expression the first time
         it is taken, so the same words read again add nothing."""

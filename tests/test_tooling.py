@@ -3,7 +3,7 @@ that every name it wraps still exists, without importing the benchmark.  The
 others keep the public API free of private keyword arguments, every error
 class a `ValueError`, the modules free of each other's private names and of
 self-naming nested functions, `pathregex` with one reader of a tick step's
-counts, and every default of the shared command-line parser immutable."""
+counts, path expressions compiled as trees, and every default of the shared command-line parser immutable."""
 
 import argparse
 import ast
@@ -267,6 +267,20 @@ def test_one_reader_of_the_tick_counts_in_pathregex():
             if any(isinstance(n, ast.Attribute) and n.attr in ("lo", "hi") for n in ast.walk(function)):
                 found.add(name)
     assert found == {"_nfa_ends", "Tick.__post_init__"}
+
+
+def test_path_expressions_are_compiled_as_trees():
+    """Neither compiler of path expressions keys a memo on object identity:
+    each expression is a tree, compiled node by node."""
+    found = []
+    for name in ("pathregex", "mucompile"):
+        tree = ast.parse((Path(obscheck.__file__).parent / f"{name}.py").read_text())
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+        ]
+    assert found == []
 
 
 def test_the_tick_count_rule_is_written_once():
