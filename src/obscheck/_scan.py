@@ -1,9 +1,87 @@
-"""Shared tokenizer for the small expression languages (labels, path regexes, formulas)."""
+"""Shared tokenizer for the small expression languages (labels, path regexes,
+formulas), and the base class of their syntax-tree nodes and of the records."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
+
+# Stores a field of a read-only node: the nodes' `__init__`s and the hash
+# cache write through it.
+_set = object.__setattr__
+
+
+class Node:
+    """Base of the immutable syntax-tree nodes and records.
+
+    A subclass names its fields once, as `__slots__ = _fields = (...)`, and
+    stores each in its `__init__` with `_set`.  Nodes compare equal when they
+    are of the same class with equal fields, and print as `Atom(name='a')`.
+    The hash is computed on first use and kept in `_hash`.  `==` and the
+    hash walk the tree with an explicit stack, so depth does not limit them.
+    `checker`'s `Verdict` and `Report` put back a plain `__setattr__`, and
+    drop the hash, to stay mutable.
+    """
+
+    __slots__ = ("_hash", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        if cls._fields:
+            cls._values = attrgetter("__class__", *cls._fields)
+
+    @staticmethod
+    def _values(node) -> tuple:
+        """The node's class and field values; one C call for a class with fields."""
+        return (type(node),)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = []
+        a, b = self, other
+        while True:
+            for name in a._fields:
+                x, y = getattr(a, name), getattr(b, name)
+                if x is y:
+                    continue
+                if isinstance(x, Node) and type(y) is type(x):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+            if not todo:
+                return True
+            a, b = todo.pop()
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            # The classes and plain values of the tree in a fixed order, which
+            # tell trees apart since each class has a fixed number of fields.
+            flat = []
+            todo = [self]
+            while todo:
+                node = todo.pop()
+                for v in node._values(node):
+                    if isinstance(v, Node):
+                        todo.append(v)
+                    else:
+                        flat.append(v)
+            h = hash(tuple(flat))
+            _set(self, "_hash", h)
+        return h
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class ParseError(ValueError):
@@ -16,11 +94,13 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "init", "count", "eof", or the punctuation text itself
-    text: str
-    pos: int
+class Token(Node):
+    __slots__ = _fields = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        _set(self, "kind", kind)  # "ident", "init", "count", "eof", or the punctuation text itself
+        _set(self, "text", text)
+        _set(self, "pos", pos)
 
 
 _TOKEN_RE = re.compile(

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
 
+from ._scan import Node
 from .lts import TICK, TICK_LABEL, LabelExpr, Lts, StateSet, Or as LabelOr, Not as LabelNot
 from .lts import eval_label_expr, format_label_expr
 from .mucalc import eval_all, eval_mu
@@ -29,13 +29,27 @@ from .pathregex import PathRegex, oracle_states, oracle_visited_states
 from .timednet import TimedNet, explore
 
 
-@dataclass
-class Verdict:
-    name: str
-    holds: bool
-    witness_state: int | None = None
-    witness_trace: list[str] | None = None
-    lasso_split: int | None = None
+class Verdict(Node):
+    """A named verdict with its witness; unlike the nodes, it can be changed."""
+
+    __slots__ = _fields = ("name", "holds", "witness_state", "witness_trace", "lasso_split")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        name: str,
+        holds: bool,
+        witness_state: int | None = None,
+        witness_trace: list[str] | None = None,
+        lasso_split: int | None = None,
+    ):
+        self.name = name
+        self.holds = holds
+        self.witness_state = witness_state
+        self.witness_trace = witness_trace
+        self.lasso_split = lasso_split
 
     def to_dict(self) -> dict:
         return {
@@ -51,10 +65,17 @@ class Verdict:
 INFORMATIONAL = frozenset({"naive_complement_in_errors"})
 
 
-@dataclass
-class Report:
-    verdicts: list[Verdict] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+class Report(Node):
+    """Verdicts in order, with the time each check took; it can be changed."""
+
+    __slots__ = _fields = ("verdicts", "timings")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, verdicts: list[Verdict] | None = None, timings: dict[str, float] | None = None):
+        self.verdicts = [] if verdicts is None else verdicts
+        self.timings = {} if timings is None else timings
 
     def verdict(self, name: str) -> Verdict:
         for v in self.verdicts:

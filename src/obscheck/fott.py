@@ -26,12 +26,12 @@ of the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Mapping, Sequence
 
+from ._scan import Node, _set
 from .lts import NOT_TICK, TICK_LABEL, Atom, Interval, Top
 from .lts import Not as LabelNot
 from .pathregex import EPS, One, PathRegex, Seq, Star, Tick, Union, Word, seq_of
@@ -55,8 +55,8 @@ def interval_ticks(interval: Interval) -> tuple[int, int | None]:
 # Formula AST
 
 
-class FottFormula:
-    __slots__ = ()
+class FottFormula(Node):
+    __slots__ = ("__dict__",)  # holds _plans
 
     @cached_property
     def _plans(self) -> dict:
@@ -65,40 +65,52 @@ class FottFormula:
         return {}
 
 
-@dataclass(frozen=True)
 class And(FottFormula):
-    left: FottFormula
-    right: FottFormula
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: FottFormula, right: FottFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Not(FottFormula):
-    arg: FottFormula
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: FottFormula):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Exists(FottFormula):
-    var: str
-    body: FottFormula
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var: str, body: FottFormula):
+        _set(self, "var", var)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class EqLit(FottFormula):
-    var: str
-    word: Word
+    __slots__ = _fields = ("var", "word")
+
+    def __init__(self, var: str, word: Word):
+        _set(self, "var", var)
+        _set(self, "word", word)
 
 
-@dataclass(frozen=True)
 class EqCat(FottFormula):
-    whole: str
-    prefix: str
-    suffix: str
+    __slots__ = _fields = ("whole", "prefix", "suffix")
+
+    def __init__(self, whole: str, prefix: str, suffix: str):
+        _set(self, "whole", whole)
+        _set(self, "prefix", prefix)
+        _set(self, "suffix", suffix)
 
 
-@dataclass(frozen=True)
 class DurIn(FottFormula):
-    var: str
-    interval: Interval
+    __slots__ = _fields = ("var", "interval")
+
+    def __init__(self, var: str, interval: Interval):
+        _set(self, "var", var)
+        _set(self, "interval", interval)
 
 
 def and_chain(items: Sequence[FottFormula]) -> FottFormula:

@@ -9,10 +9,9 @@ for the tick of the logical clock while `z` marks silent internal steps.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
-from ._scan import Cursor, ParseError, tokenize
+from ._scan import Cursor, Node, ParseError, _set, tokenize
 
 TICK_LABEL = "t"
 
@@ -25,37 +24,44 @@ RESERVED_LABEL = "T"
 # Label expressions
 
 
-class LabelExpr:
+class LabelExpr(Node):
     """Boolean expression denoting a set of transition labels."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(LabelExpr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Top(LabelExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Not(LabelExpr):
-    arg: LabelExpr
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: LabelExpr):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class And(LabelExpr):
-    left: LabelExpr
-    right: LabelExpr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: LabelExpr, right: LabelExpr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Or(LabelExpr):
-    left: LabelExpr
-    right: LabelExpr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: LabelExpr, right: LabelExpr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 TOP = Top()
@@ -155,24 +161,24 @@ def _fmt(expr: LabelExpr, need: int) -> str:
 # Tick windows
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Node):
     """Integer interval with open/closed ends; upper=None means unbounded.
 
     Its bounds count ticks: clock values in a network, durations in a
     trace formula.
     """
 
-    lower: int
-    upper: int | None
-    lower_open: bool = False
-    upper_open: bool = False
+    __slots__ = _fields = ("lower", "upper", "lower_open", "upper_open")
 
-    def __post_init__(self):
-        if self.lower < 0:
+    def __init__(self, lower: int, upper: int | None, lower_open: bool = False, upper_open: bool = False):
+        if lower < 0:
             raise ValueError("durations are counts of ticks; negative bound")
-        if self.upper is not None and self.upper < 0:
+        if upper is not None and upper < 0:
             raise ValueError("negative upper bound")
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "lower_open", lower_open)
+        _set(self, "upper_open", upper_open)
 
     def contains(self, k: int) -> bool:
         ticks = self.integer_range()
@@ -199,16 +205,16 @@ class Interval:
 # State sets
 
 
-@dataclass(frozen=True)
-class StateSet:
+class StateSet(Node):
     """Subset of the states of one graph, as a fixed-width bit vector."""
 
-    width: int
-    bits: int = 0
+    __slots__ = _fields = ("width", "bits")
 
-    def __post_init__(self):
-        if self.bits >> self.width:
+    def __init__(self, width: int, bits: int = 0):
+        if bits >> width:
             raise ValueError("bit vector wider than the graph it belongs to")
+        _set(self, "width", width)
+        _set(self, "bits", bits)
 
     @classmethod
     def of(cls, width: int, states: Iterable[int]) -> "StateSet":

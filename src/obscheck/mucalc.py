@@ -21,9 +21,7 @@ count's set once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._scan import Cursor, ParseError, tick_count_error, tokenize
+from ._scan import Cursor, Node, ParseError, _set, tick_count_error, tokenize
 from .lts import (
     NOT_TICK,
     TICK,
@@ -42,96 +40,116 @@ class EvalError(ValueError):
     """Formula rejected by the evaluator (unbound variable, non-monotone binder)."""
 
 
-class MuFormula:
+class MuFormula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TrueConst(MuFormula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class InitConst(MuFormula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(MuFormula):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Not(MuFormula):
-    arg: MuFormula
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: MuFormula):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class And(MuFormula):
-    left: MuFormula
-    right: MuFormula
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: MuFormula, right: MuFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Or(MuFormula):
-    left: MuFormula
-    right: MuFormula
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: MuFormula, right: MuFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Implies(MuFormula):
-    left: MuFormula
-    right: MuFormula
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: MuFormula, right: MuFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Iff(MuFormula):
-    left: MuFormula
-    right: MuFormula
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: MuFormula, right: MuFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class FwdDiamond(MuFormula):
-    label: LabelExpr
-    arg: MuFormula
+    __slots__ = _fields = ("label", "arg")
+
+    def __init__(self, label: LabelExpr, arg: MuFormula):
+        _set(self, "label", label)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class BwdDiamond(MuFormula):
-    arg: MuFormula
-    label: LabelExpr
+    __slots__ = _fields = ("arg", "label")
+
+    def __init__(self, arg: MuFormula, label: LabelExpr):
+        _set(self, "arg", arg)
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
 class Min(MuFormula):
-    var: str
-    body: MuFormula
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var: str, body: MuFormula):
+        _set(self, "var", var)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Max(MuFormula):
-    var: str
-    body: MuFormula
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var: str, body: MuFormula):
+        _set(self, "var", var)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class SuffixStar(MuFormula):
-    arg: MuFormula
-    label: LabelExpr
+    __slots__ = _fields = ("arg", "label")
+
+    def __init__(self, arg: MuFormula, label: LabelExpr):
+        _set(self, "arg", arg)
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
 class SuffixTicks(MuFormula):
     """`f o Tick{lo,hi}`: the states `f o Tick` applied k times reaches, for
     any k from lo to hi."""
 
-    arg: MuFormula
-    lo: int
-    hi: int
+    __slots__ = _fields = ("arg", "lo", "hi")
 
-    def __post_init__(self):
-        if error := tick_count_error(self.lo, self.hi):
+    def __init__(self, arg: MuFormula, lo: int, hi: int):
+        if error := tick_count_error(lo, hi):
             raise ValueError(error)
+        _set(self, "arg", arg)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
 
 TRUE = TrueConst()
@@ -534,10 +552,12 @@ def _ev(node: MuFormula, scope: dict[str, int], run: tuple) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class TautologyResult:
-    holds: bool
-    witness: int | None = None
+class TautologyResult(Node):
+    __slots__ = _fields = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: int | None = None):
+        _set(self, "holds", holds)
+        _set(self, "witness", witness)
 
 
 def is_tautology(g: Lts, f: MuFormula) -> TautologyResult:

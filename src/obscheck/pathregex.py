@@ -18,18 +18,17 @@ mu-calculus route (`oracle_agreement`, `random_crosscheck`'s set checks).
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
-from ._scan import Cursor, ParseError, tick_count_error, tokenize
+from ._scan import Cursor, Node, ParseError, _set, tick_count_error, tokenize
 from .lts import NOT_TICK, TICK, LabelExpr, Lts, StateSet, eval_label_expr, parse_label_operand_at
 
 Word = tuple[str, ...]
 
 
-class PathRegex:
-    __slots__ = ()
+class PathRegex(Node):
+    __slots__ = ("__dict__",)  # holds _compiled
 
     @cached_property
     def _compiled(self):
@@ -41,48 +40,55 @@ class PathRegex:
         return Nfa(len(edges), accepting, tuple(map(tuple, edges))), defaultdict(dict)
 
 
-class Step:
+class Step(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Eps(PathRegex):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Seq(PathRegex):
-    head: PathRegex
-    step: Step
+    __slots__ = _fields = ("head", "step")
+
+    def __init__(self, head: PathRegex, step: Step):
+        _set(self, "head", head)
+        _set(self, "step", step)
 
 
-@dataclass(frozen=True)
 class Union(PathRegex):
-    left: PathRegex
-    right: PathRegex
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: PathRegex, right: PathRegex):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class One(Step):
-    label: LabelExpr
+    __slots__ = _fields = ("label",)
+
+    def __init__(self, label: LabelExpr):
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
 class Star(Step):
-    label: LabelExpr
+    __slots__ = _fields = ("label",)
+
+    def __init__(self, label: LabelExpr):
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
 class Tick(Step):
     """`Tick{lo,hi}`: any number of Ticks from lo to hi, both included;
     plain `Tick` is `Tick{1,1}`."""
 
-    lo: int = 1
-    hi: int = 1
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if error := tick_count_error(self.lo, self.hi):
+    def __init__(self, lo: int = 1, hi: int = 1):
+        if error := tick_count_error(lo, hi):
             raise ValueError(error)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
 
 EPS = Eps()
@@ -173,8 +179,7 @@ def _parse_operand(cur: Cursor) -> LabelExpr:
 # The automaton, which match_word and the product oracles both run
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Node):
     """Nondeterministic automaton whose edges carry label expressions.
 
     State 0 is the start.  `accepting` is a mask: bit q is set iff state q
@@ -182,9 +187,12 @@ class Nfa:
     reference that `match_word`'s DFA memo is checked against.
     """
 
-    num_states: int
-    accepting: int
-    edges: tuple[tuple[tuple[LabelExpr, int], ...], ...]
+    __slots__ = _fields = ("num_states", "accepting", "edges")
+
+    def __init__(self, num_states: int, accepting: int, edges: tuple[tuple[tuple[LabelExpr, int], ...], ...]):
+        _set(self, "num_states", num_states)
+        _set(self, "accepting", accepting)
+        _set(self, "edges", edges)
 
     def accepts(self, word: Sequence[str]) -> bool:
         current = {0}

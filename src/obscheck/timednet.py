@@ -49,9 +49,9 @@ import operator
 import re
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
+from ._scan import Node, _set
 from .lts import RESERVED_LABEL, TICK_LABEL, Interval, Lts
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -86,69 +86,93 @@ def _clock_range(window: Interval) -> tuple[int, int]:
     return lo, _UNBOUNDED if hi is None else hi
 
 
-@dataclass(frozen=True)
-class Cmp:
-    var: str
-    op: str  # a key of _CMP_OPS
-    value: int
+class Cmp(Node):
+    __slots__ = _fields = ("var", "op", "value")
+
+    def __init__(self, var: str, op: str, value: int):
+        _set(self, "var", var)
+        _set(self, "op", op)  # a key of _CMP_OPS
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Event:
-    guard: tuple[Cmp, ...] = ()
-    assigns: tuple[tuple[str, int], ...] = ()
-    urgent: bool = False
-    keepclock: bool = False
+class Event(Node):
+    __slots__ = _fields = ("guard", "assigns", "urgent", "keepclock")
+
+    def __init__(
+        self,
+        guard: tuple[Cmp, ...] = (),
+        assigns: tuple[tuple[str, int], ...] = (),
+        urgent: bool = False,
+        keepclock: bool = False,
+    ):
+        _set(self, "guard", guard)
+        _set(self, "assigns", assigns)
+        _set(self, "urgent", urgent)
+        _set(self, "keepclock", keepclock)
 
 
-@dataclass(frozen=True)
-class Elapse:
-    window: Interval
-    urgent: bool = False
+class Elapse(Node):
+    __slots__ = _fields = ("window", "urgent")
+
+    def __init__(self, window: Interval, urgent: bool = False):
+        _set(self, "window", window)
+        _set(self, "urgent", urgent)
 
 
-@dataclass(frozen=True)
-class Reaction:
-    event: str
-    window: Interval = Interval(0, None)
+class Reaction(Node):
+    __slots__ = _fields = ("event", "window")
+
+    def __init__(self, event: str, window: Interval = Interval(0, None)):
+        _set(self, "event", event)
+        _set(self, "window", window)
 
 
-@dataclass(frozen=True)
-class Transition:
-    source: str
-    target: str
-    label: str
-    kind: Event | Elapse | Reaction
+class Transition(Node):
+    __slots__ = _fields = ("source", "target", "label", "kind")
+
+    def __init__(self, source: str, target: str, label: str, kind: Event | Elapse | Reaction):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "label", label)
+        _set(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class Process:
-    name: str
-    locations: tuple[str, ...]
-    initial: str
-    transitions: tuple[Transition, ...]
+class Process(Node):
+    __slots__ = _fields = ("name", "locations", "initial", "transitions")
+
+    def __init__(
+        self, name: str, locations: tuple[str, ...], initial: str, transitions: tuple[Transition, ...]
+    ):
+        _set(self, "name", name)
+        _set(self, "locations", locations)
+        _set(self, "initial", initial)
+        _set(self, "transitions", transitions)
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    lo: int
-    hi: int
-    init: int
+class VarDecl(Node):
+    __slots__ = _fields = ("lo", "hi", "init")
+
+    def __init__(self, lo: int, hi: int, init: int):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "init", init)
 
 
-@dataclass(frozen=True)
-class TimedNet:
+class TimedNet(Node):
     """Immutable once built: the fields become tuples and a read-only mapping.
     Building one validates it; exploration compiles it afresh on each call."""
 
-    variables: Mapping[str, VarDecl] = field(default_factory=dict)
-    processes: tuple[Process, ...] = ()
-    priorities: tuple[tuple[str, str], ...] = ()
+    __slots__ = _fields = ("variables", "processes", "priorities")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", MappingProxyType(dict(self.variables)))
-        object.__setattr__(self, "processes", tuple(self.processes))
-        object.__setattr__(self, "priorities", tuple(tuple(pair) for pair in self.priorities))
+    def __init__(
+        self,
+        variables: Mapping[str, VarDecl] = MappingProxyType({}),
+        processes: tuple[Process, ...] = (),
+        priorities: tuple[tuple[str, str], ...] = (),
+    ):
+        _set(self, "variables", MappingProxyType(dict(variables)))
+        _set(self, "processes", tuple(processes))
+        _set(self, "priorities", tuple(tuple(pair) for pair in priorities))
         self._validate()
 
     def _validate(self) -> None:

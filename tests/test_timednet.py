@@ -555,8 +555,11 @@ class TestCompiledPerCall:
 
     @pytest.mark.parametrize("net", [builtin_present(4, 5), builtin_mouse(), parse_net(INIT_NOT_FIRST)])
     def test_net_holds_only_its_fields(self, net):
+        before = {name: getattr(net, name) for name in net._fields}
         explore(net)
-        assert set(vars(net)) == {"variables", "processes", "priorities"}
+        assert not hasattr(net, "__dict__")
+        assert net._fields == ("variables", "processes", "priorities")
+        assert all(getattr(net, name) is value for name, value in before.items())
 
     @pytest.mark.parametrize(
         "net, locs, vals",

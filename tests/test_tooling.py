@@ -3,13 +3,17 @@ that every name it wraps still exists, without importing the benchmark.  The
 others keep the public API free of private keyword arguments, every error
 class a `ValueError`, the modules free of each other's private names and of
 self-naming nested functions, `pathregex` with one reader of a tick step's
-counts, path expressions compiled as trees, and every default of the shared command-line parser immutable."""
+counts, path expressions compiled as trees, every default of the shared
+command-line parser immutable, and the import of `obscheck.cli` free of
+`dataclasses`, `inspect` and `typing`."""
 
 import argparse
 import ast
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,7 +173,7 @@ def _node_types(node, base) -> set[type]:
     while todo:
         node = todo.pop()
         found.add(type(node))
-        todo += [value for value in vars(node).values() if isinstance(value, base)]
+        todo += [value for name in node._fields if isinstance(value := getattr(node, name), base)]
     return found
 
 
@@ -256,17 +260,21 @@ def test_one_tick_label_and_one_tick_step():
 def test_one_reader_of_the_tick_counts_in_pathregex():
     """A path expression turns into states in one place: inside `pathregex`,
     only the automaton compiler reads a `Tick`'s counts, and only the node
-    itself checks them."""
+    itself checks them, as it is built."""
     tree = ast.parse((Path(obscheck.__file__).parent / "pathregex.py").read_text())
-    found = set()
+    readers, checkers = set(), set()
     for top in tree.body:
         functions = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
         if isinstance(top, ast.ClassDef):
             functions = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
         for name, function in functions or [("<module>", top)]:
-            if any(isinstance(n, ast.Attribute) and n.attr in ("lo", "hi") for n in ast.walk(function)):
-                found.add(name)
-    assert found == {"_nfa_ends", "Tick.__post_init__"}
+            for n in ast.walk(function):
+                if isinstance(n, ast.Attribute) and n.attr in ("lo", "hi"):
+                    readers.add(name)
+                if isinstance(n, ast.Name) and n.id == "tick_count_error" and isinstance(n.ctx, ast.Load):
+                    checkers.add(name)
+    assert readers == {"_nfa_ends"}
+    assert checkers == {"Tick.__init__"}
 
 
 def test_path_expressions_are_compiled_as_trees():
@@ -318,3 +326,35 @@ def test_the_anchoring_message_is_written_once():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "not anchored" in node.value
     ]
     assert found == ["formula is not anchored: no constraint is ready to solve"]
+
+
+BANNED = ("dataclasses", "typing", "exec", "eval")
+
+
+def test_no_heavy_imports_and_no_generated_code():
+    """The node classes are written out: no module imports `dataclasses` or
+    `typing` (the abstract collection types come from `collections.abc`), and
+    none calls `exec` or `eval`."""
+    found = []
+    for path in sorted(Path(obscheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = [node.id] if isinstance(node, ast.Name) else []
+            found += [f"{path.stem}: {name}" for name in names if name in BANNED]
+    assert found == []
+
+
+def test_the_command_line_loads_no_heavy_module():
+    """Without `site`, which may load `typing` itself, importing the command
+    line loads neither `dataclasses`, nor `inspect`, nor `typing`."""
+    src = str(Path(obscheck.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import obscheck.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
