@@ -17,10 +17,10 @@ class Node:
     A subclass names its fields once, as `__slots__ = _fields = (...)`, and
     stores each in its `__init__` with `_set`.  Nodes compare equal when they
     are of the same class with equal fields, and print as `Atom(name='a')`.
-    The hash is computed on first use and kept in `_hash`.  `==` and the
-    hash walk the tree with an explicit stack, so depth does not limit them.
-    `checker`'s `Verdict` and `Report` put back a plain `__setattr__`, and
-    drop the hash, to stay mutable.
+    The hash is computed on first use and kept in `_hash`.  `==`, the hash
+    and `repr` walk the tree with an explicit stack, so depth does not limit
+    them.  `checker`'s `Verdict` and `Report` put back a plain `__setattr__`,
+    and drop the hash, to stay mutable.
     """
 
     __slots__ = ("_hash", "__weakref__")
@@ -80,8 +80,22 @@ class Node:
         return h
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        # A stack of text and of nodes still to print, last piece on top.
+        out, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            if type(node) is str:
+                out.append(node)
+                continue
+            pieces = [f"{type(node).__qualname__}("]
+            for i, name in enumerate(node._fields):
+                value = getattr(node, name)
+                pieces.append(f"{', ' if i else ''}{name}=")
+                nested = isinstance(value, Node) and type(value).__repr__ is Node.__repr__
+                pieces.append(value if nested else repr(value))
+            pieces.append(")")
+            todo += reversed(pieces)
+        return "".join(out)
 
 
 class ParseError(ValueError):

@@ -117,6 +117,9 @@ def _path(g: Lts, start: int, goal: StateSet, allow=None) -> tuple[int, list[str
     """BFS from `start` along the edges whose label passes the `allow`
     predicate (every edge, if None); (state, labels) of a shortest path of
     one edge or more into `goal`."""
+    # One character per state, "1" in the goal: a test reads one character,
+    # where `in` on the set shifts the whole bit vector.
+    members = format(goal.bits, f"0{goal.width}b")[::-1]
     seen = {start}
     parent: dict[int, tuple[int, str]] = {}
     queue = deque((start,))
@@ -125,7 +128,7 @@ def _path(g: Lts, start: int, goal: StateSet, allow=None) -> tuple[int, list[str
         for label, dst in g.out_edges(s):
             if allow is not None and not allow(label):
                 continue
-            if dst in goal:
+            if members[dst] == "1":
                 trace = [label]
                 while s != start:
                     s, lab = parent[s]

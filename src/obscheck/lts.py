@@ -273,8 +273,33 @@ class StateSet(Node):
 # The transition system
 
 
+# An image of this many states or more takes the byte walk.  Below it, the
+# lowest-bit loop is faster: it costs a few whole-width int operations per
+# state, the byte walk a pass over the whole width.
+_DENSE = 64
+_DENSE_FLOOR = 1 << _DENSE  # no smaller int holds _DENSE states
+
+# Per byte value, the positions of its set bits, built by doubling.
+_BIT_POSITIONS: list[tuple[int, ...]] = [()]
+for _p in range(8):
+    _BIT_POSITIONS += [positions + (_p,) for positions in _BIT_POSITIONS]
+
+
 def _image(bits: int, edges: list[tuple[tuple[str, int], ...]], matches: dict[str, bool]) -> int:
-    """The states reached from those in `bits` along the edges whose label `matches`."""
+    """The states reached from those in `bits` along the edges whose label
+    `matches`.  A set of `_DENSE` states or more is read a byte at a time, its
+    image marked in a bytearray of digits that is read as one int at the end."""
+    if bits >= _DENSE_FLOOR and bits.bit_count() >= _DENSE:
+        hit = bytearray(b"0") * len(edges)
+        state = 0
+        for byte in bits.to_bytes((bits.bit_length() + 7) >> 3, "little"):
+            if byte:
+                for p in _BIT_POSITIONS[byte]:
+                    for label, there in edges[state + p]:
+                        if matches[label]:
+                            hit[there] = 49  # the digit 1
+            state += 8
+        return int(hit[::-1], 2)
     out = 0
     while bits:
         low = bits & -bits

@@ -13,8 +13,10 @@ which the compiler from path expressions leans on (`f o Tick` is
 `f o Tick{1,1}`).  The backward diamond is also written `f o A`: both
 spellings parse to one node, printed `f o A`.  Derived forms are kept in
 the tree (printing preserves them) and only normalized during evaluation.
-`f * A` is evaluated semi-naively: each round images only the states the
-previous round added, so each state a star reaches is imaged once.
+`f * A` and a linear `min` binder, whose variable occurs once, under
+connectives that distribute over union, are evaluated semi-naively: each
+round images only the states the previous round added, so each state they
+reach is imaged once.  Other binders iterate on their whole set.
 `f o Tick{lo,hi}` is one loop over the tick count, which images each
 count's set once.
 """
@@ -335,14 +337,15 @@ def _print_postfix_left(f: MuFormula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Monotonicity
+# Monotonicity and linearity
 #
 # One memoized bottom-up pass, which visits shared subterms once, gives each
-# node its positive and its negative free variables.  Implies and Iff count
-# through their boolean desugaring.
+# node its positive and its negative free variables, and the linear ones:
+# those that occur once, under connectives that distribute over union.
+# Implies and Iff count through their boolean desugaring.
 
 _NONE: frozenset = frozenset()
-_CLOSED = (_NONE, _NONE, False)
+_CLOSED = (_NONE, _NONE, False, _NONE)
 
 # Per connective, each child as (field, polarity factor, path step): a factor
 # of 1 keeps the polarity, -1 flips it and 0 makes it both.
@@ -359,33 +362,44 @@ _CHILDREN = {
     **dict.fromkeys((FwdDiamond, BwdDiamond, SuffixStar, SuffixTicks), (("arg", 1, "<>"),)),
 }
 
+# The connectives under which a variable stays linear: each distributes over
+# union in the child that holds the variable, while its other child, which
+# must not mention the variable, is a constant.
+_LINEAR = frozenset((Or, And, FwdDiamond, BwdDiamond, SuffixStar, SuffixTicks))
 
-def _polarities(f: MuFormula, memo: dict[int, tuple]) -> tuple[frozenset, frozenset, bool]:
+
+def _polarities(f: MuFormula, memo: dict[int, tuple]) -> tuple[frozenset, frozenset, bool, frozenset]:
     """(positive free variables, negative free variables, has a non-monotone
-    binder); every node without either is given the one tuple _CLOSED."""
+    binder, linear free variables); every node without any is given the one
+    tuple _CLOSED."""
     got = memo.get(id(f))
     if got is not None:
         return got
     t = type(f)
     if t is Var:
-        out = (frozenset((f.name,)), _NONE, False)
+        name = frozenset((f.name,))
+        out = (name, _NONE, False, name)
     elif t not in _CHILDREN:
         raise TypeError(f"not a formula: {f!r}")
     else:
-        pos, neg, bad = out = _CLOSED
+        out = _CLOSED
         for field, factor, _ in _CHILDREN[t]:
             sub = _polarities(getattr(f, field), memo)
             if sub is not _CLOSED:
-                cpos, cneg, cbad = sub
+                pos, neg, bad, lin = out
+                cpos, cneg, cbad, clin = sub
+                # Linear on one side and absent from the other.
+                lin = (lin - cpos - cneg) | (clin - pos - neg) if t in _LINEAR else _NONE
                 if factor == -1:
                     cpos, cneg = cneg, cpos
                 elif factor == 0:
                     cpos = cneg = cpos | cneg
-                pos, neg, bad = out = (pos | cpos, neg | cneg, bad or cbad)
+                out = (pos | cpos, neg | cneg, bad or cbad, lin)
         if (t is Min or t is Max) and out is not _CLOSED:
+            pos, neg, bad, _ = out
             bad = bad or f.var in neg
             pos, neg = pos - {f.var}, neg - {f.var}
-            out = (pos, neg, bad) if pos or neg or bad else _CLOSED
+            out = (pos, neg, bad, _NONE) if pos or neg or bad else _CLOSED
     memo[id(f)] = out
     return out
 
@@ -404,7 +418,7 @@ def _violation(f: MuFormula, memo: dict[int, tuple]) -> list[str] | None:
             if type(f) in (Min, Max):
                 step = f"{step} {f.var}"
                 inner[f.var] = 1
-            pos, neg, bad = memo[id(child)]
+            pos, neg, bad, _ = memo[id(child)]
             if bad or any(inner.get(x, 1) != 1 for x in pos) or any(inner.get(x, -1) != -1 for x in neg):
                 break
         path.append(step)
@@ -442,7 +456,7 @@ def eval_all(
     the call only, while `formulas` keeps every root alive."""
     polarity: dict[int, tuple] = {}
     for f in formulas:
-        pos, neg, _ = _polarities(f, polarity)
+        pos, neg, _, _ = _polarities(f, polarity)
         missing = (pos | neg) - frozenset(env or ())
         if missing:
             raise EvalError(f"unbound variable(s): {', '.join(sorted(missing))}")
@@ -462,18 +476,33 @@ def eval_all(
     return [StateSet(n, _ev(f, scope0, run)) for f in formulas]
 
 
-def _star(g: Lts, cur: int, label: LabelExpr) -> int:
-    # Semi-naive: only the states added last round are imaged again.
+# Raised by both fixpoint loops when one runs more rounds than the graph has
+# states, which a monotone body never needs.
+_BOUND_EXCEEDED = "fixpoint exceeded the state-count bound"
+
+
+def _frontier(g: Lts, cur: int, step, arg) -> int:
+    """The least set above `cur` that holds `step(itself, arg)`, for a `step`
+    that distributes over union.  Semi-naive: each round feeds `step` only
+    the states the round before added, so each state is fed once; the round
+    that adds a state is its rank."""
     frontier = cur
     rounds = 0
     while True:
-        frontier = g.post_bits(frontier, label) & ~cur
+        frontier = step(frontier, arg) & ~cur
         if not frontier:
             return cur
         rounds += 1
         if rounds > g.num_states:
-            raise AssertionError("fixpoint exceeded the state-count bound")
+            raise AssertionError(_BOUND_EXCEEDED)
         cur |= frontier
+
+
+def _body_at(bits: int, binder: tuple) -> int:
+    """The body of a binder node with its variable at `bits`; `binder` is
+    the node with the scope and the run it is evaluated in."""
+    node, scope, run = binder
+    return _ev(node.body, {**scope, node.var: bits}, run)
 
 
 def _ev(node: MuFormula, scope: dict[str, int], run: tuple) -> int:
@@ -505,7 +534,7 @@ def _ev(node: MuFormula, scope: dict[str, int], run: tuple) -> int:
     elif t is BwdDiamond:
         out = g.post_bits(_ev(node.arg, scope, run), node.label)
     elif t is SuffixStar:
-        out = _star(g, _ev(node.arg, scope, run), node.label)
+        out = _frontier(g, _ev(node.arg, scope, run), g.post_bits, node.label)
     elif t is SuffixTicks:
         # One loop over the tick count k: `cur` is arg o Tick^k, `out`
         # the union from k = lo and `every` the union from k = 0.  The
@@ -519,7 +548,7 @@ def _ev(node: MuFormula, scope: dict[str, int], run: tuple) -> int:
             cur = every = _ev(node.arg, scope, run)
             out = cur if node.lo == 0 else 0
             for k in range(1, node.hi + 1):
-                nxt = _star(g, g.post_bits(cur, TICK), NOT_TICK)
+                nxt = _frontier(g, g.post_bits(cur, TICK), g.post_bits, NOT_TICK)
                 if nxt == cur:  # and so is every later count's set
                     out |= cur
                     break
@@ -531,6 +560,10 @@ def _ev(node: MuFormula, scope: dict[str, int], run: tuple) -> int:
                     out |= cur
             if closed:
                 memo[every_key] = every
+    elif t is Min and node.var in polarity[id(node.body)][3]:
+        # A linear body distributes over union: F(X | D) == F(X) | F(D).
+        binder = (node, scope, run)
+        out = _frontier(g, _body_at(0, binder), _body_at, binder)
     elif t is Min or t is Max:
         cur = 0 if t is Min else mask
         rounds = 0
@@ -544,7 +577,7 @@ def _ev(node: MuFormula, scope: dict[str, int], run: tuple) -> int:
                 raise AssertionError("greatest fixpoint iteration grew")
             rounds += 1
             if rounds > g.num_states:
-                raise AssertionError("fixpoint exceeded the state-count bound")
+                raise AssertionError(_BOUND_EXCEEDED)
             cur = nxt
         out = cur
     if closed:

@@ -234,6 +234,28 @@ class TestCheck:
             "overall: PASS",
         ]
 
+    def test_internal_chain_of_8001_states_gives_the_verdicts(self, tmp_path, capsys):
+        """8,000 internal `z` steps to a state where a, b and t loop: every
+        event is reachable from every state, one least fixpoint round per
+        chain state."""
+        n = 8000
+        edges = [(i, "z", i + 1) for i in range(n)] + [(n, label, n) for label in "abt"]
+        graph = tmp_path / "chain.aut"
+        graph.write_text(f"des (0, {len(edges)}, {n + 1})\n" + "".join(f'({s}, "{a}", {d})\n' for s, a, d in edges))
+        assert main(["check", "--graph", str(graph), "--pattern", "present", "--lo", "1", "--hi", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "eq_tautology: HOLDS",
+            "reach[a]: HOLDS",
+            "reach[b]: HOLDS",
+            "reach[t]: HOLDS",
+            "innocuous: HOLDS",
+            "naive_errors_in_complement: HOLDS",
+            "naive_complement_in_errors: HOLDS",
+            "oracle_agreement: HOLDS",
+            "no_tickless_cycle: HOLDS",
+            "overall: PASS",
+        ]
+
     def test_memory_error_exits_two_without_a_traceback(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import chain_lts, random_label_expr, random_lts
+from conftest import LABELS, chain_lts, random_label_expr, random_lts
 from obscheck.lts import (
     Atom,
     Lts,
@@ -20,6 +20,7 @@ from obscheck.lts import (
     save_aut,
     to_dot,
     _BLOCK,
+    _DENSE,
 )
 from obscheck.timednet import builtin_present, explore
 
@@ -122,6 +123,23 @@ class TestPostPre:
                     fwd = g.post_bits(1 << q, expr) >> q2 & 1
                     bwd = g.pre_bits(1 << q2, expr) >> q & 1
                     assert fwd == bwd
+
+    @pytest.mark.parametrize("size", [_DENSE - 1, _DENSE, _DENSE + 1], ids=["under", "at", "over"])
+    def test_both_image_paths_give_the_image_of_the_edges(self, size):
+        """A set of `_DENSE` states or more is imaged by the byte walk, a
+        smaller one by the lowest-bit loop.  Around that switch, forward and
+        backward, the image is the one read off the transitions here."""
+        rng = random.Random(size)
+        for _ in range(40):
+            n = rng.randint(size, 3 * _DENSE)
+            edges = [(rng.randrange(n), rng.choice(LABELS), rng.randrange(n)) for _ in range(rng.randint(n, 3 * n))]
+            g = Lts(n, 0, edges)
+            expr = random_label_expr(rng)
+            chosen = set(rng.sample(range(n), size))
+            bits = sum(1 << s for s in chosen)
+            kept = [(src, dst) for src, label, dst in g.transitions if eval_label_expr(expr, label)]
+            assert g.post_bits(bits, expr) == g.set_of({dst for src, dst in kept if src in chosen}).bits
+            assert g.pre_bits(bits, expr) == g.set_of({src for src, dst in kept if dst in chosen}).bits
 
 
 RESERVED = "'T' is reserved for label expressions, not transitions"

@@ -365,6 +365,117 @@ class TestSemiNaiveStar:
         assert image_count.bits == n
 
 
+
+def _steps(g, expr, forward=True):
+    """Per state, its successors (or, forward=False, its predecessors) along
+    edges matching `expr`, read off the transitions."""
+    out = [set() for _ in range(g.num_states)]
+    for src, label, dst in g.transitions:
+        if eval_label_expr(expr, label):
+            if forward:
+                out[src].add(dst)
+            else:
+                out[dst].add(src)
+    return out
+
+
+def _search(start, moves):
+    """Every state reachable from `start` by any number of `moves`, by BFS."""
+    seen = set(start)
+    queue = deque(seen)
+    while queue:
+        for dst in moves(queue.popleft()):
+            if dst not in seen:
+                seen.add(dst)
+                queue.append(dst)
+    return seen
+
+
+def _with_edge(g, expr):
+    return {src for src, label, _ in g.transitions if eval_label_expr(expr, label)}
+
+
+class TestFrontierLoop:
+    """Linear least fixpoints, iterated on the frontier, against searches
+    written here, which share no code with the evaluator."""
+
+    def test_reach_formula_matches_a_backward_search(self):
+        rng = random.Random(53)
+        for _ in range(150):
+            g = random_lts(rng, max_states=12)
+            event, internal = random_label_expr(rng), random_label_expr(rng)
+            f = Min("X", Or(FwdDiamond(event, TRUE), FwdDiamond(internal, Var("X"))))
+            back = _steps(g, internal, forward=False)
+            assert eval_mu(g, f) == g.set_of(_search(_with_edge(g, event), back.__getitem__))
+
+    def test_closed_and_side_matches_a_guarded_search(self):
+        # min X | <e>T \/ (<i>X /\ <c>T): an i-step back is taken only into a state with a c-edge.
+        rng = random.Random(59)
+        for _ in range(150):
+            g = random_lts(rng, max_states=12)
+            event, internal, guard = (random_label_expr(rng) for _ in range(3))
+            f = Min("X", Or(FwdDiamond(event, TRUE), And(FwdDiamond(internal, Var("X")), FwdDiamond(guard, TRUE))))
+            back, allowed = _steps(g, internal, forward=False), _with_edge(g, guard)
+            expected = _search(_with_edge(g, event), lambda s: back[s] & allowed)
+            assert eval_mu(g, f) == g.set_of(expected)
+
+    def test_variable_under_a_star_matches_a_forward_search(self):
+        # min X | (`0 \/ X<b>) * a: the states reached along a- and b-edges.
+        rng = random.Random(61)
+        for _ in range(150):
+            g = random_lts(rng, max_states=12)
+            a, b = random_label_expr(rng), random_label_expr(rng)
+            f = Min("X", SuffixStar(Or(INIT, BwdDiamond(Var("X"), b)), a))
+            step_a, step_b = _steps(g, a), _steps(g, b)
+            expected = _search({g.initial}, lambda s: step_a[s] | step_b[s])
+            assert eval_mu(g, f) == g.set_of(expected)
+
+    def test_variable_under_a_tick_window_matches_a_search(self):
+        # min X | `0 \/ X o Tick{lo,hi}: the states reached by any number of
+        # moves of lo to hi ticks, each tick followed by non-tick steps.
+        rng = random.Random(67)
+        for _ in range(150):
+            g = random_lts(rng, max_states=12)
+            lo = rng.randint(0, 2)
+            hi = lo + rng.randint(0, 2)
+            tick, other = _steps(g, Atom("t")), _steps(g, LNot(Atom("t")))
+
+            def ticks(s):
+                # The states lo to hi ticks after s.
+                out, cur = set(), {s}
+                for k in range(1, hi + 1):
+                    cur = _search(set().union(*(tick[q] for q in cur)), other.__getitem__)
+                    if k >= lo:
+                        out |= cur
+                return out
+
+            f = Min("X", Or(INIT, SuffixTicks(Var("X"), lo, hi)))
+            assert eval_mu(g, f) == g.set_of(_search({g.initial}, ticks)), (lo, hi)
+
+    def test_non_linear_binder_matches_a_naive_loop(self):
+        # min X | <e>T \/ (<a>X /\ <b>X) mentions X twice under an And, so
+        # it keeps the plain loop; here a state joins once it has an a- and
+        # a b-successor inside.
+        rng = random.Random(71)
+        for _ in range(150):
+            g = random_lts(rng, max_states=12)
+            event, a, b = (random_label_expr(rng) for _ in range(3))
+            f = Min("X", Or(FwdDiamond(event, TRUE), And(FwdDiamond(a, Var("X")), FwdDiamond(b, Var("X")))))
+            step_a, step_b = _steps(g, a), _steps(g, b)
+            expected = _with_edge(g, event)
+            while True:
+                grown = expected | {s for s in range(g.num_states) if step_a[s] & expected and step_b[s] & expected}
+                if grown == expected:
+                    break
+                expected = grown
+            assert eval_mu(g, f) == g.set_of(expected)
+            assert eval_mu(g, Min("X", And(FwdDiamond(a, Var("X")), FwdDiamond(b, Var("X"))))).is_empty
+        # State 0 joins on its a-successor from round 1 and its b-successor
+        # from round 2, which a loop fed only round 2's states would miss.
+        g = Lts(3, 0, [(0, "a", 1), (0, "b", 2), (1, "e", 1), (2, "a", 1), (2, "b", 1)])
+        f = Min("X", Or(FwdDiamond(Atom("e"), TRUE), And(FwdDiamond(Atom("a"), Var("X")), FwdDiamond(Atom("b"), Var("X")))))
+        assert eval_mu(g, f).is_all
+
 def _ticks_spelled(f, lo: int, hi: int):
     """`f o Tick{lo,hi}` spelled as the union of `f o Tick ... o Tick`, each
     `f o Tick` as `(f o t) * (-t)`."""

@@ -1,7 +1,7 @@
 """The syntax-tree nodes and the records: their `repr`, structural `==` and
-`hash`, immutability and construction-time checks; `==` and `hash` on trees
-deeper than the recursion limit; and the Python calls that building and
-re-hashing a node make."""
+`hash`, immutability and construction-time checks; `==`, `hash` and `repr`
+on trees deeper than the recursion limit; and the Python calls that building
+and re-hashing a node make."""
 
 import sys
 from types import MappingProxyType, SimpleNamespace
@@ -199,6 +199,52 @@ def test_equality_and_hash_do_not_recurse(build):
     assert one == other and hash(one) == hash(other)
     assert one != changed and changed != other
     assert hash(changed) == hash(build("b"))
+
+
+# (tree, repr): the text of each tree is built here by hand, nesting and all.
+DEEP_REPRS = [
+    (_seq_chain("a"), "Seq(head=" * DEPTH + "Eps()" + ", step=One(label=Atom(name='a')))" * DEPTH),
+    (_and_chain("a"), "And(left=" * (DEPTH - 1) + "EqLit(var='h', word=('a',))"
+     + ", right=EqLit(var='h', word=('a',)))" * (DEPTH - 1)),
+    (_or_chain("X"), "Or(left=" * DEPTH + "Var(name='X')" + ", right=Var(name='X'))" * DEPTH),
+]
+
+
+@pytest.mark.parametrize("tree, text", DEEP_REPRS, ids=["seq_of", "and_chain", "Or"])
+def test_repr_does_not_recurse(tree, text):
+    """A tree deeper than the recursion limit prints as a shallow one does."""
+    assert repr(tree) == text
+
+
+# One small tree per family of nodes, with nodes nested in fields, in
+# tuples and in lists.
+SMALL_TREES = [
+    (lts.Or(lts.Not(A), lts.And(lts.Top(), B)),
+     "Or(left=Not(arg=Atom(name='a')), right=And(left=Top(), right=Atom(name='b')))"),
+    (mucalc.parse_mu("min X | <a>T \\/ X o b"),
+     "Min(var='X', body=Or(left=FwdDiamond(label=Atom(name='a'), arg=TrueConst()), "
+     "right=BwdDiamond(arg=Var(name='X'), label=Atom(name='b'))))"),
+    (mucalc.parse_mu("`0 * -t o Tick{0,2}"),
+     "SuffixTicks(arg=SuffixStar(arg=InitConst(), label=Not(arg=Atom(name='t'))), lo=0, hi=2)"),
+    (pathregex.parse_regex("a . Tick{2,3} \\/ b*"),
+     "Union(left=Seq(head=Seq(head=Eps(), step=One(label=Atom(name='a'))), step=Tick(lo=2, hi=3)), "
+     "right=Seq(head=Eps(), step=Star(label=Atom(name='b'))))"),
+    (fott.Exists("h", fott.And(fott.EqLit("h", ("a",)), fott.Not(fott.DurIn("h", IV)))),
+     "Exists(var='h', body=And(left=EqLit(var='h', word=('a',)), right=Not(arg=DurIn(var='h', "
+     "interval=Interval(lower=4, upper=5, lower_open=False, upper_open=True)))))"),
+    (timednet.Process("P", ("a",), "a", (timednet.Transition("a", "a", "b", timednet.Event((CMP,))),)),
+     "Process(name='P', locations=('a',), initial='a', transitions=(Transition(source='a', target='a', "
+     "label='b', kind=Event(guard=(Cmp(var='x', op='=', value=0),), assigns=(), urgent=False, "
+     "keepclock=False)),))"),
+    (checker.Report([checker.Verdict("v", False, witness_state=2)], {}),
+     "Report(verdicts=[Verdict(name='v', holds=False, witness_state=2, witness_trace=None, "
+     "lasso_split=None)], timings={})"),
+]
+
+
+@pytest.mark.parametrize("tree, text", SMALL_TREES, ids=["lts", "mucalc", "ticks", "pathregex", "fott", "timednet", "checker"])
+def test_repr_of_a_small_tree(tree, text):
+    assert repr(tree) == text
 
 
 def _python_calls(action) -> list[str]:

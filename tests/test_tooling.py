@@ -3,9 +3,10 @@ that every name it wraps still exists, without importing the benchmark.  The
 others keep the public API free of private keyword arguments, every error
 class a `ValueError`, the modules free of each other's private names and of
 self-naming nested functions, `pathregex` with one reader of a tick step's
-counts, path expressions compiled as trees, every default of the shared
-command-line parser immutable, and the import of `obscheck.cli` free of
-`dataclasses`, `inspect` and `typing`."""
+counts, path expressions compiled as trees, the state-count bound of the
+fixpoint loops written once, every star and linear binder run by one frontier
+loop, every default of the shared command-line parser immutable, and the
+import of `obscheck.cli` free of `dataclasses`, `inspect` and `typing`."""
 
 import argparse
 import ast
@@ -20,7 +21,8 @@ import pytest
 
 import obscheck
 from obscheck import cli, mucalc, pathregex
-from obscheck.lts import Atom
+from obscheck.lts import Atom, Lts
+from obscheck.lts import Not as LabelNot
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -358,3 +360,65 @@ def test_the_command_line_loads_no_heavy_module():
     )
     out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_state_count_bound_is_written_once():
+    """`mucalc` spells the state-count bound message in one constant, which
+    both fixpoint loops raise."""
+    tree = ast.parse((Path(obscheck.__file__).parent / "mucalc.py").read_text())
+    found = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "state-count bound" in node.value
+    ]
+    raised = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and any(isinstance(n, ast.Name) and n.id == "_BOUND_EXCEEDED" for n in ast.walk(node))
+    ]
+    assert found == [mucalc._BOUND_EXCEEDED] == ["fixpoint exceeded the state-count bound"]
+    assert len(raised) == 2
+
+
+def _frontier_args(f, monkeypatch) -> list:
+    """The `arg` of every `mucalc._frontier` call that evaluating `f` makes."""
+    args = []
+    frontier = mucalc._frontier
+
+    def recorded(g, cur, step, arg):
+        args.append(arg)
+        return frontier(g, cur, step, arg)
+
+    monkeypatch.setattr(mucalc, "_frontier", recorded)
+    mucalc.eval_mu(Lts(3, 0, [(0, "z", 1), (1, "a", 2), (2, "b", 0), (1, "t", 0)]), f)
+    return args
+
+
+def test_stars_and_tick_steps_run_the_frontier_loop(monkeypatch):
+    args = _frontier_args(mucalc.parse_mu("`0 * a o Tick"), monkeypatch)
+    assert Atom("a") in args and LabelNot(Atom("t")) in args
+
+
+# (formula, whether its binder runs the frontier loop): a binder is linear
+# when its variable occurs once, under \/, diamonds, stars, tick steps and
+# an /\ whose other side does not mention it.
+BINDERS = [
+    ("min X | <a>T \\/ <z>X", True),
+    ("min X | <a>T \\/ (<z>X /\\ <b>T)", True),
+    ("min X | `0 \\/ X o a * b o Tick{0,2}", True),
+    ("min X | <a>X \\/ <b>X", False),
+    ("min X | <a>T \\/ (<a>X /\\ <b>X)", False),
+    ("min X | <a>T \\/ --X", False),
+    ("min X | <a>T \\/ (T => X)", False),
+    ("min X | <a>T \\/ <z>(min Y | X \\/ <b>Y)", False),
+    ("max X | <a>T \\/ <z>X", False),
+]
+
+
+@pytest.mark.parametrize("text, linear", BINDERS)
+def test_linear_binders_run_the_frontier_loop(text, linear, monkeypatch):
+    """A linear `min` binder runs `mucalc._frontier`, called with the binder
+    node; every other binder keeps the plain loop."""
+    f = mucalc.parse_mu(text)
+    binders = [arg[0] for arg in _frontier_args(f, monkeypatch) if type(arg) is tuple]
+    assert (f in binders) == linear
