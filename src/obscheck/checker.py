@@ -17,7 +17,7 @@ from collections import deque
 
 from ._scan import Node
 from .lts import TICK, TICK_LABEL, LabelExpr, Lts, StateSet, Or as LabelOr, Not as LabelNot
-from .lts import eval_label_expr, format_label_expr
+from .lts import format_label_expr, label_truth
 from .mucalc import eval_all, eval_mu
 from .mucompile import (
     compile_both,
@@ -160,7 +160,8 @@ def find_tickless_cycle(g: Lts, internal: LabelExpr) -> list[str] | None:
     is the current path: (state, label into it, iterator over its remaining
     out-edges).  An internal edge back onto the stack closes the cycle.
     """
-    is_internal = {label: label != TICK_LABEL and eval_label_expr(internal, label) for label in g.labels}
+    truth = label_truth(internal)
+    is_internal = {label: label != TICK_LABEL and truth[label] for label in g.labels}
     color = [0] * g.num_states  # 0 unvisited, 1 on the stack, 2 done
     for root in range(g.num_states):
         if color[root]:
@@ -293,7 +294,8 @@ def check_reachable(g: Lts, target: LabelExpr, via: str = "enabled") -> Report:
     if hit is not None and via == "entered":
         # Extend the path to a state with a matching outgoing edge by that edge.
         state, trace = hit
-        label, dst = next((lab, dst) for lab, dst in g.out_edges(state) if eval_label_expr(target, lab))
+        truth = label_truth(target)
+        label, dst = next((lab, dst) for lab, dst in g.out_edges(state) if truth[lab])
         hit = (dst, trace + [label])
     if hit is None:
         report.verdicts.append(Verdict("reachable", False))

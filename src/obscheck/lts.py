@@ -9,6 +9,7 @@ for the tick of the logical clock while `z` marks silent internal steps.
 from __future__ import annotations
 
 import re
+import weakref
 from collections.abc import Iterable, Iterator
 
 from ._scan import Cursor, Node, ParseError, _set, tokenize
@@ -25,9 +26,11 @@ RESERVED_LABEL = "T"
 
 
 class LabelExpr(Node):
-    """Boolean expression denoting a set of transition labels."""
+    """Boolean expression denoting a set of transition labels.
 
-    __slots__ = ()
+    `_truth` holds the expression's `label_truth` memo once it is asked for."""
+
+    __slots__ = ("_truth",)
 
 
 class Atom(LabelExpr):
@@ -82,6 +85,33 @@ def eval_label_expr(expr: LabelExpr, label: str) -> bool:
     if type(expr) is Or:
         return eval_label_expr(expr.left, label) or eval_label_expr(expr.right, label)
     raise TypeError(f"not a label expression: {expr!r}")
+
+
+class _Truth(dict):
+    """Per label text, whether it matches the expression: evaluated on the
+    first lookup of each text, then read.  It names its expression through a
+    weak reference, so that the two form no cycle."""
+
+    __slots__ = ("_expr",)
+
+    def __init__(self, expr: LabelExpr):
+        self._expr = weakref.ref(expr)
+
+    def __missing__(self, label: str) -> bool:
+        truth = self[label] = eval_label_expr(self._expr(), label)
+        return truth
+
+
+def label_truth(expr: LabelExpr) -> dict[str, bool]:
+    """Per label text, whether it matches `expr`, as a mapping that every
+    graph shares: kept on the expression from its first use, one entry per
+    text looked up, and freed with it.  It refers to `expr` weakly, so read
+    it only while `expr` is alive."""
+    truth = getattr(expr, "_truth", None)
+    if truth is None:
+        truth = _Truth(expr)
+        _set(expr, "_truth", truth)
+    return truth
 
 
 def parse_label_expr_at(cur: Cursor) -> LabelExpr:
@@ -346,7 +376,6 @@ class Lts:
         self._transitions = edges
         self._labels = tuple(labels)
         self._edge_lists: list[list[tuple[tuple[str, int], ...]] | None] = [None, None]
-        self._matches: dict[LabelExpr, dict[str, bool]] = {}
         self._sorted: list[tuple[int, str, int]] | None = None
 
     @property
@@ -410,20 +439,13 @@ class Lts:
             self._sorted = sorted(self._transitions)
         return self._sorted
 
-    def _matching(self, expr: LabelExpr) -> dict[str, bool]:
-        """Per label, whether it matches `expr`; built once per expression."""
-        matches = self._matches.get(expr)
-        if matches is None:
-            matches = self._matches[expr] = {label: eval_label_expr(expr, label) for label in self._labels}
-        return matches
-
     def post_bits(self, bits: int, expr: LabelExpr) -> int:
         """Successors (as a bit mask) of the states in `bits` along matching labels."""
-        return _image(bits, self._adjacency(True), self._matching(expr))
+        return _image(bits, self._adjacency(True), label_truth(expr))
 
     def pre_bits(self, bits: int, expr: LabelExpr) -> int:
         """Predecessors (as a bit mask) of the states in `bits` along matching labels."""
-        return _image(bits, self._adjacency(False), self._matching(expr))
+        return _image(bits, self._adjacency(False), label_truth(expr))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -370,6 +371,28 @@ class TestFullReportWork:
                 tracemalloc.stop()
             assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS, lo
         assert peaks[1] <= 2.2**2 * peaks[0], peaks
+
+    def test_reports_on_fresh_graphs_retain_nothing_more(self):
+        """Twenty reports, each on a fresh graph: what obscheck's code
+        allocates and still holds after the first, the truth memos of the
+        label constants included, does not grow with the later ones."""
+        own = [tracemalloc.Filter(True, str(Path(checker.__file__).parent / "*"))]
+
+        def retained():
+            gc.collect()
+            return sum(stat.size for stat in tracemalloc.take_snapshot().filter_traces(own).statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            sizes = []
+            for _ in range(20):
+                report = full_report(builtin_present(12, 20), pattern(12, 20), "error", EVENTS)
+                assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS
+                del report
+                sizes.append(retained())
+        finally:
+            tracemalloc.stop()
+        assert sizes[1:] == sizes[:1] * 19, sizes
 
     def test_one_compile_and_one_product_per_report(self, present45_graph, monkeypatch):
         compiles, products = [], []

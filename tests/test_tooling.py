@@ -5,8 +5,9 @@ class a `ValueError`, the modules free of each other's private names and of
 self-naming nested functions, `pathregex` with one reader of a tick step's
 counts, path expressions compiled as trees, the state-count bound of the
 fixpoint loops written once, every star and linear binder run by one frontier
-loop, every default of the shared command-line parser immutable, and the
-import of `obscheck.cli` free of `dataclasses`, `inspect` and `typing`."""
+loop, every default of the shared command-line parser immutable, the import
+of `obscheck.cli` free of `dataclasses`, `inspect` and `typing`, and the truth
+of a label expression memoized in one place, on the expression."""
 
 import argparse
 import ast
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import obscheck
-from obscheck import cli, mucalc, pathregex
+from obscheck import cli, lts, mucalc, pathregex
 from obscheck.lts import Atom, Lts
 from obscheck.lts import Not as LabelNot
 
@@ -422,3 +423,45 @@ def test_linear_binders_run_the_frontier_loop(text, linear, monkeypatch):
     f = mucalc.parse_mu(text)
     binders = [arg[0] for arg in _frontier_args(f, monkeypatch) if type(arg) is tuple]
     assert (f in binders) == linear
+
+
+def _function_codes(path: Path):
+    """The code object of every function in the source at `path`, nested ones included."""
+    todo = [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        nested = [const for const in code.co_consts if inspect.iscode(const)]
+        yield from nested
+        todo += nested
+
+
+def test_label_truth_is_the_one_memo_of_label_truth():
+    """An `Lts` keeps no table per label expression, `lts._Truth`, the memo
+    `label_truth` keeps on each expression, is the one mapping that fills
+    itself, and apart from it only the routes kept independent of the
+    evaluator call `eval_label_expr`: the product oracle, `match_word`'s
+    automaton step and `Nfa.accepts`."""
+    g = Lts(2, 0, [(0, "a", 1), (1, "t", 0)])
+    for expr in (Atom("a"), LabelNot(Atom("t")), lts.TOP):
+        g.post_bits(0b11, expr)
+        g.pre_bits(0b11, expr)
+    assert [name for name, value in vars(g).items() if isinstance(value, dict)] == []
+    callers, missing = set(), set()
+    for path in sorted(Path(obscheck.__file__).parent.glob("*.py")):
+        for code in _function_codes(path):
+            if "eval_label_expr" in code.co_names:
+                callers.add(f"{path.stem}.{code.co_qualname}")
+            if code.co_name == "__missing__":
+                missing.add(f"{path.stem}.{code.co_qualname}")
+    assert missing == {"lts._Truth.__missing__"}
+    assert callers == {
+        "lts.eval_label_expr",
+        "lts._Truth.__missing__",
+        "pathregex.Nfa.accepts",
+        "pathregex.match_word",
+        "pathregex._product_bits",
+    }
+    for function in (pathregex._product_bits, pathregex.match_word, pathregex.Nfa.accepts):
+        assert "eval_label_expr" in function.__code__.co_names
+        assert "label_truth" not in function.__code__.co_names
+    assert isinstance(lts.label_truth(lts.TOP), lts._Truth)

@@ -2,11 +2,16 @@
 Each test counts work (no wall clock) on a ladder of sizes up to 2,000 and
 bounds it at 2.2x per doubling, or tighter."""
 
+import random
+
 import pytest
 
+from conftest import LABELS, random_lts
+from obscheck import lts
+from obscheck._scan import Node
 from obscheck.checker import internal_label_expr
-from obscheck.lts import Atom, Lts
-from obscheck.mucalc import eval_mu
+from obscheck.lts import Atom, LabelExpr, Lts
+from obscheck.mucalc import eval_mu, parse_mu
 from obscheck.mucompile import reach_formula
 
 LADDER = (500, 1000, 2000)
@@ -31,3 +36,63 @@ def test_reach_formula_on_an_internal_chain(image_count, event):
         assert image_count.bits <= 2 * (n + 1), n
         work.append(image_count.bits)
     assert work[1] <= 2.2 * work[0] and work[2] <= 2.2 * work[1], work
+
+
+def _label_nodes(f) -> int:
+    """The label-expression nodes in `f`, counted by their place in the tree."""
+    count, todo = 0, [f]
+    while todo:
+        node = todo.pop()
+        count += isinstance(node, LabelExpr)
+        todo += [value for name in node._fields if isinstance(value := getattr(node, name), Node)]
+    return count
+
+
+# A reach formula and a star formula, built afresh for each rung.  The star
+# reads `T` as `lts.TOP`, and its tick window images along `lts.TICK` and
+# `lts.NOT_TICK`, three label nodes that the formula does not hold.
+FORMULAS = (
+    lambda: reach_formula(Atom("a"), internal_label_expr([Atom("a"), Atom("b")])),
+    lambda: parse_mu("`0 o z * T o Tick{0,2}"),
+)
+TICK_NODES = 3
+CONSTANTS = (lts.TICK, lts.NOT_TICK, lts.TOP)
+
+
+def test_label_evaluation_does_not_grow_with_the_graphs(monkeypatch):
+    """Fresh formulas on N fresh graphs over {a, b, t, z}: each label node
+    is evaluated at most once per label text, however many graphs take an
+    image along it, no node is hashed, and the constants' truth memos end
+    with one entry per label text seen."""
+    for expr in CONSTANTS:
+        lts.label_truth(expr).clear()
+    counts = {"evals": 0, "hashes": 0}
+    evaluate, node_hash = lts.eval_label_expr, Node.__hash__
+
+    def counting_eval(expr, label):
+        counts["evals"] += 1
+        return evaluate(expr, label)
+
+    def counting_hash(node):
+        counts["hashes"] += 1
+        return node_hash(node)
+
+    monkeypatch.setattr(lts, "eval_label_expr", counting_eval)
+    rng = random.Random(28)
+    work = []
+    for n in LADDER:
+        formulas = [make() for make in FORMULAS]
+        graphs = [random_lts(rng) for _ in range(n)]
+        counts["evals"] = 0
+        monkeypatch.setattr(Node, "__hash__", counting_hash)
+        for g in graphs:
+            for f in formulas:
+                eval_mu(g, f)
+        monkeypatch.setattr(Node, "__hash__", node_hash)
+        bound = len(LABELS) * (sum(map(_label_nodes, formulas)) + TICK_NODES)
+        assert counts["evals"] <= bound, n
+        work.append(counts["evals"])
+    assert work[2] <= work[1] <= work[0], work
+    assert counts["hashes"] == 0
+    for expr in CONSTANTS:
+        assert lts.label_truth(expr) and set(lts.label_truth(expr)) <= set(LABELS)
