@@ -184,8 +184,9 @@ def _cmd_dot(args) -> int:
 
 
 def _add_source_flags(p) -> None:
-    p.add_argument("--graph", help="state graph in .aut format")
-    p.add_argument("--model", help="builtin:present:<d1>:<d2>, builtin:mouse, or a .net file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--graph", help="state graph in .aut format")
+    source.add_argument("--model", help="builtin:present:<d1>:<d2>, builtin:mouse, or a .net file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a formula over a graph")
     _add_source_flags(p)
-    p.add_argument("--formula")
-    p.add_argument("--formula-file")
+    formula = p.add_mutually_exclusive_group()
+    formula.add_argument("--formula")
+    formula.add_argument("--formula-file")
     p.add_argument("--tautology", action="store_true", help="report TAUTOLOGY or the first failing state")
     p.set_defaults(func=_cmd_eval)
 

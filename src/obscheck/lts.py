@@ -1,5 +1,5 @@
 """Labeled transition systems: states, labeled edges, state sets, label expressions,
-tick windows, file I/O.
+tick windows, images and searches along labels, file I/O.
 
 The graph is the shared substrate of every check in this package: states are
 dense indices 0..n-1, edges carry text labels, and `t` is reserved
@@ -303,9 +303,11 @@ class StateSet(Node):
 # The transition system
 
 
-# An image of this many states or more takes the byte walk.  Below it, the
-# lowest-bit loop is faster: it costs a few whole-width int operations per
-# state, the byte walk a pass over the whole width.
+# A set of this many states or more is read and built a byte at a time.
+# Below it, the lowest-bit loop and one OR per state are faster: they cost a
+# few whole-width int operations per state, the byte walk and the digits a
+# pass over the whole width.  A search keeps its states in ints of bits in a
+# graph of fewer states, and in a list and a set in a larger one.
 _DENSE = 64
 _DENSE_FLOOR = 1 << _DENSE  # no smaller int holds _DENSE states
 
@@ -313,6 +315,39 @@ _DENSE_FLOOR = 1 << _DENSE  # no smaller int holds _DENSE states
 _BIT_POSITIONS: list[tuple[int, ...]] = [()]
 for _p in range(8):
     _BIT_POSITIONS += [positions + (_p,) for positions in _BIT_POSITIONS]
+
+
+def _members(bits: int) -> list[int]:
+    """The states in `bits`, ascending."""
+    out = []
+    if bits >= _DENSE_FLOOR and bits.bit_count() >= _DENSE:
+        state = 0
+        for byte in bits.to_bytes((bits.bit_length() + 7) >> 3, "little"):
+            if byte:
+                for p in _BIT_POSITIONS[byte]:
+                    out.append(state + p)
+            state += 8
+        return out
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _bits_of(states, n: int) -> int:
+    """The bits of `states`, a collection of states of an `n`-state graph;
+    `_DENSE` of them or more are marked in a bytearray of digits that is
+    read as one int, as `_image` marks a dense image."""
+    if len(states) >= _DENSE:
+        digits = bytearray(b"0") * n
+        for state in states:
+            digits[state] = 49  # the digit 1
+        return int(digits[::-1], 2)
+    out = 0
+    for state in states:
+        out |= 1 << state
+    return out
 
 
 def _image(bits: int, edges: list[tuple[tuple[str, int], ...]], matches: dict[str, bool]) -> int:
@@ -338,6 +373,29 @@ def _image(bits: int, edges: list[tuple[tuple[str, int], ...]], matches: dict[st
                 out |= 1 << there
         bits ^= low
     return out
+
+
+def _search(todo, edges, matches: dict[str, bool], seen):
+    """Enters each state reachable from those in `todo` along the edges
+    whose label `matches`, once: a state joins `todo` when `seen` takes it
+    in.  `seen` holds `todo`'s states.  In a graph under `_DENSE` states both
+    are ints of bits; in a larger one `todo` is a list used as a stack and
+    `seen` a set grown in place.  Returns `seen` with the entered states."""
+    if type(seen) is int:
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            for label, there in edges[low.bit_length() - 1]:
+                if matches[label] and not seen >> there & 1:
+                    seen |= 1 << there
+                    todo |= 1 << there
+        return seen
+    while todo:
+        for label, there in edges[todo.pop()]:
+            if matches[label] and there not in seen:
+                seen.add(there)
+                todo.append(there)
+    return seen
 
 
 class Lts:
@@ -446,6 +504,49 @@ class Lts:
     def pre_bits(self, bits: int, expr: LabelExpr) -> int:
         """Predecessors (as a bit mask) of the states in `bits` along matching labels."""
         return _image(bits, self._adjacency(False), label_truth(expr))
+
+    def star_bits(self, bits: int, expr: LabelExpr) -> int:
+        """The states in `bits` and every state reachable from them along
+        matching labels (as a bit mask), by one search."""
+        edges = self._adjacency(True)
+        if self._n < _DENSE:
+            return _search(bits, edges, label_truth(expr), bits)
+        stack = _members(bits)
+        seen = _search(stack, edges, label_truth(expr), set(stack))
+        return bits if len(seen) == bits.bit_count() else _bits_of(seen, self._n)
+
+    def ticks_bits(self, bits: int, lo: int, hi: int) -> tuple[int, int]:
+        """The states k ticks after those in `bits`, a tick being one `t` edge
+        and then any number of other edges, as two bit masks: the union for k
+        from lo to hi, and for k from 0 to hi.  Each count's set is one search
+        from the `t` successors of the count before, and the loop stops once
+        a count's set is empty or that of the count before."""
+        edges, tick, other = self._adjacency(True), label_truth(TICK), label_truth(NOT_TICK)
+        small = self._n < _DENSE
+        if small:
+            cur, every, window = bits, bits, bits if lo == 0 else 0
+        else:
+            cur = set(_members(bits))
+            every, window = set(cur), set(cur) if lo == 0 else set()
+        for k in range(1, hi + 1):
+            if small:
+                seeds = _image(cur, edges, tick)
+                nxt = _search(seeds, edges, other, seeds)
+            else:
+                seeds = {there for state in cur for label, there in edges[state] if tick[label]}
+                nxt = _search(list(seeds), edges, other, seeds)
+            if nxt == cur:  # and so is every later count's set
+                window |= cur
+                break
+            cur = nxt
+            if not cur:
+                break
+            every |= cur
+            if k >= lo:
+                window |= cur
+        if small:
+            return window, every
+        return _bits_of(window, self._n), _bits_of(every, self._n)
 
 
 # ---------------------------------------------------------------------------

@@ -13,20 +13,18 @@ which the compiler from path expressions leans on (`f o Tick` is
 `f o Tick{1,1}`).  The backward diamond is also written `f o A`: both
 spellings parse to one node, printed `f o A`.  Derived forms are kept in
 the tree (printing preserves them) and only normalized during evaluation.
-`f * A` and a linear `min` binder, whose variable occurs once, under
-connectives that distribute over union, are evaluated semi-naively: each
-round images only the states the previous round added, so each state they
-reach is imaged once.  Other binders iterate on their whole set.
-`f o Tick{lo,hi}` is one loop over the tick count, which images each
-count's set once.
+`f * A` is one search of the graph and `f o Tick{lo,hi}` one search per
+tick count (`Lts.star_bits` and `Lts.ticks_bits`), each entering a state
+once.  A linear `min` binder, whose variable occurs once, under
+connectives that distribute over union, is evaluated semi-naively: each
+round images only the states the previous round added, so each state it
+reaches is imaged once.  Other binders iterate on their whole set.
 """
 
 from __future__ import annotations
 
 from ._scan import Cursor, Node, ParseError, _set, tick_count_error, tokenize
 from .lts import (
-    NOT_TICK,
-    TICK,
     Atom,
     LabelExpr,
     Lts,
@@ -481,15 +479,15 @@ def eval_all(
 _BOUND_EXCEEDED = "fixpoint exceeded the state-count bound"
 
 
-def _frontier(g: Lts, cur: int, step, arg) -> int:
-    """The least set above `cur` that holds `step(itself, arg)`, for a `step`
-    that distributes over union.  Semi-naive: each round feeds `step` only
-    the states the round before added, so each state is fed once; the round
-    that adds a state is its rank."""
+def _frontier(g: Lts, cur: int, binder: tuple) -> int:
+    """The least set above `cur` that holds the body of a linear `min`
+    `binder`, which distributes over union.  Semi-naive: each round feeds the
+    body only the states the round before added, so each state is fed once;
+    the round that adds a state is its rank."""
     frontier = cur
     rounds = 0
     while True:
-        frontier = step(frontier, arg) & ~cur
+        frontier = _body_at(frontier, binder) & ~cur
         if not frontier:
             return cur
         rounds += 1
@@ -534,36 +532,23 @@ def _ev(node: MuFormula, scope: dict[str, int], run: tuple) -> int:
     elif t is BwdDiamond:
         out = g.post_bits(_ev(node.arg, scope, run), node.label)
     elif t is SuffixStar:
-        out = _frontier(g, _ev(node.arg, scope, run), g.post_bits, node.label)
+        out = g.star_bits(_ev(node.arg, scope, run), node.label)
     elif t is SuffixTicks:
-        # One loop over the tick count k: `cur` is arg o Tick^k, `out`
-        # the union from k = lo and `every` the union from k = 0.  The
-        # visited formula of a counted step reads `every` as the window
-        # from 0, so a closed loop leaves it for that window to reuse;
-        # mucompile puts the end window first so that the reuse happens
+        # The tick loop leaves the window from 0 beside the window asked
+        # for.  The visited formula of a counted step reads it, so a closed
+        # loop leaves it for that window to reuse; mucompile puts the end
+        # window first so that the reuse happens
         # (test_window_from_0_reuses_the_loop pins the order).
         every_key = (id(node.arg), node.hi)
         out = memo.get(every_key) if closed and node.lo == 0 else None
         if out is None:
-            cur = every = _ev(node.arg, scope, run)
-            out = cur if node.lo == 0 else 0
-            for k in range(1, node.hi + 1):
-                nxt = _frontier(g, g.post_bits(cur, TICK), g.post_bits, NOT_TICK)
-                if nxt == cur:  # and so is every later count's set
-                    out |= cur
-                    break
-                cur = nxt
-                if not cur:
-                    break
-                every |= cur
-                if k >= node.lo:
-                    out |= cur
+            out, every = g.ticks_bits(_ev(node.arg, scope, run), node.lo, node.hi)
             if closed:
                 memo[every_key] = every
     elif t is Min and node.var in polarity[id(node.body)][3]:
         # A linear body distributes over union: F(X | D) == F(X) | F(D).
         binder = (node, scope, run)
-        out = _frontier(g, _body_at(0, binder), _body_at, binder)
+        out = _frontier(g, _body_at(0, binder), binder)
     elif t is Min or t is Max:
         cur = 0 if t is Min else mask
         rounds = 0

@@ -85,22 +85,54 @@ def random_lts(rng: random.Random, max_states: int = 12, max_labels: int = 4) ->
 
 @dataclass
 class ImageCount:
-    calls: int = 0  # calls of the post/pre image
-    bits: int = 0  # states fed to it, summed over the calls
+    calls: int = 0  # calls of the post/pre image and of the star and tick-step search
+    bits: int = 0  # states fed to the image or entered by the search, summed over the calls
+    searches: int = 0  # the calls of the search alone
+    entered: int = 0  # the states the searches entered alone, their start states included
+    words: int = 0  # 64-bit words of the bit sets the image and the searches read or build
+
+
+def _words(bits: int) -> int:
+    return (bits.bit_length() + 63) >> 6
 
 
 @pytest.fixture
 def image_count(monkeypatch) -> ImageCount:
-    """Counts the post/pre image work done from here to the end of the test."""
+    """Counts the post/pre image and search work done from here to the end of the test."""
     count = ImageCount()
-    image = lts._image
+    image, search, members, bits_of = lts._image, lts._search, lts._members, lts._bits_of
 
     def counting_image(bits, edges, matches):
         count.calls += 1
-        count.bits += bin(bits).count("1")
-        return image(bits, edges, matches)
+        count.bits += bits.bit_count()
+        out = image(bits, edges, matches)
+        count.words += _words(bits) + _words(out)
+        return out
+
+    def counting_search(todo, edges, matches, seen):
+        size = len if type(seen) is set else int.bit_count
+        before, started = size(seen), size(todo)
+        seen = search(todo, edges, matches, seen)
+        entered = started + size(seen) - before
+        count.calls += 1
+        count.searches += 1
+        count.bits += entered
+        count.entered += entered
+        return seen
+
+    def counting_members(bits):
+        count.words += _words(bits)
+        return members(bits)
+
+    def counting_bits_of(states, n):
+        out = bits_of(states, n)
+        count.words += _words(out)
+        return out
 
     monkeypatch.setattr(lts, "_image", counting_image)
+    monkeypatch.setattr(lts, "_search", counting_search)
+    monkeypatch.setattr(lts, "_members", counting_members)
+    monkeypatch.setattr(lts, "_bits_of", counting_bits_of)
     return count
 
 

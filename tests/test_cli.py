@@ -93,6 +93,28 @@ class TestEval:
         assert "obscheck:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, pair",
+    [
+        (["eval", "--model", "builtin:mouse", "--formula", "T", "--formula-file", "/nonexistent"], "--formula"),
+        (["eval", "--graph", "/nonexistent", "--model", "builtin:mouse", "--formula", "T"], "--graph"),
+        (["oracle", "--model", "builtin:mouse", "--graph", "/nonexistent", "--regex", "a"], "--model"),
+        (["check", "--graph", "/nonexistent", "--model", "builtin:mouse", "--reach", "error"], "--graph"),
+        (["dot", "--model", "builtin:mouse", "--graph", "/nonexistent"], "--model"),
+    ],
+)
+def test_two_sources_of_one_input_are_a_usage_error(capsys, argv, pair):
+    """A formula given both inline and as a file, or a graph given both as
+    `.aut` and as a model, exits 2 before either is read."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"not allowed with argument {pair}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 class TestCompile:
     def test_end_mode_prints_expected_formula(self, capsys):
         assert main(["compile", "--regex", "(-b)* . b", "--mode", "end"]) == 0

@@ -4,8 +4,8 @@ from collections import deque
 
 import pytest
 
-from conftest import chain_lts, random_label_expr, random_lts
-from obscheck.lts import Atom, Lts, StateSet, Top, eval_label_expr
+from conftest import LABELS, chain_lts, random_label_expr, random_lts
+from obscheck.lts import _DENSE, Atom, Lts, StateSet, Top, eval_label_expr
 from obscheck.lts import Not as LNot
 from obscheck.lts import Or as LOr
 from obscheck.mucalc import (
@@ -355,14 +355,14 @@ class TestSemiNaiveStar:
                 expected = grown
             assert got == expected
 
-    def test_chain_takes_one_round_per_state(self, image_count):
-        """On a chain of n states, `0 * a needs n - 1 productive rounds, which
-        stays inside the state-count bound, and images each state once."""
+    def test_chain_takes_one_search(self, image_count):
+        """On a chain of n states, `0 * a is one search, which enters each
+        state once."""
         n = 300
         g = chain_lts(*["a"] * (n - 1))
         assert eval_mu(g, SuffixStar(INIT, Atom("a"))).is_all
-        assert image_count.calls == n  # n - 1 productive rounds and the empty last one
-        assert image_count.bits == n
+        assert image_count.calls == image_count.searches == 1
+        assert image_count.entered == n
 
 
 
@@ -555,20 +555,61 @@ class TestCountedTicks:
 
     def test_window_from_0_reuses_the_loop(self, image_count):
         """After `f o Tick{lo,hi}`, the window `f o Tick{0,hi}` over the same
-        `f` costs no image work; the other way round it does, so the visited
-        formula of a counted step puts its end first."""
+        `f` costs no search; the other way round it runs the loop again, so
+        the visited formula of a counted step puts its end first.  The loop
+        takes, per tick count, the `t` image of the count before and one
+        search from it, which enters that count's two states."""
         g = chain_lts(*["t", "z"] * 20)
         window, every = SuffixTicks(INIT, 5, 9), SuffixTicks(INIT, 0, 9)
         expected = [eval_mu(g, _ticks_spelled(INIT, 5, 9)), eval_mu(g, _ticks_spelled(INIT, 0, 9))]
         assert expected[0] == g.set_of(range(9, 19)) and expected[1] == g.set_of(range(19))
-        image_count.calls = 0
+        image_count.calls = image_count.searches = image_count.entered = 0
         assert eval_mu(g, window) == expected[0]
-        window_calls, image_count.calls = image_count.calls, 0
+        assert (image_count.calls, image_count.searches, image_count.entered) == (18, 9, 18)
+        image_count.calls = 0
         assert eval_all(g, (window, every)) == expected
-        assert image_count.calls == window_calls
+        assert image_count.calls == 18
         image_count.calls = 0
         eval_all(g, (every, window))
-        assert image_count.calls > window_calls
+        assert image_count.calls == 36
+
+
+def _ticks_closure(g, base, lo: int, hi: int):
+    """The states lo to hi ticks after those in `base`, each tick a `t` edge
+    and then a BFS `_closure` along `-t`."""
+    out, cur = set(base) if lo == 0 else set(), set(base)
+    for k in range(1, hi + 1):
+        cur = set(_closure(g, {dst for s in cur for lab, dst in g.out_edges(s) if lab == "t"}, LNot(Atom("t"))))
+        if k >= lo:
+            out |= cur
+    return g.set_of(out)
+
+
+class TestSearchMembership:
+    """A search keeps the states it has entered in an int in a graph under
+    `_DENSE` states, in a set in a larger one.  Around that switch the star
+    is the BFS closure and the tick window the union it spells."""
+
+    @pytest.mark.parametrize("n", [_DENSE - 1, _DENSE, _DENSE + 1], ids=["under", "at", "over"])
+    def test_both_membership_paths_match_the_references(self, n):
+        rng = random.Random(n)
+        for _ in range(30):
+            edges = [(rng.randrange(n), rng.choice(LABELS), rng.randrange(n)) for _ in range(rng.randint(n, 2 * n))]
+            g = Lts(n, 0, edges, extra_labels=LABELS)
+            expr, inner = random_label_expr(rng), random_label_expr(rng)
+            base = g.set_of(s for s in range(n) if rng.random() < rng.choice((0.05, 0.5, 1)))
+            env = {"S": base}
+            lo = rng.randint(0, 3)
+            hi = lo + rng.randint(0, 3)
+            assert eval_mu(g, SuffixStar(Var("S"), expr), env) == _closure(g, base, expr)
+            window = SuffixTicks(Var("S"), lo, hi)
+            spelled = eval_mu(g, _ticks_spelled(Var("S"), lo, hi), env)
+            assert eval_mu(g, window, env) == _ticks_closure(g, base, lo, hi) == spelled
+            # A closed argument: the window from 0 is the one its loop left.
+            arg = FwdDiamond(inner, TRUE)
+            at = eval_mu(g, arg)
+            got = eval_all(g, (SuffixTicks(arg, lo, hi), SuffixTicks(arg, 0, hi)))
+            assert got == [_ticks_closure(g, at, lo, hi), _ticks_closure(g, at, 0, hi)]
 
 
 def _monotone_formula(rng: random.Random, free: tuple[str, ...]):
@@ -612,11 +653,12 @@ class TestEvalAll:
         g = chain_lts("a", "b", "a")
         star = SuffixStar(INIT, Top())
         assert eval_mu(g, star).is_all
-        alone, image_count.calls = image_count.calls, 0
+        assert image_count.calls == image_count.searches == 1
+        image_count.calls = 0
         batch = (star, Or(Not(star), star), And(star, Var("S")))
         sets = eval_all(g, batch, env={"S": g.set_of([1])})
         assert sets[0].is_all and sets[1].is_all and sets[2] == g.set_of([1])
-        assert image_count.calls == alone > 0
+        assert image_count.calls == image_count.searches - 1 == 1
 
 
 class TestTautology:

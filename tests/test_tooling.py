@@ -1,12 +1,13 @@
 """The benchmark's tracer wraps obscheck functions by name; these tests check
 that every name it wraps still exists, without importing the benchmark.  The
 others keep the public API free of private keyword arguments, every error
-class a `ValueError`, the modules free of each other's private names and of
-self-naming nested functions, `pathregex` with one reader of a tick step's
-counts, path expressions compiled as trees, the state-count bound of the
-fixpoint loops written once, every star and linear binder run by one frontier
-loop, every default of the shared command-line parser immutable, the import
-of `obscheck.cli` free of `dataclasses`, `inspect` and `typing`, and the truth
+class a `ValueError`, the modules free of each other's private names and
+private attributes and of self-naming nested functions, `pathregex` with one
+reader of a tick step's counts, path expressions compiled as trees, the
+state-count bound of the fixpoint loops written once, every star and tick
+step run by one search and every linear binder by the frontier loop, every
+default of the shared command-line parser immutable, the import of
+`obscheck.cli` free of `dataclasses`, `inspect` and `typing`, and the truth
 of a label expression memoized in one place, on the expression."""
 
 import argparse
@@ -125,6 +126,48 @@ def test_no_private_names_cross_modules():
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
     assert crossings == []
+
+
+def _private(name) -> bool:
+    return isinstance(name, str) and name.startswith("_") and not name.endswith("__")
+
+
+def _attributes(tree) -> tuple[set[str], set[str]]:
+    """(private attribute names the module defines, private attribute names
+    it reads).  It defines a name by a def, a class, an assignment, a
+    `__slots__` entry or a `_set(obj, name, ...)` call, and reads one by
+    `obj.name` or `getattr(obj, name, ...)`."""
+    defined, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            (read if isinstance(node.ctx, ast.Load) else defined).add(node.attr)
+        elif isinstance(node, ast.Assign) and "__slots__" in [getattr(t, "id", None) for t in node.targets]:
+            defined.update(n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) >= 2:
+            name = node.args[1].value if isinstance(node.args[1], ast.Constant) else None
+            if node.func.id == "_set":
+                defined.add(name)
+            elif node.func.id == "getattr":
+                read.add(name)
+    return {n for n in defined if _private(n)}, {n for n in read if _private(n)}
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    """Every private attribute an obscheck module reads is one that module
+    defines, so a module reaches the objects of another only through their
+    public names: `mucalc` reaches the graph through `Lts`'s image and
+    search methods, not its adjacency lists."""
+    crossings, reads = [], set()
+    for path in sorted(Path(obscheck.__file__).parent.glob("*.py")):
+        defined, read = _attributes(ast.parse(path.read_text()))
+        crossings += [f"{path.stem}: {name}" for name in sorted(read - defined)]
+        reads |= {(path.stem, name) for name in read}
+    assert crossings == []
+    assert {("pathregex", "_compiled"), ("fott", "_plans"), ("lts", "_truth")} <= reads
 
 
 def test_no_nested_function_names_itself():
@@ -381,23 +424,36 @@ def test_the_state_count_bound_is_written_once():
     assert len(raised) == 2
 
 
-def _frontier_args(f, monkeypatch) -> list:
-    """The `arg` of every `mucalc._frontier` call that evaluating `f` makes."""
-    args = []
+def _frontier_binders(f, monkeypatch) -> list:
+    """The binder node of every `mucalc._frontier` call that evaluating `f` makes."""
+    binders = []
     frontier = mucalc._frontier
 
-    def recorded(g, cur, step, arg):
-        args.append(arg)
-        return frontier(g, cur, step, arg)
+    def recorded(g, cur, binder):
+        binders.append(binder[0])
+        return frontier(g, cur, binder)
 
     monkeypatch.setattr(mucalc, "_frontier", recorded)
     mucalc.eval_mu(Lts(3, 0, [(0, "z", 1), (1, "a", 2), (2, "b", 0), (1, "t", 0)]), f)
-    return args
+    return binders
 
 
-def test_stars_and_tick_steps_run_the_frontier_loop(monkeypatch):
-    args = _frontier_args(mucalc.parse_mu("`0 * a o Tick"), monkeypatch)
-    assert Atom("a") in args and LabelNot(Atom("t")) in args
+def test_stars_and_tick_steps_run_one_search_each(monkeypatch):
+    """`f * A` is one search along A, and `f o Tick{lo,hi}` one search along
+    `-t` per tick count, none of them a round of the frontier loop."""
+    searches = []
+    search = lts._search
+
+    def recorded(todo, edges, matches, seen):
+        searches.append(matches)
+        return search(todo, edges, matches, seen)
+
+    monkeypatch.setattr(lts, "_search", recorded)
+    f = mucalc.parse_mu("`0 * z o Tick{1,3}")
+    assert _frontier_binders(f, monkeypatch) == []
+    # The second count's set is the first's, so the loop stops there.
+    expected = [f.arg.label, lts.NOT_TICK, lts.NOT_TICK]
+    assert [truth is lts.label_truth(expr) for truth, expr in zip(searches, expected, strict=True)] == [True] * 3
 
 
 # (formula, whether its binder runs the frontier loop): a binder is linear
@@ -421,8 +477,7 @@ def test_linear_binders_run_the_frontier_loop(text, linear, monkeypatch):
     """A linear `min` binder runs `mucalc._frontier`, called with the binder
     node; every other binder keeps the plain loop."""
     f = mucalc.parse_mu(text)
-    binders = [arg[0] for arg in _frontier_args(f, monkeypatch) if type(arg) is tuple]
-    assert (f in binders) == linear
+    assert (f in _frontier_binders(f, monkeypatch)) == linear
 
 
 def _function_codes(path: Path):

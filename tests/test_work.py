@@ -6,13 +6,15 @@ import random
 
 import pytest
 
-from conftest import LABELS, random_lts
+from conftest import LABELS, chain_lts, random_lts
 from obscheck import lts
 from obscheck._scan import Node
-from obscheck.checker import internal_label_expr
-from obscheck.lts import Atom, LabelExpr, Lts
-from obscheck.mucalc import eval_mu, parse_mu
+from obscheck.checker import check_eq, internal_label_expr
+from obscheck.fott import present_regex
+from obscheck.lts import Atom, Interval, LabelExpr, Lts
+from obscheck.mucalc import INIT, SuffixStar, SuffixTicks, eval_mu, parse_mu
 from obscheck.mucompile import reach_formula
+from obscheck.timednet import builtin_present, explore
 
 LADDER = (500, 1000, 2000)
 
@@ -38,6 +40,53 @@ def test_reach_formula_on_an_internal_chain(image_count, event):
     assert work[1] <= 2.2 * work[0] and work[2] <= 2.2 * work[1], work
 
 
+def _grows_linearly(work: list[int]) -> bool:
+    return work[1] <= 2.2 * work[0] and work[2] <= 2.2 * work[1]
+
+
+def test_a_tick_chain_enters_each_state_once(image_count):
+    """On a chain of N/2 `t z` pairs, the initial state's tick window
+    {N/4,N/2} is one search per tick count, and each count's search enters
+    its two states: N states entered in all, and the bit sets read and built
+    stay as wide as the graph a bounded number of times."""
+    work = []
+    for n in LADDER:
+        g = chain_lts(*["t", "z"] * (n // 2))
+        image_count.searches = image_count.entered = image_count.words = 0
+        assert eval_mu(g, SuffixTicks(INIT, n // 4, n // 2)) == g.set_of(range(n // 2 - 1, n + 1))
+        assert (image_count.searches, image_count.entered) == (n // 2, n), n
+        work.append(image_count.entered + image_count.words)
+    assert _grows_linearly(work), work
+
+
+def test_a_star_on_a_chain_is_one_search(image_count):
+    """The star along `a` from the initial state of an N-step chain of `a`
+    edges is one search, which enters each of its N + 1 states once."""
+    work = []
+    for n in LADDER:
+        g = chain_lts(*["a"] * n)
+        image_count.searches = image_count.entered = image_count.words = 0
+        assert eval_mu(g, SuffixStar(INIT, Atom("a"))).is_all
+        assert (image_count.searches, image_count.entered) == (1, n + 1), n
+        work.append(image_count.entered + image_count.words)
+    assert _grows_linearly(work), work
+
+
+def test_check_eq_work_grows_linearly_with_the_window(image_count):
+    """`check_eq` on `builtin:present` for [N/2,N[: the states fed to the
+    images or entered by the searches, and the 64-bit words of the bit sets
+    they read and build, each grow at most 2.2x per doubling of the window."""
+    bits, words = [], []
+    for lo in (250, 500, 1000):
+        g = explore(builtin_present(lo, 2 * lo))
+        image_count.bits = image_count.words = 0
+        report = check_eq(g, present_regex("a", "b", Interval(lo, 2 * lo, upper_open=True)), "error")
+        assert report.ok, lo
+        bits.append(image_count.bits)
+        words.append(image_count.words)
+    assert _grows_linearly(bits) and _grows_linearly(words), (bits, words)
+
+
 def _label_nodes(f) -> int:
     """The label-expression nodes in `f`, counted by their place in the tree."""
     count, todo = 0, [f]
@@ -49,8 +98,9 @@ def _label_nodes(f) -> int:
 
 
 # A reach formula and a star formula, built afresh for each rung.  The star
-# reads `T` as `lts.TOP`, and its tick window images along `lts.TICK` and
-# `lts.NOT_TICK`, three label nodes that the formula does not hold.
+# reads `T` as `lts.TOP`, and its tick window takes each `t` step along
+# `lts.TICK` and searches along `lts.NOT_TICK`, through their `label_truth`
+# memos: three label nodes that the formula does not hold.
 FORMULAS = (
     lambda: reach_formula(Atom("a"), internal_label_expr([Atom("a"), Atom("b")])),
     lambda: parse_mu("`0 o z * T o Tick{0,2}"),
