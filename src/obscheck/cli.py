@@ -48,12 +48,18 @@ def _load_model(spec: str):
         return parse_net(fh.read())
 
 
-def _graph_from_args(args) -> Lts:
+def _graph_from_args(args, error_label: str | None = None) -> Lts:
+    """The graph of --graph or --model; a model must label a transition `error_label`, if given."""
     if getattr(args, "graph", None):
         with open(args.graph, encoding="utf-8") as fh:
             return load_aut(fh.read())
     if getattr(args, "model", None):
-        return explore(_load_model(args.model))
+        net = _load_model(args.model)
+        if error_label is not None and all(
+            tr.label != error_label for proc in net.processes for tr in proc.transitions
+        ):
+            raise UsageError(f"--error-label {error_label!r} names no transition of the model")
+        return explore(net)
     raise UsageError("one of --graph or --model is required")
 
 
@@ -152,7 +158,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = _graph_from_args(args)
+    g = _graph_from_args(args, args.error_label if args.reach is None and args.pattern else None)
     if args.reach is not None:
         report = check_reachable(g, parse_label_expr(args.reach), via=args.reach_via)
         _print_report(report, args)

@@ -40,6 +40,35 @@ from spin elapse [0,0] urgent label spin to spin
 """
 
 
+def observers_net(windows) -> str:
+    """The universal environment plus one present-style observer per window
+    (d1, d2 - d1), each with its own labels and its own priorities over the
+    events: the shape of the benchmark's `explore_net` networks."""
+    lines = [
+        "var x : 0..2 = 0",
+        "process Universal",
+        "init u0",
+        "from u0 on a do x := 1 to u0",
+        "from u0 on b do x := 2 to u0",
+        "from u0 on z when x != 0 do x := 0 urgent to u0",
+    ]
+    priorities = []
+    for i, (d1, width) in enumerate(windows):
+        lines += [
+            f"process Obs{i}",
+            "init idle",
+            f"from idle probe b when elapsed in [0,w[ label start{i} to start",
+            f"from start elapse [{d1},{d1}] urgent label watch{i} to watch",
+            f"from watch probe a when elapsed in [0,{width}[ label stop{i} to ok",
+            f"from watch elapse [{width},w[ label error{i} to error",
+        ]
+        priorities += [f"priority watch{i} > a", f"priority watch{i} > b"]
+    return "\n".join(lines + priorities) + "\n"
+
+
+SIX_OBSERVERS_NET = observers_net(((0, 1), (1, 2), (2, 1), (3, 2), (1, 1), (2, 2)))
+
+
 def random_label_expr(rng: random.Random, depth: int = 2):
     roll = rng.random()
     if depth == 0 or roll < 0.55:

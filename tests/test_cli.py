@@ -10,6 +10,7 @@ import pytest
 import obscheck
 from obscheck import cli, mucalc, pathregex
 from obscheck.cli import main
+from obscheck.timednet import explore, parse_net
 
 DATA = Path(__file__).parent / "data"
 
@@ -215,6 +216,51 @@ class TestCheck:
     def test_reach_mode(self, capsys):
         assert main(["check", "--model", "builtin:mouse", "--reach", "error"]) == 0
         assert "reachable: HOLDS" in capsys.readouterr().out
+
+    def test_error_label_naming_no_transition_exits_two(self, capsys):
+        """A misspelled label would leave the error condition empty, and the
+        [4,5[ observer would pass against the closed [4,5] pattern, which
+        fails with the right label."""
+        closed = [arg for arg in CHECK_45 if arg != "--hi-open"]
+        assert main(closed) == 1
+        capsys.readouterr()
+        assert main([arg if arg != "error" else "nosuch" for arg in closed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "obscheck: --error-label 'nosuch' names no transition of the model\n"
+
+    def test_mouse_error_reaction_is_a_valid_error_label(self, capsys):
+        argv = ["check", "--model", "builtin:mouse", "--pattern", "present", "--a", "double", "--b", "click"]
+        argv += ["--lo", "0", "--hi", "1", "--hi-open", "--events", "click,t"]
+        assert main(argv) == 1
+        verdicts = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("  ")]
+        assert [line.split(" (")[0] for line in verdicts] == [
+            "eq_tautology: FAILS",
+            "eq_soundness: FAILS",
+            "eq_correctness: FAILS",
+            "reach[click]: HOLDS",
+            "reach[t]: HOLDS",
+            "innocuous: HOLDS",
+            "naive_errors_in_complement: FAILS",
+            "naive_complement_in_errors: FAILS",
+            "oracle_agreement: HOLDS",
+            "no_tickless_cycle: HOLDS",
+            "overall: FAIL",
+        ]
+
+    def test_declared_but_unreachable_error_label_gives_the_verdicts(self, tmp_path, capsys):
+        """An observer whose error step is never enabled is not a typo: with
+        no error state it implements the unbounded window, where a late `a`
+        never comes too late."""
+        text = (DATA / "present_4_5.net").read_text()
+        net = tmp_path / "never.net"
+        error_step = "elapse [1,w[ label error to error"
+        net.write_text(text.replace(f"from watch {error_step}", f"from error {error_step}"))
+        assert net.read_text() != text
+        argv = ["check", "--model", str(net), "--pattern", "present", "--lo", "4", "--hi", "inf"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
+        assert "error" not in explore(parse_net(net.read_text())).labels
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "--graph", "/nonexistent.aut", "--reach", "error"]) == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SIX_OBSERVERS_NET
 from obscheck.checker import find_tickless_cycle, internal_label_expr
 from obscheck.cli import main
 from obscheck.lts import Atom, save_aut, to_dot
@@ -24,6 +25,8 @@ from obscheck.timednet import (
     Interval,
     Transition,
     VarDecl,
+    _Compiled,
+    _GROUP_BITS,
     builtin_mouse,
     builtin_present,
     describe_state,
@@ -227,6 +230,15 @@ BUILTIN_DOT_DIGESTS = {
     "present_12_20": "0b97a5cdeaaf1c4d04fb4c706e831fa54a1083c60bf8d4acba2eb280ead30afa",
     "mouse": "01cf551f273b9938d1118d36e7eca6efd680c58a5bb02fe17125ef6bdea01661",
 }
+
+# States, transitions and the SHA-256 of save_aut and to_dot of the
+# six-observer network, recorded before the search read groups of process fields.
+SIX_OBSERVERS_DIGESTS = (
+    1363,
+    5608,
+    "58a441784e4ca0df491ec663fb7f3df39dd9b147df1b530232cd36156a5b122f",
+    "5d1eb5e95fac06e5cf7c7d524d3f2e05e8a109ae59801865238afc8c1d1540f0",
+)
 
 
 @pytest.mark.parametrize(
@@ -540,6 +552,52 @@ class TestStateCode:
     @pytest.mark.parametrize("net", [builtin_present(4, 5), builtin_present(12, 20), builtin_mouse()])
     def test_builtins_agree(self, net):
         assert_agrees(net)
+
+
+def _group_sizes(net):
+    """The number of processes in each group of fields the search reads."""
+    return [len(members) for _, _, members, _ in _Compiled(net).groups]
+
+
+class TestGroupsOfFields:
+    """Groups of adjacent process fields, read as one field each, at the
+    boundaries where they start and end."""
+
+    def test_width_zero_process_after_a_wider_one(self):
+        # Folding the width-0 process's row ahead of the others would offer
+        # b before a.
+        net = parse_net(
+            "process P0\ninit l0\nfrom l0 on a to l1\nfrom l1 on a to l0\n"
+            "process P1\ninit k\nfrom k on b to k\n"
+        )
+        assert _group_sizes(net) == [1, 1]
+        g, _ = assert_agrees(net)
+        assert [label for label, _ in g.out_edges(0)] == ["a", "b", "t"]
+
+    def test_a_field_wider_than_the_bound_between_narrow_ones(self):
+        # Sys stops the clocks after three ticks, so the wide observer's
+        # field never holds more than 3 however wide its window.
+        wide = 2 ** (_GROUP_BITS + 1)
+        net = parse_net(
+            "process Sys\ninit l\nfrom l on e keepclock to l\n"
+            "from l elapse [3,3] urgent label stop to m\nfrom m on f urgent to m\n"
+            + "".join(f"process N{i}\ninit w\nfrom w probe e when elapsed in [0,2] label r{i} to v\n"
+                      for i in range(2))
+            + f"process Wide\ninit w\nfrom w probe e when elapsed in [1,{wide}] label r to v\n"
+            "from v probe e label back to w\n"
+            + "".join(f"process M{i}\ninit w\nfrom w probe f when elapsed in [{i},2] label s{i} to w\n"
+                      for i in range(2))
+        )
+        assert _group_sizes(net) == [3, 1, 2]
+        g, states = assert_agrees(net)
+        assert max(clocks[3] for _, _, clocks, _ in states) == 3
+
+    def test_six_observers(self):
+        net = parse_net(SIX_OBSERVERS_NET)
+        assert len(_group_sizes(net)) < len(net.processes)
+        g, _ = assert_agrees(net)
+        aut, dot = hashlib.sha256(save_aut(g).encode()), hashlib.sha256(to_dot(g).encode())
+        assert (g.num_states, len(g.transitions), aut.hexdigest(), dot.hexdigest()) == SIX_OBSERVERS_DIGESTS
 
 
 INIT_NOT_FIRST = (

@@ -7,8 +7,10 @@ reader of a tick step's counts, path expressions compiled as trees, the
 state-count bound of the fixpoint loops written once, every star and tick
 step run by one search and every linear binder by the frontier loop, every
 default of the shared command-line parser immutable, the import of
-`obscheck.cli` free of `dataclasses`, `inspect` and `typing`, and the truth
-of a label expression memoized in one place, on the expression."""
+`obscheck.cli` free of `dataclasses`, `inspect` and `typing`, the truth
+of a label expression memoized in one place, on the expression, and a
+failing property test reported with its falsifying example under the
+project's warning filters."""
 
 import argparse
 import ast
@@ -27,6 +29,7 @@ from obscheck.lts import Atom, Lts
 from obscheck.lts import Not as LabelNot
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def _wrapped_names() -> list[tuple[str, str]]:
@@ -520,3 +523,19 @@ def test_label_truth_is_the_one_memo_of_label_truth():
         assert "eval_label_expr" in function.__code__.co_names
         assert "label_truth" not in function.__code__.co_names
     assert isinstance(lts.label_truth(lts.TOP), lts._Truth)
+
+
+def test_a_failing_property_test_shows_its_falsifying_example(tmp_path):
+    """Every warning is an error, yet the deprecation warning raised while
+    hypothesis reports a failure must not end the run in an INTERNALERROR
+    that hides the falsifying example."""
+    test = tmp_path / "test_falsified.py"
+    test.write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_small(n):\n    assert n < 5\n"
+    )
+    argv = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT), "--rootdir", str(tmp_path)]
+    out = subprocess.run([sys.executable, *argv, str(test)], cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 1
+    assert "Falsifying example: test_small(" in out.stdout
+    assert "INTERNALERROR" not in out.stdout + out.stderr

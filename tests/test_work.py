@@ -1,20 +1,22 @@
 """Work bounds on the shapes whose cost used to grow faster than their size.
-Each test counts work (no wall clock) on a ladder of sizes up to 2,000 and
-bounds it at 2.2x per doubling, or tighter."""
+Each test counts work (no wall clock), most on a ladder of sizes up to 2,000,
+bounded at 2.2x per doubling or tighter, and the exploration's row reads and
+builds on one network."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import LABELS, chain_lts, random_lts
-from obscheck import lts
+from conftest import LABELS, SIX_OBSERVERS_NET, chain_lts, random_lts
+from obscheck import lts, timednet
 from obscheck._scan import Node
 from obscheck.checker import check_eq, internal_label_expr
 from obscheck.fott import present_regex
 from obscheck.lts import Atom, Interval, LabelExpr, Lts
 from obscheck.mucalc import INIT, SuffixStar, SuffixTicks, eval_mu, parse_mu
 from obscheck.mucompile import reach_formula
-from obscheck.timednet import builtin_present, explore
+from obscheck.timednet import builtin_present, explore, parse_net
 
 LADDER = (500, 1000, 2000)
 
@@ -146,3 +148,39 @@ def test_label_evaluation_does_not_grow_with_the_graphs(monkeypatch):
     assert counts["hashes"] == 0
     for expr in CONSTANTS:
         assert lts.label_truth(expr) and set(lts.label_truth(expr)) <= set(LABELS)
+
+
+class _CountedRows(dict):
+    """A group's dict of rows, counting the search's reads of it."""
+
+    reads = 0
+
+    def get(self, field, default=None):
+        self.reads += 1
+        return super().get(field, default)
+
+
+def test_exploration_reads_one_row_per_group_and_builds_each_once(monkeypatch):
+    """On six observers of the benchmark's shape, a state with nothing
+    pending reads one row per group of process fields, there are fewer
+    groups than processes, and each group builds one row per field value it
+    meets."""
+    net = parse_net(SIX_OBSERVERS_NET)
+    compiled = timednet._Compiled(net)
+    compiled.groups = [(offset, mask, members, _CountedRows()) for offset, mask, members, _ in compiled.groups]
+    built = Counter()
+    build = timednet._build_row
+
+    def counting_build(members, field):
+        built[id(members), field] += 1
+        return build(members, field)
+
+    monkeypatch.setattr(timednet, "_build_row", counting_build)
+    g, codes = timednet._search(compiled, 10_000)
+    quiet = sum(1 for code in codes if not code & ((1 << len(compiled.pending)) - 1))
+    assert 0 < quiet < g.num_states
+    assert len(compiled.groups) < len(net.processes)
+    for _, _, members, rows in compiled.groups:
+        assert rows.reads == quiet
+        assert {field for key, field in built if key == id(members)} == set(rows)
+    assert set(built.values()) == {1}
