@@ -188,6 +188,11 @@ def find_tickless_cycle(g: Lts, internal: LabelExpr) -> list[str] | None:
 # Individual checks
 
 
+def _timed(name: str, t0: float, verdicts: list[Verdict]) -> Report:
+    """A check's report: its verdicts, and the time since `t0` as `name`."""
+    return Report(verdicts, {name: time.perf_counter() - t0})
+
+
 def _empty_verdict(name: str, bad: StateSet) -> Verdict:
     """Holds when `bad` is empty; otherwise its first state is the witness."""
     return Verdict(name, bad.is_empty, witness_state=None if bad.is_empty else next(iter(bad)))
@@ -201,20 +206,16 @@ def check_eq(g: Lts, pattern: PathRegex, err_label: str) -> Report:
     state of either kind."""
     t0 = time.perf_counter()
     visited, errors = eval_all(g, (compile_both(pattern)[1], error_condition(err_label)))
-    return _eq_report(visited, errors, t0)
+    return _timed("eq", t0, _eq_verdicts(visited, errors))
 
 
-def _eq_report(visited: StateSet, errors: StateSet, t0: float) -> Report:
-    """`check_eq`'s verdicts, timed as `eq` from `t0`."""
-    report = Report()
+def _eq_verdicts(visited: StateSet, errors: StateSet) -> list[Verdict]:
+    """`check_eq`'s verdicts, which `full_report` reads off its own batch."""
     unsound, incorrect = visited.complement() - errors, visited & errors
     taut = _empty_verdict("eq_tautology", unsound | incorrect)
-    report.verdicts.append(taut)
-    if not taut.holds:
-        report.verdicts.append(_empty_verdict("eq_soundness", unsound))
-        report.verdicts.append(_empty_verdict("eq_correctness", incorrect))
-    report.timings["eq"] = time.perf_counter() - t0
-    return report
+    if taut.holds:
+        return [taut]
+    return [taut, _empty_verdict("eq_soundness", unsound), _empty_verdict("eq_correctness", incorrect)]
 
 
 def check_innocuous(g: Lts, events: list[LabelExpr], internal: LabelExpr) -> Report:
@@ -224,17 +225,13 @@ def check_innocuous(g: Lts, events: list[LabelExpr], internal: LabelExpr) -> Rep
     them."""
     if not events:
         raise ValueError("innocuousness needs at least one event")
-    report = Report()
     t0 = time.perf_counter()
     reach = [
         _empty_verdict(f"reach[{format_label_expr(e)}]", eval_mu(g, reach_formula(e, internal)).complement())
         for e in events
     ]
-    witnesses = [v.witness_state for v in reach if not v.holds]
-    report.verdicts += reach
-    report.verdicts.append(Verdict("innocuous", not witnesses, witness_state=witnesses[0] if witnesses else None))
-    report.timings["innocuous"] = time.perf_counter() - t0
-    return report
+    witness = next((v.witness_state for v in reach if not v.holds), None)
+    return _timed("innocuous", t0, [*reach, Verdict("innocuous", witness is None, witness_state=witness)])
 
 
 def check_inclusion_naive(g: Lts, pattern: PathRegex, err_label: str) -> Report:
@@ -248,20 +245,21 @@ def check_inclusion_naive(g: Lts, pattern: PathRegex, err_label: str) -> Report:
     """
     t0 = time.perf_counter()
     region = eval_mu(g, error_entry_region(err_label))
-    return _naive_report(g, region, oracle_visited_states(g, pattern), err_label, t0)
+    visited = oracle_visited_states(g, pattern)
+    return _timed("naive_inclusion", t0, _naive_verdicts(g, region, visited, err_label))
 
 
-def _naive_report(g: Lts, region: StateSet, visited: StateSet, err_label: str, t0: float) -> Report:
-    """`check_inclusion_naive`'s verdicts, timed as `naive_inclusion` from `t0`."""
-    report = Report()
+def _naive_verdicts(g: Lts, region: StateSet, visited: StateSet, err_label: str) -> list[Verdict]:
+    """`check_inclusion_naive`'s verdicts; the informational one carries a
+    lasso through its witness."""
     not_present = visited.complement()
-    report.verdicts.append(_empty_verdict("naive_errors_in_complement", region - not_present))
-    complete = _empty_verdict("naive_complement_in_errors", not_present - region)
-    if not complete.holds:
-        complete.witness_trace, complete.lasso_split = _lasso(g, complete.witness_state, err_label)
-    report.verdicts.append(complete)
-    report.timings["naive_inclusion"] = time.perf_counter() - t0
-    return report
+    missed = not_present - region
+    witness = None if missed.is_empty else next(iter(missed))
+    trace, split = (None, None) if witness is None else _lasso(g, witness, err_label)
+    return [
+        _empty_verdict("naive_errors_in_complement", region - not_present),
+        Verdict("naive_complement_in_errors", witness is None, witness, trace, split),
+    ]
 
 
 def _lasso(g: Lts, witness: int, err_label: str) -> tuple[list[str] | None, int | None]:
@@ -288,7 +286,6 @@ def check_reachable(g: Lts, target: LabelExpr, via: str = "enabled") -> Report:
     """
     if via not in ("enabled", "entered"):
         raise ValueError("via must be 'enabled' or 'entered'")
-    report = Report()
     t0 = time.perf_counter()
     hit = _shortest_path(g, StateSet(g.num_states, g.pre_bits((1 << g.num_states) - 1, target)))
     if hit is not None and via == "entered":
@@ -297,13 +294,8 @@ def check_reachable(g: Lts, target: LabelExpr, via: str = "enabled") -> Report:
         truth = label_truth(target)
         label, dst = next((lab, dst) for lab, dst in g.out_edges(state) if truth[lab])
         hit = (dst, trace + [label])
-    if hit is None:
-        report.verdicts.append(Verdict("reachable", False))
-    else:
-        state, trace = hit
-        report.verdicts.append(Verdict("reachable", True, witness_state=state, witness_trace=trace))
-    report.timings["reachable"] = time.perf_counter() - t0
-    return report
+    state, trace = (None, None) if hit is None else hit
+    return _timed("reachable", t0, [Verdict("reachable", hit is not None, state, trace)])
 
 
 # ---------------------------------------------------------------------------
@@ -329,31 +321,26 @@ def full_report(
     g = explore(source) if isinstance(source, TimedNet) else source
     if internal is None:
         internal = internal_label_expr(events)
-    report = Report()
-
     t0 = time.perf_counter()
     end_f, visited_f = compile_both(pattern)
     errors_f = error_condition(err_label)
     # The order is free: the pattern's window is one counted step, evaluated
     # in one loop whichever formula reaches it first.
     visited_mu, end_mu, errors, region = eval_all(g, (visited_f, end_f, errors_f, errors_f.right))
-    report.extend(_eq_report(visited_mu, errors, t0))
+    report = _timed("eq", t0, _eq_verdicts(visited_mu, errors))
 
     report.extend(check_innocuous(g, events, internal))
 
     t0 = time.perf_counter()
     end, visited = oracle_states(g, pattern)
-    report.extend(_naive_report(g, region, visited, err_label, t0))
+    report.extend(_timed("naive_inclusion", t0, _naive_verdicts(g, region, visited, err_label)))
 
     t0 = time.perf_counter()
     agree = end_mu == end and visited_mu == visited
-    report.verdicts.append(Verdict("oracle_agreement", agree))
-    report.timings["oracle_agreement"] = time.perf_counter() - t0
+    report.extend(_timed("oracle_agreement", t0, [Verdict("oracle_agreement", agree)]))
 
     t0 = time.perf_counter()
     cycle = find_tickless_cycle(g, internal)
-    report.verdicts.append(
-        Verdict("no_tickless_cycle", cycle is None, witness_trace=cycle)
-    )
-    report.timings["tickless_cycle"] = time.perf_counter() - t0
+    verdict = Verdict("no_tickless_cycle", cycle is None, witness_trace=cycle)
+    report.extend(_timed("tickless_cycle", t0, [verdict]))
     return report

@@ -17,11 +17,12 @@ import sys
 from . import __version__
 from .checker import Report, check_reachable, full_report
 from .fott import present_regex
-from .lts import Atom, Interval, Lts, load_aut, parse_label_expr, save_aut, to_dot
+from ._scan import tokenize
+from .lts import RESERVED_LABEL, TICK_LABEL, Atom, Interval, Lts, load_aut, parse_label_expr, save_aut, to_dot
 from .mucalc import eval_mu, is_tautology, parse_mu, print_mu
 from .mucompile import compile_end, compile_visited
 from .pathregex import oracle_states, parse_regex
-from .timednet import builtin_mouse, builtin_present, explore, parse_net
+from .timednet import TimedNet, builtin_mouse, builtin_present, explore, parse_net
 
 
 class UsageError(ValueError):
@@ -48,19 +49,24 @@ def _load_model(spec: str):
         return parse_net(fh.read())
 
 
-def _graph_from_args(args, error_label: str | None = None) -> Lts:
-    """The graph of --graph or --model; a model must label a transition `error_label`, if given."""
+def _source_from_args(args) -> Lts | TimedNet:
+    """The graph of --graph, or the network of --model before it is explored."""
     if getattr(args, "graph", None):
         with open(args.graph, encoding="utf-8") as fh:
             return load_aut(fh.read())
     if getattr(args, "model", None):
-        net = _load_model(args.model)
-        if error_label is not None and all(
-            tr.label != error_label for proc in net.processes for tr in proc.transitions
-        ):
-            raise UsageError(f"--error-label {error_label!r} names no transition of the model")
-        return explore(net)
+        return _load_model(args.model)
     raise UsageError("one of --graph or --model is required")
+
+
+def _graph_from_args(args) -> Lts:
+    source = _source_from_args(args)
+    return explore(source) if isinstance(source, TimedNet) else source
+
+
+def _label_names(text: str) -> list[str]:
+    """The label names in a well-formed label expression, in order; `T` is the constant."""
+    return [tok.text for tok in tokenize(text) if tok.kind == "ident" and tok.text != RESERVED_LABEL]
 
 
 def _states_line(s) -> str:
@@ -158,19 +164,36 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = _graph_from_args(args, args.error_label if args.reach is None and args.pattern else None)
+    # A model is checked before it is explored: the error label must label
+    # one of its transitions, and each other label named must, or be the tick.
+    source = _source_from_args(args)
+    labels = None
+    if isinstance(source, TimedNet):
+        labels = {tr.label for proc in source.processes for tr in proc.transitions}
+        if args.reach is None and args.pattern and args.error_label not in labels:
+            raise UsageError(f"--error-label {args.error_label!r} names no transition of the model")
     if args.reach is not None:
-        report = check_reachable(g, parse_label_expr(args.reach), via=args.reach_via)
-        _print_report(report, args)
-        return 0 if report.ok else 1
-    if args.pattern is None:
+        target = parse_label_expr(args.reach)
+        names = [("--reach", name) for name in _label_names(args.reach)]
+    elif args.pattern is None:
         raise UsageError("either --pattern or --reach is required")
-    pattern = _pattern_from_args(args)
-    events = [Atom(text.strip()) for text in args.events.split(",") if text.strip()]
-    if not events:
-        raise UsageError("--events must name at least one label")
-    internal = parse_label_expr(args.internal) if args.internal else None
-    report = full_report(g, pattern, args.error_label, events, internal)
+    else:
+        pattern = _pattern_from_args(args)
+        events = [Atom(text.strip()) for text in args.events.split(",") if text.strip()]
+        if not events:
+            raise UsageError("--events must name at least one label")
+        internal = parse_label_expr(args.internal) if args.internal else None
+        names = [("--a", args.a), ("--b", args.b), *(("--events", e.name) for e in events)]
+        names += [("--internal", name) for name in _label_names(args.internal or "")]
+    if labels is not None:
+        for flag, name in names:
+            if name != TICK_LABEL and name not in labels:
+                raise UsageError(f"{flag} {name!r} names no transition of the model")
+        source = explore(source)
+    if args.reach is not None:
+        report = check_reachable(source, target, via=args.reach_via)
+    else:
+        report = full_report(source, pattern, args.error_label, events, internal)
     _print_report(report, args)
     return 0 if report.ok else 1
 

@@ -143,22 +143,6 @@ def not_in(event: str, var: str) -> FottFormula:
     )
 
 
-def after_scope(trace: str, event: str, tail: str) -> FottFormula:
-    """`tail` is the part of `trace` after the first occurrence of the event."""
-    h1, h2, lit = tail + "'1", tail + "'2", tail + "'e"
-    return exists_many(
-        (h1, h2, lit),
-        and_chain(
-            (
-                EqLit(lit, (event,)),
-                EqCat(trace, h1, h2),
-                EqCat(h2, lit, tail),
-                not_in(event, h1),
-            )
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Anchoring
 

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import ZENO_NET, chain_lts, collector_off, random_label_expr, random_lts, random_regex
 from obscheck import checker, pathregex
+from obscheck.cli import main
 from obscheck.checker import (
     Report,
     Verdict,
@@ -26,10 +27,12 @@ from obscheck.lts import TICK_LABEL, Atom, Lts, eval_label_expr, parse_label_exp
 from obscheck.mucalc import Iff, Implies, Not, eval_all, eval_mu, is_tautology, parse_mu
 from obscheck.mucompile import compile_both, compile_visited, error_condition, reach_formula
 from obscheck.pathregex import build_nfa, match_word, oracle_states, oracle_visited_states, parse_regex
-from obscheck.timednet import builtin_mouse, builtin_present, explore, explore_full, parse_net
+from obscheck.timednet import builtin_mouse, builtin_present, describe_state, explore, explore_full, parse_net
 
 EVENTS = [Atom("a"), Atom("b"), Atom("t")]
 INTERNAL = internal_label_expr(EVENTS)
+
+WATCH_Z = Path(__file__).parent / "data" / "present_4_5_watch_z.net"
 
 
 def pattern(lo, hi):
@@ -559,6 +562,34 @@ class TestFullReportWork:
     def test_window_2000_gives_the_verdicts(self):
         report = full_report(builtin_present(2000, 2001), pattern(2000, 2001), "error", EVENTS)
         assert [(v.name, v.holds) for v in report.verdicts] == MATCHED_VERDICTS
+
+
+class TestObserverWatchingTheWrongEvent:
+    """The [4,5[ observer with its watch step probing `z` instead of `a`
+    misses a violation of the pattern, which `check` should report
+    (ROADMAP item 13)."""
+
+    RUN = "b.start.z.t.t.t.t.watch.b.z.stop".split(".")
+
+    def test_a_violating_run_ends_where_no_error_step_is(self):
+        """Read off the graph and the trace formula, without `mucalc`."""
+        net = parse_net(WATCH_Z.read_text())
+        g, states = explore_full(net)
+        ends = {g.initial}
+        for label in self.RUN:
+            ends = {dst for s in ends for lab, dst in g.out_edges(s) if lab == label}
+        assert ends
+        for s in ends:
+            assert describe_state(net, states[s])["locations"]["Present"] == "ok"
+            assert sorted(lab for lab, _ in g.out_edges(s)) == ["a", "b", "t"]
+        word = tuple(lab for lab in self.RUN if lab not in ("start", "watch", "stop"))
+        assert word == ("b", "z", "t", "t", "t", "t", "b", "z")
+        assert not eval_fott(present_fott("a", "b", Interval(4, 5, upper_open=True)), {"x": word})
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+    def test_check_fails_the_observer(self, capsys):
+        argv = ["check", "--model", str(WATCH_Z), "--pattern", "present", "--lo", "4", "--hi", "5", "--hi-open"]
+        assert main(argv) == 1
 
 
 class TestSetVerdicts:

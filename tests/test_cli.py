@@ -261,6 +261,45 @@ class TestCheck:
         assert main(argv) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
         assert "error" not in explore(parse_net(net.read_text())).labels
+        # A label that is declared but never fires is no misspelling either.
+        assert main(["check", "--model", str(net), "--reach", "error"]) == 1
+        assert capsys.readouterr().out == "reachable: FAILS\noverall: FAIL\n"
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (CHECK_45 + ["--a", "aa"], "--a 'aa'"),
+            (CHECK_45 + ["--b", "bb"], "--b 'bb'"),
+            (CHECK_45 + ["--events", "a,bb,t"], "--events 'bb'"),
+            (CHECK_45 + ["--internal", "zz"], "--internal 'zz'"),
+            (CHECK_45 + ["--internal", "(T /\\ -a) \\/ zz"], "--internal 'zz'"),
+            (CHECK_45 + ["--a", "aa", "--error-label", "nosuch"], "--error-label 'nosuch'"),
+            (["check", "--model", "builtin:mouse", "--reach", "eror"], "--reach 'eror'"),
+            (["check", "--model", "builtin:mouse", "--reach", "click /\\ -eror"], "--reach 'eror'"),
+        ],
+        ids=["a", "b", "events", "internal", "internal-atom", "error-label-first", "reach", "reach-atom"],
+    )
+    def test_a_label_naming_no_transition_exits_two(self, capsys, monkeypatch, argv, named):
+        """With --model, a misspelled label exits 2 before the model is
+        explored; `--a aa` would otherwise pass on [4,5[ as `--a a` does."""
+        explored = []
+        monkeypatch.setattr(cli, "explore", lambda *args: explored.append(args))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, explored) == ("", [])
+        assert captured.err == f"obscheck: {named} names no transition of the model\n"
+
+    @pytest.mark.parametrize("flags", [["--a", "t"], ["--events", "t"], ["--internal", "T /\\ -(a \\/ b \\/ t)"]])
+    def test_the_tick_and_the_constant_are_valid_labels(self, capsys, flags):
+        assert main(CHECK_45 + flags) in (0, 1)
+        assert capsys.readouterr().out.splitlines()[-1].startswith("overall: ")
+
+    def test_a_graph_file_is_not_checked_for_label_names(self, tmp_path, capsys):
+        graph = tmp_path / "mouse.aut"
+        assert main(["gen", "--model", "builtin:mouse", "--out", str(graph)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--graph", str(graph), "--reach", "eror"]) == 1
+        assert capsys.readouterr().out == "reachable: FAILS\noverall: FAIL\n"
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check", "--graph", "/nonexistent.aut", "--reach", "error"]) == 2

@@ -13,7 +13,6 @@ from obscheck.fott import (
     FottError,
     Interval,
     Not,
-    after_scope,
     and_chain,
     check_anchored,
     eval_fott,
@@ -25,6 +24,23 @@ from obscheck.fott import (
     present_regex,
 )
 from obscheck.pathregex import Union, match_word, parse_regex
+
+
+def after_scope(trace: str, event: str, tail: str):
+    """`tail` is the part of `trace` after the first occurrence of the event."""
+    h1, h2, lit = tail + "'1", tail + "'2", tail + "'e"
+    return exists_many(
+        (h1, h2, lit),
+        and_chain(
+            (
+                EqLit(lit, (event,)),
+                EqCat(trace, h1, h2),
+                EqCat(h2, lit, tail),
+                not_in(event, h1),
+            )
+        ),
+    )
+
 
 ALPHABET = ("a", "b", "t", "z")
 words = st.lists(st.sampled_from(ALPHABET), max_size=8).map(tuple)

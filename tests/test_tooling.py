@@ -8,9 +8,10 @@ state-count bound of the fixpoint loops written once, every star and tick
 step run by one search and every linear binder by the frontier loop, every
 default of the shared command-line parser immutable, the import of
 `obscheck.cli` free of `dataclasses`, `inspect` and `typing`, the truth
-of a label expression memoized in one place, on the expression, and a
-failing property test reported with its falsifying example under the
-project's warning filters."""
+of a label expression memoized in one place, on the expression, each
+check's report and its timing made by one builder in `checker`, every
+`Verdict` built whole, and a failing property test reported with its
+falsifying example under the project's warning filters."""
 
 import argparse
 import ast
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import obscheck
-from obscheck import cli, lts, mucalc, pathregex
+from obscheck import checker, cli, lts, mucalc, pathregex
 from obscheck.lts import Atom, Lts
 from obscheck.lts import Not as LabelNot
 
@@ -306,24 +307,67 @@ def test_one_tick_label_and_one_tick_step():
     assert _concrete_subclasses(pathregex.Step) == {pathregex.One, pathregex.Star, pathregex.Tick}
 
 
+def _functions(module: str):
+    """(name, node) of each top-level function and method in an obscheck
+    module, as `Class.method`, and ("<module>", statement) for its other
+    top-level statements."""
+    for top in ast.parse((Path(obscheck.__file__).parent / f"{module}.py").read_text()).body:
+        functions = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
+        if isinstance(top, ast.ClassDef):
+            functions = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
+        yield from functions or [("<module>", top)]
+
+
 def test_one_reader_of_the_tick_counts_in_pathregex():
     """A path expression turns into states in one place: inside `pathregex`,
     only the automaton compiler reads a `Tick`'s counts, and only the node
     itself checks them, as it is built."""
-    tree = ast.parse((Path(obscheck.__file__).parent / "pathregex.py").read_text())
     readers, checkers = set(), set()
-    for top in tree.body:
-        functions = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
-        if isinstance(top, ast.ClassDef):
-            functions = [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
-        for name, function in functions or [("<module>", top)]:
-            for n in ast.walk(function):
-                if isinstance(n, ast.Attribute) and n.attr in ("lo", "hi"):
-                    readers.add(name)
-                if isinstance(n, ast.Name) and n.id == "tick_count_error" and isinstance(n.ctx, ast.Load):
-                    checkers.add(name)
+    for name, function in _functions("pathregex"):
+        for n in ast.walk(function):
+            if isinstance(n, ast.Attribute) and n.attr in ("lo", "hi"):
+                readers.add(name)
+            if isinstance(n, ast.Name) and n.id == "tick_count_error" and isinstance(n.ctx, ast.Load):
+                checkers.add(name)
     assert readers == {"_nfa_ends"}
     assert checkers == {"Tick.__init__"}
+
+
+def test_a_checks_report_and_timing_are_made_in_one_place():
+    """In `checker`, one builder makes each check's `Report` from its verdicts
+    and one named timing: only it calls `Report(...)` and subtracts a start
+    time, and only `Report.__init__` stores `timings`."""
+    makers, timers, stores = set(), set(), set()
+    for name, function in _functions("checker"):
+        for n in ast.walk(function):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Report":
+                makers.add(name)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub) and "perf_counter" in ast.unparse(n.left):
+                timers.add(name)
+            stored = n.value if isinstance(n, ast.Subscript) else n
+            if isinstance(stored, ast.Attribute) and stored.attr == "timings" and not isinstance(n.ctx, ast.Load):
+                stores.add(name)
+    assert makers == timers == {"_timed"}
+    assert stores == {"Report.__init__"}
+
+
+def test_every_verdict_is_built_whole():
+    """No code assigns a field of a `Verdict` after building it: such a name
+    is stored only by a constructor, into its own instance."""
+    fields = set(checker.Verdict._fields)
+    found = []
+    for info in pkgutil.iter_modules(obscheck.__path__):
+        for name, function in _functions(info.name):
+            for n in ast.walk(function):
+                if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Load):
+                    target, field = ast.unparse(n.value), n.attr
+                elif isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("setattr", "_set") and len(n.args) > 1:
+                    target, field = ast.unparse(n.args[0]), getattr(n.args[1], "value", None)
+                else:
+                    continue
+                if field in fields and not (target == "self" and name.endswith(".__init__")):
+                    found.append(f"{info.name}.{name}: {target}.{field}")
+    assert found == []
 
 
 def test_path_expressions_are_compiled_as_trees():
