@@ -281,8 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
 # Namespace, and every action default is immutable, so no call sees another's.
 _PARSER = build_parser()
 
+# Options whose value, an expression, may start with `-`.  argparse reads such
+# a value, given as the next argument, as an option, so `main` joins the two
+# (`--internal -a` as `--internal=-a`) unless the value is `-h` or starts with
+# `--`, the form of every option string of this parser.
+_EXPRESSION_OPTIONS = ("--internal", "--reach", "--formula", "--highlight", "--regex")
+
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        option, value = argv[i - 1], argv[i]
+        if option in _EXPRESSION_OPTIONS and value[:1] == "-" and value[:2] != "--" and value != "-h":
+            argv[i - 1 : i + 1] = [f"{option}={value}"]
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)

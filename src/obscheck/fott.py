@@ -15,7 +15,9 @@ piece of an already known word before anything reads it; `check_anchored`
 asks exactly that of the plan.  Running a plan enumerates the split points
 of concatenations.  The plan binds literal words once, in the slot list every
 run starts from; it goes straight to the occurrences of a known head word
-where a split is followed by `suffix = head . tail`; and it reads a double
+where a split is followed by `suffix = head . tail`, binds there only the
+pieces that later constraints read, and counts the prefix's ticks as it goes
+when the prefix's duration constraint follows; and it reads a double
 negation as an existence test.
 
 The generators at the bottom produce, for the existence pattern
@@ -193,11 +195,16 @@ def check_anchored(f: FottFormula, free: Sequence[str]) -> None:
 # slot's only writer, so its window goes into the plan's template, the list
 # every run starts from, and costs no step.  A split whose suffix the next
 # conjunct pins to start with a bound head becomes one find step over the
-# head's occurrences; at the end of a block, where nothing reads the block's
-# slots any more, it only tests that the head occurs.  The Not of a block
-# whose whole plan is one Not runs that inner block as an existence test.
-# Consecutive steps that do not branch run as one step looping over them, so
-# running a plan recurses once per split, find or Not, not once per conjunct.
+# head's occurrences.  It takes a head that the template binds as a constant,
+# and binds only the pieces that the later steps of its block, or their Nots'
+# blocks, read; binding none before the block's end, it only tests that the
+# head occurs, with `in` on a window of at most 64 symbols.  A DurIn on its
+# prefix right after it is fused into it: the find counts the prefix's ticks
+# as the cut moves forward and stops once they are too many.  The Not of a
+# block whose whole plan is one Not runs that inner block as an existence
+# test.  Consecutive steps that do not branch, a Not among them unless it is
+# in a run of one or two Nots, run as one step looping over them, so running a
+# plan recurses once per split, find or short run of Nots, not per conjunct.
 
 
 def eval_fott(f: FottFormula, asg: Mapping[str, Sequence[str]]) -> bool:
@@ -269,8 +276,8 @@ def _plan(
     when the schedule reaches it; when the block's plan is a single Not, the
     first step of that Not's argument (the block's negation); and whether the
     schedule took every conjunct."""
-    # (straight, step maker, its arguments before the next step), where a
-    # straight step runs its next step at most once
+    # (straight, slots read, step maker, its arguments before the next step),
+    # where a straight step runs its next step at most once
     ops: list[tuple] = []
     rest, end = list(items), _done
     while rest:
@@ -286,13 +293,18 @@ def _plan(
         del rest[k]
         if kind is EqLit:
             if slots[0] in bound:
-                ops.append((True, _lit_step, slots[0], arg))
+                ops.append((True, slots, _lit_step, slots[0], arg))
             else:
                 template[slots[0]] = (arg, 0, len(arg))
         elif kind is DurIn:
-            ops.append((True, _dur_step, slots[0], arg.integer_range()))
+            least, most = arg.integer_range() or (1, 0)  # (1, 0): no integer fits
+            window = (least, float("inf") if most is None else most)
+            if ops and ops[-1][2] is _find_step and ops[-1][4] == slots[0] and ops[-1][-1] is None:
+                ops[-1] = (*ops[-1][:-1], window)  # the find counts its prefix's ticks
+            else:
+                ops.append((True, slots, _dur_step, slots[0], window))
         elif kind is Not:
-            ops.append((False, _not_step, runs[arg], tests[arg]))
+            ops.append((True, frees[arg], _not_step, runs[arg], tests[arg]))
         else:
             whole, pre, suf = slots
             if whole not in bound:
@@ -310,21 +322,25 @@ def _plan(
                 sw, head, tail = rest[0][1] if rest and rest[0][0] is EqCat else (None,) * 3
                 if sw == suf and head in bound and tail not in bound | {pre, suf}:
                     del rest[0]
-                    ops.append((False, _find_step, whole, pre, suf, head, tail))
+                    word = template[head]  # a literal's window, the same on every run
+                    ops.append((False, (whole, head), _find_step, whole, pre, suf, head, tail, word, None))
                     bound.update((pre, suf, tail))
                     continue
-            ops.append((case != "split", _cat_step, case, whole, pre, suf))
+            ops.append((case != "split", slots, _cat_step, case, whole, pre, suf))
         bound.update(slots)
-    run = end
+    run, live = end, set()  # the slots that the steps after the one being made read
     for straight, group in groupby(reversed(ops), key=itemgetter(0)):
         group = list(group)
-        if straight and len(group) > 1:
-            run = _loop_step([make(*args, _done) for _, make, *args in reversed(group)], run)
-        else:
-            for _, make, *args in group:
-                run = make(*args, run)
-    lone_not = end is _done and len(ops) == 1 and ops[0][1] is _not_step
-    return run, ops[0][2] if lone_not else None, end is _done
+        # A run of one or two Nots keeps its chain, which runs faster.
+        loop = straight and len(group) > 1 + all(op[2] is _not_step for op in group)
+        if loop:
+            run = _loop_step([make(*args, _done) for _, _, make, *args in reversed(group)], run)
+        for _, reads, make, *args in group:
+            if not loop:
+                run = make(*args, live, run) if make is _find_step else make(*args, run)
+            live.update(reads)
+    lone_not = end is _done and len(ops) == 1 and ops[0][2] is _not_step
+    return run, ops[0][3] if lone_not else None, end is _done
 
 
 # The step makers.  A step takes the slot list, checks or binds, and then runs
@@ -362,11 +378,8 @@ def _lit_step(slot: int, word: Word, nxt):
     return same
 
 
-def _dur_step(slot: int, ticks: tuple[int, int | None] | None, nxt):
-    """The tick count of the slot lies in `ticks`, an interval's integer
-    range; None, for an interval that holds no integer, admits no count."""
-    least, most = ticks or (1, 0)
-    most = float("inf") if most is None else most
+def _dur_step(slot: int, window: tuple[int, float], nxt):
+    least, most = window
 
     def step(env: list) -> bool:
         w, lo, hi = env[slot]
@@ -383,36 +396,62 @@ def _not_step(sub, test, nxt):
     return (lambda env: not sub(env)) if nxt is _done else lambda env: not sub(env) and nxt(env)
 
 
-def _find_step(whole: int, pre: int, suf: int, head: int, tail: int, nxt):
+def _find_step(whole, pre, suf, head, tail, word, window, live: set, nxt):
     """The step of `whole = pre . suf` and `suf = head . tail` with the head
-    bound: bind all three at each occurrence of the head's word in `whole`,
-    or, before `_done`, only test that it occurs."""
-    bind = nxt is not _done
+    bound (to `word`, if the template fixes it): at each occurrence of the
+    head's word in `whole`, bind those of the three that `live` holds and run
+    `nxt`, or, with nothing to bind before `_done`, only test that one occurs.
+    A fused DurIn on the prefix, its (least, most) `window`, counts the
+    prefix's ticks as the cut moves forward: a cut with too few is passed
+    over, and the first with too many ends the search."""
+    bind_pre, bind_suf, bind_tail = pre in live, suf in live, tail in live
+    test = nxt is _done and not (bind_pre or bind_suf or bind_tail)
+    least, most = window or (0, None)
+    sym = word[0][0] if word and word[2] == 1 else None
+
+    def occurs(env: list) -> bool:
+        # `in` on a short slice beats `index`, which raises on a miss; slicing
+        # every window of a long word would make the search quadratic.
+        w, lo, hi = env[whole]
+        if hi - lo <= 64:
+            return sym in w[lo:hi]
+        try:
+            return w.index(sym, lo, hi) >= 0
+        except ValueError:
+            return False
 
     def find(env: list) -> bool:
-        (w, lo, hi), (hw, hlo, hhi) = env[whole], env[head]
+        (w, lo, hi), (hw, hlo, hhi) = env[whole], word or env[head]
         n = hhi - hlo
-        last, cut = hi - n, lo
+        cut = counted = lo
+        last, ticks = hi - n, 0
         while cut <= last:
             if n:
                 try:
                     cut = w.index(hw[hlo], cut, last + 1)
                 except ValueError:
                     return False
-                if n > 1 and w[cut : cut + n] != hw[hlo:hhi]:
-                    cut += 1
-                    continue
-            if not bind:
+            if most is not None:
+                ticks, counted = ticks + w[counted:cut].count(TICK_LABEL), cut
+                if ticks > most:
+                    return False
+            if (n > 1 and w[cut : cut + n] != hw[hlo:hhi]) or ticks < least:
+                cut += 1
+                continue
+            if test:
                 return True
-            env[pre] = (w, lo, cut)
-            env[suf] = (w, cut, hi)
-            env[tail] = (w, cut + n, hi)
+            if bind_pre:
+                env[pre] = (w, lo, cut)
+            if bind_suf:
+                env[suf] = (w, cut, hi)
+            if bind_tail:
+                env[tail] = (w, cut + n, hi)
             if nxt(env):
                 return True
             cut += 1
         return False
 
-    return find
+    return occurs if test and sym is not None and window is None else find
 
 
 def _cat_step(case: str, whole: int, pre: int, suf: int, nxt):

@@ -165,6 +165,27 @@ def image_count(monkeypatch) -> ImageCount:
     return count
 
 
+@pytest.fixture
+def symbol_count() -> type:
+    """A `str` subclass whose symbols count in `compared` each `==` and `!=`
+    they take part in, so that `index`, `count`, `in` and the comparison of
+    slices count the symbols they read from a word built of them."""
+
+    class Symbol(str):
+        compared = 0
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            Symbol.compared += 1
+            return str.__eq__(self, other)
+
+        def __ne__(self, other):
+            Symbol.compared += 1
+            return str.__ne__(self, other)
+
+    return Symbol
+
+
 @pytest.fixture(scope="session")
 def present45_graph():
     return explore(builtin_present(4, 5))

@@ -116,6 +116,50 @@ def test_two_sources_of_one_input_are_a_usage_error(capsys, argv, pair):
     assert "Traceback" not in captured.err
 
 
+CHECK_45_OPEN = ["check", "--model", "builtin:present:4:5", "--pattern", "present", "--lo", "4", "--hi", "5", "--hi-open"]
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (CHECK_45_OPEN, "--internal", "-(a\\/zz)"),
+        (CHECK_45_OPEN, "--internal", "-(a\\/b\\/t)"),
+        (["check", "--model", "builtin:present:4:5"], "--reach", "-a"),
+        (["eval", "--model", "builtin:mouse"], "--formula", "-<a>T"),
+        (["dot", "--model", "builtin:mouse"], "--highlight", "-<a>T"),
+        (["compile", "--mode", "end"], "--regex", "-a"),
+        (["oracle", "--model", "builtin:mouse"], "--regex", "-a"),
+    ],
+)
+def test_an_expression_starting_with_a_dash_may_follow_its_option(capsys, argv, option, value):
+    """`--internal -a` reads as `--internal=-a`: the same output and exit code."""
+    runs = []
+    for tail in ([option, value], [f"{option}={value}"]):
+        code = main([*argv, *tail])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 2) and "usage:" not in runs[0][2]
+
+
+def test_every_option_string_is_dash_h_or_starts_with_two_dashes():
+    """What `main` reads as an option, not as an expression that starts with `-`."""
+    parsers, strings = [cli._PARSER], set()
+    for parser in parsers:
+        for action in parser._actions:
+            strings.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+    assert {s for s in strings if s[:2] != "--"} == {"-h"}
+
+
+@pytest.mark.parametrize("option", ["--json", "-h"])
+def test_an_option_after_an_expression_option_is_not_its_value(capsys, option):
+    with pytest.raises(SystemExit) as err:
+        main([*CHECK_45_OPEN, "--internal", option])
+    assert err.value.code == 2
+    assert "argument --internal: expected one argument" in capsys.readouterr().err
+
+
 class TestCompile:
     def test_end_mode_prints_expected_formula(self, capsys):
         assert main(["compile", "--regex", "(-b)* . b", "--mode", "end"]) == 0

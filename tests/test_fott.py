@@ -44,8 +44,17 @@ def after_scope(trace: str, event: str, tail: str):
 
 ALPHABET = ("a", "b", "t", "z")
 words = st.lists(st.sampled_from(ALPHABET), max_size=8).map(tuple)
-# Lengths are drawn first, so that long words are as likely as short ones.
-short_words = st.integers(0, 5).flatmap(lambda n: st.tuples(*[st.sampled_from(ALPHABET)] * n))
+
+
+def stretches(symbols: str, longest: int):
+    """Words over `symbols` whose length is drawn first, so that long words
+    are as likely as short ones."""
+    return st.integers(0, longest).flatmap(lambda n: st.tuples(*[st.sampled_from(symbols)] * n))
+
+
+short_words = stretches(ALPHABET, 5)
+# A stretch without `b`, then any symbols: up to 200 symbols in all.
+long_words = st.tuples(stretches("atz", 100), stretches(ALPHABET, 100)).map(lambda parts: parts[0] + parts[1])
 literals = st.lists(st.sampled_from(ALPHABET), max_size=2).map(tuple)
 assignments = st.lists(st.tuples(short_words, short_words), min_size=1, max_size=4)
 intervals = st.builds(
@@ -170,10 +179,9 @@ class TestSolvePlans:
 
     # `x = p . s` and `s = e . r` with the head `e` bound compile to one find
     # step; with nothing after them in the block it only tests for `e` in `x`.
-    FIND = exists_many(("p", "s", "r"), and_chain((EqCat("x", "p", "s"), EqCat("s", "e", "r"))))
-    FIND_THEN_LIT = exists_many(
-        ("p", "s", "r"), and_chain((EqCat("x", "p", "s"), EqCat("s", "e", "r"), EqLit("r", ("b",))))
-    )
+    FIND_PINS = (EqCat("x", "p", "s"), EqCat("s", "e", "r"))
+    FIND = exists_many(("p", "s", "r"), and_chain(FIND_PINS))
+    FIND_THEN_LIT = exists_many(("p", "s", "r"), and_chain((*FIND_PINS, EqLit("r", ("b",)))))
 
     def test_find_with_an_empty_head(self):
         assert eval_fott(self.FIND, {"x": (), "e": ()}) is True
@@ -212,6 +220,52 @@ class TestSolvePlans:
         f = Not(Not(exists_many(("p", "s"), EqCat("x", "p", "s"))))
         assert eval_fott(f, {"x": ("a",)}) is True
         assert eval_fott(Not(Not(Not(Not(not_in("b", "x"))))), {"x": ("a", "b")}) is False
+
+    def test_find_whose_prefix_only_a_later_not_reads(self):
+        """The prefix is bound for the Not's block although no step of the
+        find's own block reads it."""
+        f = exists_many(("p", "s", "r"), and_chain((*self.FIND_PINS, not_in("b", "p"))))
+        assert eval_fott(f, {"x": ("z", "a", "b", "a"), "e": ("a",)}) is True
+        assert eval_fott(f, {"x": ("b", "a", "a"), "e": ("a",)}) is False
+        assert eval_fott(f, {"x": ("b", "a"), "e": ()}) is True
+
+    def test_find_with_a_literal_head_of_several_symbols(self):
+        pins = (EqLit("h", ("a", "b")), EqCat("x", "p", "s"), EqCat("s", "h", "r"), EqLit("r", ("z",)))
+        f = exists_many(("p", "s", "r", "h"), and_chain(pins))
+        assert eval_fott(f, {"x": ("a", "b", "a", "b", "z")}) is True
+        assert eval_fott(f, {"x": ("a", "a", "b", "b", "z")}) is False
+        assert eval_fott(f, {"x": ("a", "b")}) is False
+
+    def test_find_with_a_head_bound_by_an_assigned_name_reads_it(self):
+        """`e` is assigned, so it is no constant of the plan: each call's
+        value is searched for."""
+        for head, expected in ((("a",), True), (("z",), False), (("z", "a"), True), (("b",), False)):
+            assert eval_fott(self.FIND_THEN_LIT, {"x": ("z", "a", "b"), "e": head}) is expected, head
+
+    # A DurIn on the find's prefix right after it is counted by the find.
+    def fused_duration(self, interval):
+        then_stuck = DurIn("q", Interval(0, None))
+        return exists_many(("p", "s", "r", "q"), and_chain((*self.FIND_PINS, DurIn("p", interval), then_stuck)))
+
+    def test_fused_duration_in_an_interval_without_an_integer(self):
+        """No prefix fits, so the unanchored conjunct after it is never reached."""
+        f = self.fused_duration(Interval(0, 1, lower_open=True, upper_open=True))
+        for x in [(), ("a",), ("t", "a"), ("t", "t", "a", "a")]:
+            assert eval_fott(f, {"x": x, "e": ("a",)}) is False, x
+
+    def test_fused_unbounded_duration(self):
+        f = exists_many(("p", "s", "r"), and_chain((*self.FIND_PINS, DurIn("p", Interval(2, None)))))
+        assert eval_fott(f, {"x": ("t", "a", "t", "z", "a", "t"), "e": ("a",)}) is True
+        assert eval_fott(f, {"x": ("t", "a", "t", "t", "t"), "e": ("a",)}) is False
+        assert eval_fott(f, {"x": ("t", "t", "t", "t"), "e": ()}) is True
+        with pytest.raises(FottError, match="not anchored"):
+            eval_fott(self.fused_duration(Interval(2, None)), {"x": ("t", "t", "a"), "e": ("a",)})
+        assert eval_fott(self.fused_duration(Interval(2, None)), {"x": ("t", "a", "t"), "e": ("a",)}) is False
+
+    def test_long_not_chain_runs_at_the_default_recursion_limit(self):
+        chain = and_chain([not_in("b", "x")] * 5000)
+        assert eval_fott(chain, {"x": ("a",)}) is True
+        assert eval_fott(chain, {"x": ("a", "b")}) is False
 
     def test_long_straight_chains_run_at_the_default_recursion_limit(self):
         assert eval_fott(and_chain([EqLit("e", ())] * 5000), {"e": ()}) is True
@@ -308,6 +362,24 @@ class TestPresentRegex:
         st.lists(words, min_size=1, max_size=10),
     )
     def test_regex_and_formula_agree_on_random_intervals(self, lo, lo_open, width, hi_open, sample):
+        interval = Interval(lo, None if width is None else lo + width, lo_open, hi_open)
+        assume(interval.integer_range() is not None)
+        regex = present_regex("a", "b", interval)
+        formula = present_fott("a", "b", interval)
+        for w in sample:
+            assert match_word(regex, w) == eval_fott(formula, {"x": w}), w
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.booleans(),
+        st.one_of(st.integers(0, 3), st.none()),
+        st.booleans(),
+        st.lists(long_words, min_size=1, max_size=3),
+    )
+    def test_regex_and_formula_agree_on_long_words(self, lo, lo_open, width, hi_open, sample):
+        """Words of up to 200 symbols, so that the formula's tests for `b`
+        search windows both up to and over the 64 symbols it slices."""
         interval = Interval(lo, None if width is None else lo + width, lo_open, hi_open)
         assume(interval.integer_range() is not None)
         regex = present_regex("a", "b", interval)

@@ -12,7 +12,7 @@ from conftest import LABELS, SIX_OBSERVERS_NET, chain_lts, random_lts
 from obscheck import lts, timednet
 from obscheck._scan import Node
 from obscheck.checker import check_eq, internal_label_expr
-from obscheck.fott import present_regex
+from obscheck.fott import eval_fott, present_fott, present_regex
 from obscheck.lts import Atom, Interval, LabelExpr, Lts
 from obscheck.mucalc import INIT, SuffixStar, SuffixTicks, eval_mu, parse_mu
 from obscheck.mucompile import reach_formula
@@ -87,6 +87,30 @@ def test_check_eq_work_grows_linearly_with_the_window(image_count):
         bits.append(image_count.bits)
         words.append(image_count.words)
     assert _grows_linearly(bits) and _grows_linearly(words), (bits, words)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda a, b, t, z, n: (a, b) * n,
+        lambda a, b, t, z, n: (b,) * n,
+        lambda a, b, t, z, n: (b, *(z, t) * n, a),
+    ],
+    ids=["(ab)^n", "b^n", "b(zt)^na"],
+)
+def test_eval_fott_reads_a_long_word_in_linear_work(symbol_count, shape):
+    """`present_fott` over [4,5[ on words of N to 2N + 2 symbols: the
+    symbols that the searches, the tick counts and the slice comparisons
+    read grow at most 2.2x per doubling of N."""
+    f = present_fott("a", "b", Interval(4, 5, upper_open=True))
+    symbols = [symbol_count(c) for c in "abtz"]
+    work = []
+    for n in LADDER:
+        word = shape(*symbols, n)
+        symbol_count.compared = 0
+        eval_fott(f, {"x": word})
+        work.append(symbol_count.compared)
+    assert _grows_linearly(work), work
 
 
 def _label_nodes(f) -> int:
