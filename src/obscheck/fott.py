@@ -13,12 +13,13 @@ again, the first constraint whose inputs are bound.  The formula is
 constraints, so that each variable is pinned by a literal or is a contiguous
 piece of an already known word before anything reads it; `check_anchored`
 asks exactly that of the plan.  Running a plan enumerates the split points
-of concatenations.  The plan binds literal words once, in the slot list every
-run starts from; it goes straight to the occurrences of a known head word
-where a split is followed by `suffix = head . tail`, binds there only the
+of concatenations, each split by one find step: it goes straight to the
+occurrences of a known head word where the split is followed by
+`suffix = head . tail`, and otherwise takes every cut.  A find binds only the
 pieces that later constraints read, and counts the prefix's ticks as it goes
-when the prefix's duration constraint follows; and it reads a double
-negation as an existence test.
+when the prefix's duration constraint follows.  The plan binds literal words
+once, in the slot list every run starts from, and it reads a double negation
+as an existence test.
 
 The generators at the bottom produce, for the existence pattern
 "event a after the first b within an interval", both the trace formula and
@@ -31,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
 
 from ._scan import Node, _set
 from .lts import NOT_TICK, TICK_LABEL, Atom, Interval, Top
@@ -191,20 +191,24 @@ def check_anchored(f: FottFormula, free: Sequence[str]) -> None:
 # steps that only compare and bind.  Slots hold (base word, lo, hi) windows,
 # so splitting never copies; each is written before it is read.
 #
-# Three rewrites shorten the chain.  A literal that binds its slot is that
-# slot's only writer, so its window goes into the plan's template, the list
-# every run starts from, and costs no step.  A split whose suffix the next
-# conjunct pins to start with a bound head becomes one find step over the
-# head's occurrences.  It takes a head that the template binds as a constant,
-# and binds only the pieces that the later steps of its block, or their Nots'
+# Every split of a bound whole into two unbound pieces is one find step, the
+# only step that branches.  When the next conjunct pins the suffix to start
+# with a bound head, `suf = head . tail`, the find takes it in and searches
+# the head's occurrences; otherwise it searches the empty head, which occurs
+# at every cut.  It takes a head that the template binds as a constant, and
+# binds only the pieces that the later steps of its block, or their Nots'
 # blocks, read; binding none before the block's end, it only tests that the
 # head occurs, with `in` on a window of at most 64 symbols.  A DurIn on its
 # prefix right after it is fused into it: the find counts the prefix's ticks
-# as the cut moves forward and stops once they are too many.  The Not of a
-# block whose whole plan is one Not runs that inner block as an existence
-# test.  Consecutive steps that do not branch, a Not among them unless it is
-# in a run of one or two Nots, run as one step looping over them, so running a
-# plan recurses once per split, find or short run of Nots, not per conjunct.
+# as the cut moves forward and stops once they are too many.
+#
+# Two more rewrites shorten the chain.  A literal that binds its slot is that
+# slot's only writer, so its window goes into the plan's template, the list
+# every run starts from, and costs no step.  The Not of a block whose whole
+# plan is one Not runs that inner block as an existence test.  Consecutive
+# steps other than finds, a Not among them unless it is in a run of one or
+# two Nots, run as one step looping over them, so running a plan recurses
+# once per find or short run of Nots, not per conjunct.
 
 
 def eval_fott(f: FottFormula, asg: Mapping[str, Sequence[str]]) -> bool:
@@ -276,8 +280,7 @@ def _plan(
     when the schedule reaches it; when the block's plan is a single Not, the
     first step of that Not's argument (the block's negation); and whether the
     schedule took every conjunct."""
-    # (straight, slots read, step maker, its arguments before the next step),
-    # where a straight step runs its next step at most once
+    # (slots read, step maker, its arguments before the next step)
     ops: list[tuple] = []
     rest, end = list(items), _done
     while rest:
@@ -293,58 +296,60 @@ def _plan(
         del rest[k]
         if kind is EqLit:
             if slots[0] in bound:
-                ops.append((True, slots, _lit_step, slots[0], arg))
+                ops.append((slots, _lit_step, slots[0], arg))
             else:
                 template[slots[0]] = (arg, 0, len(arg))
         elif kind is DurIn:
             least, most = arg.integer_range() or (1, 0)  # (1, 0): no integer fits
             window = (least, float("inf") if most is None else most)
-            if ops and ops[-1][2] is _find_step and ops[-1][4] == slots[0] and ops[-1][-1] is None:
+            if ops and ops[-1][1] is _find_step and ops[-1][3] == slots[0] and ops[-1][-1] is None:
                 ops[-1] = (*ops[-1][:-1], window)  # the find counts its prefix's ticks
             else:
-                ops.append((True, slots, _dur_step, slots[0], window))
+                ops.append((slots, _dur_step, slots[0], window))
         elif kind is Not:
-            ops.append((True, frees[arg], _not_step, runs[arg], tests[arg]))
+            ops.append((frees[arg], _not_step, runs[arg], tests[arg]))
         else:
             whole, pre, suf = slots
-            if whole not in bound:
-                case = "join"
-            elif pre in bound:
-                case = "check" if suf in bound else "suffix"
-            elif suf in bound:
-                case = "prefix"
-            elif pre == suf:
-                case = "halve"
-            else:
-                case = "split"
-                # The next conjunct `suf = head . tail`, with the head bound and
-                # the tail not, is scheduled right after the split: fuse them.
+            if whole in bound and pre not in bound and suf not in bound and pre != suf:
+                # A split is a find: of the head of the next conjunct
+                # `suf = head . tail`, when the head is bound and the tail not,
+                # or else of the empty word, which occurs at every cut.
                 sw, head, tail = rest[0][1] if rest and rest[0][0] is EqCat else (None,) * 3
                 if sw == suf and head in bound and tail not in bound | {pre, suf}:
                     del rest[0]
                     word = template[head]  # a literal's window, the same on every run
-                    ops.append((False, (whole, head), _find_step, whole, pre, suf, head, tail, word, None))
+                    ops.append(((whole, head), _find_step, whole, pre, suf, head, tail, word, None))
                     bound.update((pre, suf, tail))
-                    continue
-            ops.append((case != "split", slots, _cat_step, case, whole, pre, suf))
+                else:
+                    ops.append(((whole,), _find_step, whole, pre, suf, None, None, ((), 0, 0), None))
+                    bound.update((pre, suf))
+                continue
+            if whole not in bound:
+                case = "join"
+            elif pre in bound:
+                case = "check" if suf in bound else "suffix"
+            else:
+                case = "prefix" if suf in bound else "halve"
+            ops.append((slots, _cat_step, case, whole, pre, suf))
         bound.update(slots)
     run, live = end, set()  # the slots that the steps after the one being made read
-    for straight, group in groupby(reversed(ops), key=itemgetter(0)):
+    # A find runs its next step once per cut; every other step at most once.
+    for straight, group in groupby(reversed(ops), key=lambda op: op[1] is not _find_step):
         group = list(group)
         # A run of one or two Nots keeps its chain, which runs faster.
-        loop = straight and len(group) > 1 + all(op[2] is _not_step for op in group)
+        loop = straight and len(group) > 1 + all(op[1] is _not_step for op in group)
         if loop:
-            run = _loop_step([make(*args, _done) for _, _, make, *args in reversed(group)], run)
-        for _, reads, make, *args in group:
+            run = _loop_step([make(*args, _done) for _, make, *args in reversed(group)], run)
+        for reads, make, *args in group:
             if not loop:
                 run = make(*args, live, run) if make is _find_step else make(*args, run)
             live.update(reads)
-    lone_not = end is _done and len(ops) == 1 and ops[0][2] is _not_step
-    return run, ops[0][3] if lone_not else None, end is _done
+    lone_not = end is _done and len(ops) == 1 and ops[0][1] is _not_step
+    return run, ops[0][2] if lone_not else None, end is _done
 
 
 # The step makers.  A step takes the slot list, checks or binds, and then runs
-# `nxt`, the rest of its block; a split or a find runs it once per cut.
+# `nxt`, the rest of its block; a find runs it once per cut.
 
 
 def _done(env: list) -> bool:
@@ -398,9 +403,10 @@ def _not_step(sub, test, nxt):
 
 def _find_step(whole, pre, suf, head, tail, word, window, live: set, nxt):
     """The step of `whole = pre . suf` and `suf = head . tail` with the head
-    bound (to `word`, if the template fixes it): at each occurrence of the
-    head's word in `whole`, bind those of the three that `live` holds and run
-    `nxt`, or, with nothing to bind before `_done`, only test that one occurs.
+    bound (to `word`, if the template fixes it), or of a plain split, with no
+    head or tail slot and `word` empty: at each occurrence of the head's word
+    in `whole`, bind those of the three that `live` holds and run `nxt`, or,
+    with nothing to bind before `_done`, only test that one occurs.
     A fused DurIn on the prefix, its (least, most) `window`, counts the
     prefix's ticks as the cut moves forward: a cut with too few is passed
     over, and the first with too many ends the search."""
@@ -455,9 +461,9 @@ def _find_step(whole, pre, suf, head, tail, word, window, live: set, nxt):
 
 
 def _cat_step(case: str, whole: int, pre: int, suf: int, nxt):
-    """The step of `whole = pre . suf`: check all three, bind the suffix, the
-    prefix or both halves (pre == suf) of the bound whole, join the whole, or
-    split it at each cut."""
+    """The step of `whole = pre . suf` that does not branch: check all three,
+    bind the suffix, the prefix or both halves (pre == suf) of the bound
+    whole, or join the whole.  A split at each cut is a `_find_step`."""
 
     def check(env: list) -> bool:
         (w, lo, hi), (pw, plo, phi), (sw, slo, shi) = env[whole], env[pre], env[suf]
@@ -493,16 +499,7 @@ def _cat_step(case: str, whole: int, pre: int, suf: int, nxt):
         env[whole] = (joined, 0, len(joined))
         return nxt(env)
 
-    def split(env: list) -> bool:
-        w, lo, hi = env[whole]
-        for cut in range(lo, hi + 1):
-            env[pre] = (w, lo, cut)
-            env[suf] = (w, cut, hi)
-            if nxt(env):
-                return True
-        return False
-
-    cases = dict(check=check, suffix=suffix, prefix=prefix, halve=halve, join=join, split=split)
+    cases = dict(check=check, suffix=suffix, prefix=prefix, halve=halve, join=join)
     return cases[case]
 
 

@@ -9,7 +9,6 @@ for the tick of the logical clock while `z` marks silent internal steps.
 from __future__ import annotations
 
 import re
-import weakref
 from collections.abc import Iterable, Iterator
 
 from ._scan import Cursor, Node, ParseError, _set, tokenize
@@ -89,24 +88,23 @@ def eval_label_expr(expr: LabelExpr, label: str) -> bool:
 
 class _Truth(dict):
     """Per label text, whether it matches the expression: evaluated on the
-    first lookup of each text, then read.  It names its expression through a
-    weak reference, so that the two form no cycle."""
+    first lookup of each text, then read.  It evaluates a copy of the
+    expression that holds no memo, so that the two form no cycle."""
 
     __slots__ = ("_expr",)
 
     def __init__(self, expr: LabelExpr):
-        self._expr = weakref.ref(expr)
+        self._expr = type(expr)(*[getattr(expr, name) for name in expr._fields])
 
     def __missing__(self, label: str) -> bool:
-        truth = self[label] = eval_label_expr(self._expr(), label)
+        truth = self[label] = eval_label_expr(self._expr, label)
         return truth
 
 
 def label_truth(expr: LabelExpr) -> dict[str, bool]:
     """Per label text, whether it matches `expr`, as a mapping that every
     graph shares: kept on the expression from its first use, one entry per
-    text looked up, and freed with it.  It refers to `expr` weakly, so read
-    it only while `expr` is alive."""
+    text looked up, and freed with it."""
     truth = getattr(expr, "_truth", None)
     if truth is None:
         truth = _Truth(expr)

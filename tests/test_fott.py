@@ -272,6 +272,15 @@ class TestSolvePlans:
         assert eval_fott(and_chain([DurIn("e", Interval(0, None))] * 5000), {"e": ()}) is True
         assert eval_fott(and_chain([DurIn("e", Interval(0, 0))] * 5000), {"e": ("t",)}) is False
 
+    @pytest.mark.xfail(
+        raises=RecursionError,
+        strict=True,
+        reason="a plan recurses once per find on its path; ROADMAP item 4's explicit backtrack stack would mend it",
+    )
+    def test_long_find_chain_runs_at_the_default_recursion_limit(self):
+        find = exists_many(("p", "s", "r"), and_chain((*self.FIND_PINS, EqLit("r", ()))))
+        assert eval_fott(and_chain([find] * 5000), {"x": ("a",), "e": ("a",)}) is True
+
     def test_deep_formulas_are_walked_without_recursion(self):
         chain = and_chain([EqLit("e", ())] * 5000)
         assert free_variables(chain) == {"e"}
@@ -467,7 +476,7 @@ def anchored_formulas(draw, depth: int = 3):
 
     def build(known: list, depth: int):
         v, u = draw(st.sampled_from(known)), draw(st.sampled_from(known))
-        shape = draw(st.integers(0, 10 if depth else 3))
+        shape = draw(st.integers(0, 11 if depth else 3))
         if shape == 0:
             return EqLit(v, draw(literals))
         if shape == 1:
@@ -496,6 +505,11 @@ def anchored_formulas(draw, depth: int = 3):
             pins = (EqCat(v, h, h2), EqCat(h2, u, names[2]))
             body = build(known + list(names), depth - 1)
             return exists_many(sorted(set(names)), and_chain((*pins, body)))
+        if shape == 10:
+            # A plain split followed by a DurIn on its prefix, which the
+            # split's cut loop counts as it moves.
+            pins = (EqCat(v, h, h2), DurIn(h, draw(intervals)))
+            return exists_many((h, h2), and_chain((*pins, build(known + [h, h2], depth - 1))))
         event = draw(st.sampled_from("ab"))
         return Exists(h, And(after_scope(v, event, h), build(known + [h], depth - 1)))
 

@@ -15,6 +15,7 @@ from obscheck.lts import (
     Top,
     eval_label_expr,
     format_label_expr,
+    label_truth,
     load_aut,
     parse_label_expr,
     save_aut,
@@ -50,6 +51,13 @@ class TestLabelExpr:
         assert eval_label_expr(Atom("a"), "a") is True
         assert eval_label_expr(Not(Atom("t")), "t") is False
         assert eval_label_expr(Or(Atom("a"), Atom("b")), "t") is False
+
+    def test_truth_of_an_expression_that_nobody_else_holds(self):
+        """The memo outlives its expression and still answers each text."""
+        truth = label_truth(Not(Atom("x")))
+        assert (truth["a"], truth["x"]) == (True, False)
+        top = label_truth(Top())
+        assert top["a"] is True and dict(top) == {"a": True}
 
     def test_syntax_error_carries_offset(self):
         with pytest.raises(ParseError) as err:

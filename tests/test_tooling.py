@@ -7,7 +7,8 @@ reader of a tick step's counts, path expressions compiled as trees, the
 state-count bound of the fixpoint loops written once, every star and tick
 step run by one search and every linear binder by the frontier loop, every
 default of the shared command-line parser immutable, the import of
-`obscheck.cli` free of `dataclasses`, `inspect` and `typing`, the truth
+`obscheck.cli` free of `dataclasses`, `inspect` and `typing`, every split
+of a word in `fott` run by its one find step, the truth
 of a label expression memoized in one place, on the expression, each
 check's report and its timing made by one builder in `checker`, every
 `Verdict` built whole, and a failing property test reported with its
@@ -25,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import obscheck
-from obscheck import checker, cli, lts, mucalc, pathregex
+from obscheck import checker, cli, fott, lts, mucalc, pathregex
 from obscheck.lts import Atom, Lts
 from obscheck.lts import Not as LabelNot
 
@@ -419,6 +420,26 @@ def test_the_anchoring_message_is_written_once():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "not anchored" in node.value
     ]
     assert found == ["formula is not anchored: no constraint is ready to solve"]
+
+
+def test_only_the_find_step_loops_over_cuts():
+    """In `fott`, every split of a word is one `_find_step`: `_cat_step`
+    holds no loop, and of the steps the step makers build only the find's
+    runs its next step inside a loop, so a find is the only op that branches."""
+    tree = ast.parse((Path(obscheck.__file__).parent / "fott.py").read_text())
+    makers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.endswith("_step")}
+    assert not [node for node in ast.walk(makers["_cat_step"]) if isinstance(node, (ast.For, ast.While))]
+    branching = {
+        name
+        for name, maker in makers.items()
+        for loop in ast.walk(maker)
+        if isinstance(loop, (ast.For, ast.While))
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "nxt"
+    }
+    assert branching == {"_find_step"}
+    split = fott.exists_many(("y", "r"), fott.EqCat("x", "y", "r"))
+    assert fott._solve_plan(split, frozenset("x"))[2].__qualname__ == "_find_step.<locals>.find"
 
 
 BANNED = ("dataclasses", "typing", "exec", "eval")

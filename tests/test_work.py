@@ -12,7 +12,7 @@ from conftest import LABELS, SIX_OBSERVERS_NET, chain_lts, random_lts
 from obscheck import lts, timednet
 from obscheck._scan import Node
 from obscheck.checker import check_eq, internal_label_expr
-from obscheck.fott import eval_fott, present_fott, present_regex
+from obscheck.fott import And, DurIn, EqCat, eval_fott, exists_many, present_fott, present_regex
 from obscheck.lts import Atom, Interval, LabelExpr, Lts
 from obscheck.mucalc import INIT, SuffixStar, SuffixTicks, eval_mu, parse_mu
 from obscheck.mucompile import reach_formula
@@ -111,6 +111,20 @@ def test_eval_fott_reads_a_long_word_in_linear_work(symbol_count, shape):
         eval_fott(f, {"x": word})
         work.append(symbol_count.compared)
     assert _grows_linearly(work), work
+
+
+def test_eval_fott_counts_a_plain_splits_prefix_as_the_cut_moves(symbol_count):
+    """`Exists y, r. x = y . r & DurIn(y, [10^6, inf[)` on `t^N`: the split
+    counts its prefix's ticks as the cut moves forward, so the symbols read
+    grow at most 2.2x per doubling of N, not with the square of N."""
+    f = exists_many(("y", "r"), And(EqCat("x", "y", "r"), DurIn("y", Interval(10**6, None))))
+    tick = symbol_count("t")
+    work = []
+    for n in (250, 500, 1000, 2000):
+        symbol_count.compared = 0
+        assert eval_fott(f, {"x": (tick,) * n}) is False
+        work.append(symbol_count.compared)
+    assert all(later <= 2.2 * earlier for earlier, later in zip(work, work[1:])), work
 
 
 def _label_nodes(f) -> int:
