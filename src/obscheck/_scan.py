@@ -6,8 +6,8 @@ from __future__ import annotations
 import re
 from operator import attrgetter
 
-# Stores a field of a read-only node: the nodes' `__init__`s and the hash
-# cache write through it.
+# Stores a field of a read-only node: the nodes' `__init__`s, and the code
+# that keeps a value on a node (its hash, a compiled form), write through it.
 _set = object.__setattr__
 
 
@@ -15,12 +15,12 @@ class Node:
     """Base of the immutable syntax-tree nodes and records.
 
     A subclass names its fields once, as `__slots__ = _fields = (...)`, and
-    stores each in its `__init__` with `_set`.  Nodes compare equal when they
+    stores each in its `__init__` with `_set`.  A value kept on a node, as
+    the hash in `_hash` or a compiled form, is a slot written with `_set` on
+    first use; no node has a `__dict__`.  Nodes compare equal when they
     are of the same class with equal fields, and print as `Atom(name='a')`.
-    The hash is computed on first use and kept in `_hash`.  `==`, the hash
-    and `repr` walk the tree with an explicit stack, so depth does not limit
-    them.  `checker`'s `Verdict` and `Report` put back a plain `__setattr__`,
-    and drop the hash, to stay mutable.
+    `==`, the hash and `repr` walk the tree with an explicit stack, so depth
+    does not limit them.
     """
 
     __slots__ = ("_hash", "__weakref__")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from collections import deque
 
-from ._scan import Node
+from ._scan import Node, _set
 from .lts import TICK, TICK_LABEL, LabelExpr, Lts, StateSet, Or as LabelOr, Not as LabelNot
 from .lts import format_label_expr, label_truth
 from .mucalc import eval_all, eval_mu
@@ -30,11 +30,9 @@ from .timednet import TimedNet, explore
 
 
 class Verdict(Node):
-    """A named verdict with its witness; unlike the nodes, it can be changed."""
+    """A named verdict with its witness; its trace is a list, so it has no hash."""
 
     __slots__ = _fields = ("name", "holds", "witness_state", "witness_trace", "lasso_split")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(
@@ -45,11 +43,11 @@ class Verdict(Node):
         witness_trace: list[str] | None = None,
         lasso_split: int | None = None,
     ):
-        self.name = name
-        self.holds = holds
-        self.witness_state = witness_state
-        self.witness_trace = witness_trace
-        self.lasso_split = lasso_split
+        _set(self, "name", name)
+        _set(self, "holds", holds)
+        _set(self, "witness_state", witness_state)
+        _set(self, "witness_trace", witness_trace)
+        _set(self, "lasso_split", lasso_split)
 
     def to_dict(self) -> dict:
         return {
@@ -66,16 +64,14 @@ INFORMATIONAL = frozenset({"naive_complement_in_errors"})
 
 
 class Report(Node):
-    """Verdicts in order, with the time each check took; it can be changed."""
+    """Verdicts in order, with the time each check took; `extend` adds to both."""
 
     __slots__ = _fields = ("verdicts", "timings")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(self, verdicts: list[Verdict] | None = None, timings: dict[str, float] | None = None):
-        self.verdicts = [] if verdicts is None else verdicts
-        self.timings = {} if timings is None else timings
+        _set(self, "verdicts", [] if verdicts is None else verdicts)
+        _set(self, "timings", {} if timings is None else timings)
 
     def verdict(self, name: str) -> Verdict:
         for v in self.verdicts:
@@ -195,7 +191,7 @@ def _timed(name: str, t0: float, verdicts: list[Verdict]) -> Report:
 
 def _empty_verdict(name: str, bad: StateSet) -> Verdict:
     """Holds when `bad` is empty; otherwise its first state is the witness."""
-    return Verdict(name, bad.is_empty, witness_state=None if bad.is_empty else next(iter(bad)))
+    return Verdict(name, bad.is_empty, witness_state=bad.least())
 
 
 def check_eq(g: Lts, pattern: PathRegex, err_label: str) -> Report:
@@ -254,7 +250,7 @@ def _naive_verdicts(g: Lts, region: StateSet, visited: StateSet, err_label: str)
     lasso through its witness."""
     not_present = visited.complement()
     missed = not_present - region
-    witness = None if missed.is_empty else next(iter(missed))
+    witness = missed.least()
     trace, split = (None, None) if witness is None else _lasso(g, witness, err_label)
     return [
         _empty_verdict("naive_errors_in_complement", region - not_present),

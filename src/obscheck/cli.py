@@ -182,6 +182,8 @@ def _cmd_check(args) -> int:
         events = [Atom(text.strip()) for text in args.events.split(",") if text.strip()]
         if not events:
             raise UsageError("--events must name at least one label")
+        if repeated := next((e.name for i, e in enumerate(events) if e in events[:i]), None):
+            raise UsageError(f"--events names {repeated!r} more than once")
         internal = parse_label_expr(args.internal) if args.internal else None
         names = [("--a", args.a), ("--b", args.b), *(("--events", e.name) for e in events)]
         names += [("--internal", name) for name in _label_names(args.internal or "")]

@@ -30,7 +30,6 @@ of the test suite.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from functools import cached_property
 from itertools import groupby
 
 from ._scan import Node, _set
@@ -58,13 +57,7 @@ def interval_ticks(interval: Interval) -> tuple[int, int | None]:
 
 
 class FottFormula(Node):
-    __slots__ = ("__dict__",)  # holds _plans
-
-    @cached_property
-    def _plans(self) -> dict:
-        """The solve plans that eval_fott runs and check_anchored reads, one per
-        set of assigned names, stored on the formula so they are freed with it."""
-        return {}
+    __slots__ = ("_plans",)  # set by _solve_plan on first use
 
 
 class And(FottFormula):
@@ -222,9 +215,16 @@ def eval_fott(f: FottFormula, asg: Mapping[str, Sequence[str]]) -> bool:
 
 
 def _solve_plan(f: FottFormula, assigned: frozenset[str]) -> tuple:
-    plan = f._plans.get(assigned)
+    """`f`'s plan for the `assigned` names, compiled once and kept on the
+    formula, to be freed with it."""
+    try:
+        plans = f._plans
+    except AttributeError:
+        plans = {}
+        _set(f, "_plans", plans)
+    plan = plans.get(assigned)
     if plan is None:
-        plan = f._plans[assigned] = _compile(f, assigned)
+        plan = plans[assigned] = _compile(f, assigned)
     return plan
 
 

@@ -246,12 +246,11 @@ class StateSet(Node):
 
     @classmethod
     def of(cls, width: int, states: Iterable[int]) -> "StateSet":
-        bits = 0
-        for s in states:
-            if not 0 <= s < width:
-                raise ValueError(f"state {s} out of range 0..{width - 1}")
-            bits |= 1 << s
-        return cls(width, bits)
+        states = list(states)
+        if states and not (0 <= min(states) and max(states) < width):
+            bad = next(s for s in states if not 0 <= s < width)
+            raise ValueError(f"state {bad} out of range 0..{width - 1}")
+        return cls(width, _bits_of(states, width))
 
     def _check(self, other: "StateSet") -> None:
         if self.width != other.width:
@@ -276,11 +275,11 @@ class StateSet(Node):
         return 0 <= state < self.width and (self.bits >> state) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter(_members(self.bits))
+
+    def least(self) -> int | None:
+        """The least state in the set; None if it is empty."""
+        return (self.bits & -self.bits).bit_length() - 1 if self.bits else None
 
     def __len__(self) -> int:
         return self.bits.bit_count()

@@ -580,8 +580,5 @@ class TautologyResult(Node):
 
 def is_tautology(g: Lts, f: MuFormula) -> TautologyResult:
     """Does `f` hold on every state?  On failure, the least state outside."""
-    sat = eval_mu(g, f)
-    if sat.is_all:
-        return TautologyResult(True, None)
-    outside = sat.complement()
-    return TautologyResult(False, next(iter(outside)))
+    witness = eval_mu(g, f).complement().least()
+    return TautologyResult(witness is None, witness)

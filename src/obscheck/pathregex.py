@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from collections.abc import Iterable, Sequence
-from functools import cached_property
 
 from ._scan import Cursor, Node, ParseError, _set, tick_count_error, tokenize
 from .lts import NOT_TICK, TICK, LabelExpr, Lts, StateSet, eval_label_expr, parse_label_operand_at
@@ -28,16 +27,7 @@ Word = tuple[str, ...]
 
 
 class PathRegex(Node):
-    __slots__ = ("__dict__",)  # holds _compiled
-
-    @cached_property
-    def _compiled(self):
-        # (automaton, {symbol: {state set: next state set}} for the DFA
-        # steps met so far), kept on the expression so that it is compiled
-        # once and freed with it.
-        edges: list[list[tuple[LabelExpr, int]]] = [[]]
-        accepting = sum(1 << q for q in _nfa_ends(self, edges))
-        return Nfa(len(edges), accepting, tuple(map(tuple, edges))), defaultdict(dict)
+    __slots__ = ("_compiled",)  # set by _automaton on first use
 
 
 class Step(Node):
@@ -219,7 +209,19 @@ def build_nfa(regex: PathRegex) -> Nfa:
     (and where it started, if lo is 0).  The automaton is compiled once per
     expression and kept on it.
     """
-    return regex._compiled[0]
+    return _automaton(regex)[0]
+
+
+def _automaton(regex: PathRegex) -> tuple:
+    """(automaton, {symbol: {state set: next state set}} for the DFA steps met
+    so far), compiled once and kept on the expression, to be freed with it."""
+    compiled = getattr(regex, "_compiled", None)
+    if compiled is None:
+        edges: list[list[tuple[LabelExpr, int]]] = [[]]
+        accepting = sum(1 << q for q in _nfa_ends(regex, edges))
+        compiled = Nfa(len(edges), accepting, tuple(map(tuple, edges))), defaultdict(dict)
+        _set(regex, "_compiled", compiled)
+    return compiled
 
 
 def _nfa_ends(node: PathRegex, edges: list[list[tuple[LabelExpr, int]]]) -> frozenset[int]:
@@ -269,7 +271,10 @@ def match_word(regex: PathRegex, word: Sequence[str]) -> bool:
     and Scott, 1959) built only as far as the words need, with at most one
     entry per set met and symbol, and freed with the expression.
     """
-    nfa, steps = regex._compiled
+    try:
+        nfa, steps = regex._compiled
+    except AttributeError:
+        nfa, steps = _automaton(regex)
     state = 1
     for symbol in word:
         row = steps[symbol]

@@ -333,6 +333,18 @@ class TestCheck:
         assert (captured.out, explored) == ("", [])
         assert captured.err == f"obscheck: {named} names no transition of the model\n"
 
+    @pytest.mark.parametrize("events, repeated", [("a,b,t,t", "t"), ("a, b ,a,b", "a")])
+    def test_a_repeated_event_exits_two(self, capsys, monkeypatch, events, repeated):
+        """Each `reach[e]` verdict is named by its label, so a label given
+        twice would print its verdict twice; it exits 2 before the model is
+        explored."""
+        explored = []
+        monkeypatch.setattr(cli, "explore", lambda *args: explored.append(args))
+        assert main(CHECK_45 + ["--events", events, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, explored) == ("", [])
+        assert captured.err == f"obscheck: --events names {repeated!r} more than once\n"
+
     @pytest.mark.parametrize("flags", [["--a", "t"], ["--events", "t"], ["--internal", "T /\\ -(a \\/ b \\/ t)"]])
     def test_the_tick_and_the_constant_are_valid_labels(self, capsys, flags):
         assert main(CHECK_45 + flags) in (0, 1)

@@ -22,6 +22,8 @@ from obscheck.lts import (
     to_dot,
     _BLOCK,
     _DENSE,
+    _bits_of,
+    _members,
 )
 from obscheck.timednet import builtin_present, explore
 
@@ -91,6 +93,32 @@ class TestStateSet:
     def test_out_of_range_member_rejected(self):
         with pytest.raises(ValueError):
             StateSet.of(3, [3])
+
+    @pytest.mark.parametrize("width", [_DENSE // 2, _DENSE, 5 * _DENSE])
+    def test_members_and_bits_agree_with_the_helpers(self, width):
+        """On random sets of fewer and of more than `_DENSE` states, with
+        repeats and in any order, `of` builds the bits `_bits_of` does and
+        iterating walks the members `_members` does, in ascending order,
+        the first of them the `least`."""
+        rng = random.Random(width)
+        for density in (0.0, 0.05, 0.5, 0.95, 1.0):
+            states = [s for s in range(width) if rng.random() < density]
+            given_order = states + rng.sample(states, len(states) // 3)
+            rng.shuffle(given_order)
+            bits = sum(1 << s for s in states)
+            assert StateSet.of(width, given_order).bits == _bits_of(given_order, width) == bits
+            assert list(StateSet(width, bits)) == _members(bits) == states
+            assert StateSet(width, bits).least() == (states[0] if states else None)
+
+    @pytest.mark.parametrize(
+        "width, states, bad",
+        [(3, [0, 3, -1], 3), (3, [-1, 0, 3], -1), (2 * _DENSE, [*range(_DENSE), 9 * _DENSE, -1], 9 * _DENSE)],
+        ids=["over", "under", "dense"],
+    )
+    def test_the_first_state_out_of_range_is_named(self, width, states, bad):
+        with pytest.raises(ValueError) as err:
+            StateSet.of(width, iter(states))
+        assert str(err.value) == f"state {bad} out of range 0..{width - 1}"
 
     @given(st.sets(st.integers(0, 7)), st.sets(st.integers(0, 7)))
     def test_complement_de_morgan(self, xs, ys):

@@ -84,9 +84,9 @@ SAMPLES = [
     (checker.Report, dict(timings={"eq": 1.0}), "Report(verdicts=[], timings={'eq': 1.0})"),
 ]
 
-MUTABLE = {checker.Verdict, checker.Report}
-# Immutable, but a field holds a read-only mapping, which has no hash.
-UNHASHABLE = MUTABLE | {timednet.TimedNet}
+# Immutable, but a field holds a list, a dict or a read-only mapping, which
+# has no hash.
+UNHASHABLE = {checker.Verdict, checker.Report, timednet.TimedNet}
 
 IDS = [f"{cls.__module__.rpartition('.')[2]}.{cls.__name__}" for cls, _, _ in SAMPLES]
 
@@ -118,13 +118,15 @@ class TestSemanticsPinned:
         for twin in [*twins, SimpleNamespace(**fields)]:
             assert cls(**fields) != twin and twin != cls(**fields)
 
+    def test_keeps_no_dict(self, cls, fields, text):
+        """Fields and kept values, such as a compiled form, are all slots."""
+        assert not hasattr(cls(**fields), "__dict__")
+
     def test_fields_are_read_only_unless_mutable(self, cls, fields, text):
+        """No node or record is mutable: `Verdict` and `Report` too are built
+        whole."""
         node = cls(**fields)
         name = next(iter(fields), "anything")
-        if cls in MUTABLE:
-            setattr(node, name, fields[name])
-            assert node == cls(**fields)
-            return
         with pytest.raises(AttributeError):
             setattr(node, name, None)
         with pytest.raises(AttributeError):

@@ -11,7 +11,8 @@ default of the shared command-line parser immutable, the import of
 of a word in `fott` run by its one find step, the truth
 of a label expression memoized in one place, on the expression, each
 check's report and its timing made by one builder in `checker`, every
-`Verdict` built whole, and a failing property test reported with its
+`Verdict` built whole, every node's fields and kept values in slots,
+`StateSet`'s bits read and built by `lts`'s helpers, and a failing property test reported with its
 falsifying example under the project's warning filters."""
 
 import argparse
@@ -337,12 +338,16 @@ def test_one_reader_of_the_tick_counts_in_pathregex():
 def test_a_checks_report_and_timing_are_made_in_one_place():
     """In `checker`, one builder makes each check's `Report` from its verdicts
     and one named timing: only it calls `Report(...)` and subtracts a start
-    time, and only `Report.__init__` stores `timings`."""
+    time, and only `Report.__init__` stores `timings`, by assignment or by
+    `_set`."""
     makers, timers, stores = set(), set(), set()
     for name, function in _functions("checker"):
         for n in ast.walk(function):
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Report":
                 makers.add(name)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_set" and len(n.args) > 1:
+                if getattr(n.args[1], "value", None) == "timings":
+                    stores.add(name)
             if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub) and "perf_counter" in ast.unparse(n.left):
                 timers.add(name)
             stored = n.value if isinstance(n, ast.Subscript) else n
@@ -369,6 +374,39 @@ def test_every_verdict_is_built_whole():
                 if field in fields and not (target == "self" and name.endswith(".__init__")):
                     found.append(f"{info.name}.{name}: {target}.{field}")
     assert found == []
+
+
+def test_every_node_keeps_its_values_in_slots():
+    """A node's fields and the values kept on it are slots written once with
+    `_set`: no class lists `__dict__` in its `__slots__`, only `Node`
+    defines `__setattr__` and `__delattr__`, and no module imports
+    `cached_property`, which needs a `__dict__`."""
+    found = []
+    for path in sorted(Path(obscheck.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.alias) and n.name == "cached_property":
+                found.append(f"{path.stem}: imports cached_property")
+            for stmt in n.body if isinstance(n, ast.ClassDef) else ():
+                names = [t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)]
+                if isinstance(stmt, ast.FunctionDef):
+                    names = [stmt.name]
+                found += [f"{path.stem}: {n.name}.{name}" for name in names if name in ("__setattr__", "__delattr__")]
+                if "__slots__" in names and "__dict__" in ast.unparse(stmt.value):
+                    found.append(f"{path.stem}: {n.name}.__slots__ holds __dict__")
+    assert sorted(found) == ["_scan: Node.__delattr__", "_scan: Node.__setattr__"]
+
+
+def test_a_state_set_reads_and_builds_its_bits_with_the_helpers():
+    """`StateSet` walks its members with `lts._members` and builds its bits
+    with `lts._bits_of`, which read and mark a wide set a byte at a time:
+    `__iter__` and `of` hold no loop or bit operation of their own."""
+    functions = dict(_functions("lts"))
+    for name, helper in (("StateSet.__iter__", "_members"), ("StateSet.of", "_bits_of")):
+        nodes = list(ast.walk(functions[name]))
+        assert helper in {n.id for n in nodes if isinstance(n, ast.Name)}
+        assert not [n for n in nodes if isinstance(n, (ast.While, ast.For))]
+        bit_ops = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.LShift, ast.RShift, ast.Invert)
+        assert not [n for n in nodes if isinstance(getattr(n, "op", None), bit_ops)]
 
 
 def test_path_expressions_are_compiled_as_trees():
