@@ -18,7 +18,7 @@ from collections import deque
 from ._scan import Node, _set
 from .lts import TICK, TICK_LABEL, LabelExpr, Lts, StateSet, Or as LabelOr, Not as LabelNot
 from .lts import format_label_expr, label_truth
-from .mucalc import eval_all, eval_mu
+from .mucalc import TRUE, FwdDiamond, eval_all, eval_mu
 from .mucompile import (
     compile_both,
     error_condition,
@@ -109,13 +109,10 @@ def internal_label_expr(events: list[LabelExpr]) -> LabelExpr:
 # Graph walks
 
 
-def _path(g: Lts, start: int, goal: StateSet, allow=None) -> tuple[int, list[str]] | None:
+def _path(g: Lts, start: int, goal: set[int], allow=None) -> tuple[int, list[str]] | None:
     """BFS from `start` along the edges whose label passes the `allow`
     predicate (every edge, if None); (state, labels) of a shortest path of
-    one edge or more into `goal`."""
-    # One character per state, "1" in the goal: a test reads one character,
-    # where `in` on the set shifts the whole bit vector.
-    members = format(goal.bits, f"0{goal.width}b")[::-1]
+    one edge or more into the states of `goal`."""
     seen = {start}
     parent: dict[int, tuple[int, str]] = {}
     queue = deque((start,))
@@ -124,7 +121,7 @@ def _path(g: Lts, start: int, goal: StateSet, allow=None) -> tuple[int, list[str
         for label, dst in g.out_edges(s):
             if allow is not None and not allow(label):
                 continue
-            if members[dst] == "1":
+            if dst in goal:
                 trace = [label]
                 while s != start:
                     s, lab = parent[s]
@@ -138,7 +135,7 @@ def _path(g: Lts, start: int, goal: StateSet, allow=None) -> tuple[int, list[str
     return None
 
 
-def _shortest_path(g: Lts, targets: StateSet) -> tuple[int, list[str]] | None:
+def _shortest_path(g: Lts, targets: set[int]) -> tuple[int, list[str]] | None:
     """BFS from the initial state; (state, labels) for the first target hit."""
     if g.initial in targets:
         return g.initial, []
@@ -261,7 +258,7 @@ def _naive_verdicts(g: Lts, region: StateSet, visited: StateSet, err_label: str)
 def _lasso(g: Lts, witness: int, err_label: str) -> tuple[list[str] | None, int | None]:
     """Shortest path to the witness plus a cycle through it avoiding the error
     label; an all-tick cycle is preferred when one exists."""
-    here = g.set_of((witness,))
+    here = {witness}
     hit = _shortest_path(g, here)
     if hit is None:
         return None, None
@@ -283,7 +280,7 @@ def check_reachable(g: Lts, target: LabelExpr, via: str = "enabled") -> Report:
     if via not in ("enabled", "entered"):
         raise ValueError("via must be 'enabled' or 'entered'")
     t0 = time.perf_counter()
-    hit = _shortest_path(g, StateSet(g.num_states, g.pre_bits((1 << g.num_states) - 1, target)))
+    hit = _shortest_path(g, set(eval_mu(g, FwdDiamond(target, TRUE))))
     if hit is not None and via == "entered":
         # Extend the path to a state with a matching outgoing edge by that edge.
         state, trace = hit

@@ -170,7 +170,7 @@ def _cmd_check(args) -> int:
     labels = None
     if isinstance(source, TimedNet):
         labels = {tr.label for proc in source.processes for tr in proc.transitions}
-        if args.reach is None and args.pattern and args.error_label not in labels:
+        if args.pattern and args.error_label not in labels:
             raise UsageError(f"--error-label {args.error_label!r} names no transition of the model")
     if args.reach is not None:
         target = parse_label_expr(args.reach)
@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the observer checks")
     _add_source_flags(p)
-    p.add_argument("--pattern", choices=("present",))
+    goal = p.add_mutually_exclusive_group()
+    goal.add_argument("--pattern", choices=("present",))
     p.add_argument("--a", default="a", help="observed event")
     p.add_argument("--b", default="b", help="triggering event")
     p.add_argument("--lo", type=int)
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error-label", default="error")
     p.add_argument("--events", default="a,b,t", help="comma-separated labels for innocuousness")
     p.add_argument("--internal", help="label expression for internal steps")
-    p.add_argument("--reach", help="label expression: check reachability instead of the pattern")
+    goal.add_argument("--reach", help="label expression: check reachability instead of the pattern")
     p.add_argument("--reach-via", choices=("enabled", "entered"), default="enabled")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")

@@ -29,6 +29,7 @@ of the test suite.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from itertools import groupby
 
@@ -42,9 +43,9 @@ class FottError(ValueError):
     pass
 
 
-def interval_ticks(interval: Interval) -> tuple[int, int | None]:
+def interval_ticks(interval: Interval) -> tuple[int, int | float]:
     """The integer tick counts inside the interval, as an inclusive range
-    (lo, hi) with hi=None for an unbounded interval.  Empty ranges are
+    (lo, hi) with hi=math.inf for an unbounded interval.  Empty ranges are
     rejected: no integer fits in the window."""
     ticks = interval.integer_range()
     if ticks is None:
@@ -300,8 +301,7 @@ def _plan(
             else:
                 template[slots[0]] = (arg, 0, len(arg))
         elif kind is DurIn:
-            least, most = arg.integer_range() or (1, 0)  # (1, 0): no integer fits
-            window = (least, float("inf") if most is None else most)
+            window = arg.integer_range() or (1, 0)  # (1, 0): no integer fits
             if ops and ops[-1][1] is _find_step and ops[-1][3] == slots[0] and ops[-1][-1] is None:
                 ops[-1] = (*ops[-1][:-1], window)  # the find counts its prefix's ticks
             else:
@@ -507,7 +507,7 @@ def _cat_step(case: str, whole: int, pre: int, suf: int, nxt):
 # Pattern generators: "a after the first b within I"
 
 
-def _present_ticks(a: str, b: str, interval: Interval) -> tuple[int, int | None]:
+def _present_ticks(a: str, b: str, interval: Interval) -> tuple[int, int | float]:
     """The window's tick counts, as `interval_ticks` gives them, once the
     pattern is known to have two distinct events and an integer duration."""
     if a == b:
@@ -553,6 +553,6 @@ def present_regex(a: str, b: str, interval: Interval) -> PathRegex:
     """
     lo, hi = _present_ticks(a, b, interval)
     not_b = Star(LabelNot(Atom(b)))
-    window = [Tick(lo, lo), Star(Top())] if hi is None else [Tick(lo, hi)]
+    window = [Tick(lo, lo), Star(Top())] if hi == math.inf else [Tick(lo, hi)]
     steps = [not_b, One(Atom(b)), Star(NOT_TICK), *window, One(Atom(a)), Star(Top())]
     return Union(Seq(EPS, not_b), seq_of(steps))

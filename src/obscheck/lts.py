@@ -8,6 +8,7 @@ for the tick of the logical clock while `z` marks silent internal steps.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable, Iterator
 
@@ -210,14 +211,14 @@ class Interval(Node):
 
     def contains(self, k: int) -> bool:
         ticks = self.integer_range()
-        return ticks is not None and ticks[0] <= k and (ticks[1] is None or k <= ticks[1])
+        return ticks is not None and ticks[0] <= k <= ticks[1]
 
-    def integer_range(self) -> tuple[int, int | None] | None:
-        """The integers inside, as an inclusive range (lo, hi) with hi=None
-        when unbounded; None when no integer lies inside."""
+    def integer_range(self) -> tuple[int, int | float] | None:
+        """The integers inside, as an inclusive range (lo, hi) with
+        hi=math.inf when unbounded; None when no integer lies inside."""
         lo = self.lower + 1 if self.lower_open else self.lower
         if self.upper is None:
-            return lo, None
+            return lo, math.inf
         hi = self.upper - 1 if self.upper_open else self.upper
         return (lo, hi) if lo <= hi else None
 
@@ -631,14 +632,10 @@ def to_dot(g: Lts, highlight: StateSet | None = None) -> str:
     if highlight is not None and highlight.width != g.num_states:
         raise ValueError("highlight set belongs to a different graph")
     lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=circle];"]
-    filled = 0 if highlight is None else highlight.bits
-    for state in StateSet(g.num_states, filled | (1 << g.initial)):  # ascending
-        attrs = []
-        if state == g.initial:
-            attrs.append("shape=doublecircle")
-        if (filled >> state) & 1:
-            attrs.append("style=filled")
-        lines.append(f"  {state} [{', '.join(attrs)}];")
+    filled = set(() if highlight is None else highlight)
+    initial = "shape=doublecircle, style=filled" if g.initial in filled else "shape=doublecircle"
+    for state in sorted(filled | {g.initial}):
+        lines.append(f"  {state} [{initial if state == g.initial else 'style=filled'}];")
     lines.append("")
     tail = {label: f" [label={_dot_quote(label)}];\n" for label in g.labels}
     return _edge_text(

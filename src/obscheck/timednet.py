@@ -46,9 +46,9 @@ into a `NetState`.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
-import sys
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -76,16 +76,6 @@ _CMP_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 _NOTHING: frozenset[str] = frozenset()
-
-# Upper end of an unbounded clock range: clocks are clamped far below it.
-_UNBOUNDED = sys.maxsize
-
-
-def _clock_range(window: Interval) -> tuple[int, int]:
-    """The clock values inside a window, as an inclusive range."""
-    lo, hi = window.integer_range()
-    return lo, _UNBOUNDED if hi is None else hi
-
 
 class Cmp(Node):
     __slots__ = _fields = ("var", "op", "value")
@@ -188,7 +178,11 @@ class TimedNet(Node):
             raise NetError("a network needs at least one process")
         event_labels = set()
         all_labels = set()
+        names = set()
         for proc in self.processes:
+            if proc.name in names:
+                raise NetError(f"duplicate process {proc.name!r}")
+            names.add(proc.name)
             locs = set(proc.locations)
             if len(locs) != len(proc.locations):
                 raise NetError(f"process {proc.name}: duplicate location")
@@ -312,7 +306,7 @@ class _Compiled:
       and elapse moves leaving location `loc`, in transition order, each
         (lo, hi, blocks_from, free, blocking):
       the clock window as the inclusive range lo..hi, the clock value from
-      which the offered move blocks the tick (_UNBOUNDED: never), and the
+      which the offered move blocks the tick (math.inf: never), and the
       move as offered below and from that value, each
         (label, keep, put, guards, probed, blocks):
       the step `(s & keep) | put`, each guard as (offset, mask, operator,
@@ -340,8 +334,8 @@ class _Compiled:
                 if type(kind) is Event:
                     continue
                 source = loc_index[p][tr.source]
-                lo, hi = _clock_range(kind.window)
-                clamps[p][source] = max(clamps[p][source], lo if hi == _UNBOUNDED else hi + 1)
+                lo, hi = kind.window.integer_range()
+                clamps[p][source] = max(clamps[p][source], lo if hi == math.inf else hi + 1)
                 if type(kind) is Reaction:
                     probes[p].append((len(self.pending), kind.event, source, lo, hi))
                     self.pending.append((p, ti))
@@ -376,7 +370,7 @@ class _Compiled:
                     self.fire.append((tr.label, ~(_field_mask(offset, width) | owned), put))
                     continue
                 if type(kind) is Event:
-                    lo, hi, blocks_from = 0, _UNBOUNDED, 0 if kind.urgent else _UNBOUNDED
+                    lo, hi, blocks_from = 0, math.inf, 0 if kind.urgent else math.inf
                     keep = ~_field_mask(offset, loc_bits if kind.keepclock else width)
                     for var, value in kind.assigns:
                         voffset, vwidth, vlo = var_fields[var]
@@ -389,8 +383,8 @@ class _Compiled:
                     )
                     probed = tr.label in watched
                 else:
-                    lo, hi = _clock_range(kind.window)
-                    blocks_from = hi if kind.urgent else _UNBOUNDED
+                    lo, hi = kind.window.integer_range()
+                    blocks_from = hi if kind.urgent else math.inf
                     keep, guards, probed = ~_field_mask(offset, width), (), False
                 move = (tr.label, keep, put, guards, probed)
                 moves[p][loc_index[p][tr.source]].append(
@@ -716,6 +710,8 @@ def parse_net(text: str) -> TimedNet:
             if current is None:
                 raise NetError("init outside a process", lineno)
             m = _match(_INIT_RE, line, "init", lineno)
+            if current["init"] is not None:
+                raise NetError(f"process {current['name']}: second init declaration", lineno)
             current["init"] = m.group(1)
             current["locations"].append(m.group(1))
         elif line.startswith("priority"):

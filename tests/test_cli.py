@@ -102,11 +102,13 @@ class TestEval:
         (["oracle", "--model", "builtin:mouse", "--graph", "/nonexistent", "--regex", "a"], "--model"),
         (["check", "--graph", "/nonexistent", "--model", "builtin:mouse", "--reach", "error"], "--graph"),
         (["dot", "--model", "builtin:mouse", "--graph", "/nonexistent"], "--model"),
+        (["check", "--model", "builtin:mouse", "--pattern", "present", "--lo", "1", "--reach", "error"], "--pattern"),
     ],
 )
 def test_two_sources_of_one_input_are_a_usage_error(capsys, argv, pair):
-    """A formula given both inline and as a file, or a graph given both as
-    `.aut` and as a model, exits 2 before either is read."""
+    """A formula given both inline and as a file, a graph given both as
+    `.aut` and as a model, or a check given both as a pattern and as a
+    reachability target, exits 2 before either is read."""
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2

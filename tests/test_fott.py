@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -72,7 +73,7 @@ class TestIntervalTicks:
         assert interval_ticks(Interval(2, 2)) == (2, 2)
 
     def test_open_lower_unbounded(self):
-        assert interval_ticks(Interval(1, None, lower_open=True)) == (2, None)
+        assert interval_ticks(Interval(1, None, lower_open=True)) == (2, math.inf)
 
     def test_empty_integer_window_rejected(self):
         with pytest.raises(FottError):

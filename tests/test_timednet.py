@@ -1,4 +1,5 @@
 import hashlib
+import math
 import operator
 import time
 import tracemalloc
@@ -275,7 +276,7 @@ def _clamp(proc, loc):
     for tr in proc.transitions:
         if tr.source == loc and type(tr.kind) in (Elapse, Reaction):
             lo, hi = tr.kind.window.integer_range()
-            out = max(out, lo if hi is None else hi + 1)
+            out = max(out, lo if hi == math.inf else hi + 1)
     return out
 
 
@@ -767,6 +768,11 @@ class TestValidation:
                 ],
             )
 
+    def test_two_processes_with_one_name_rejected(self):
+        proc = Process(name="P", locations=("l",), initial="l", transitions=(Transition("l", "l", "e", Event()),))
+        with pytest.raises(NetError, match="duplicate process 'P'"):
+            TimedNet(processes=[proc, proc])
+
     def test_net_is_frozen_after_validation(self):
         """What was validated is what every exploration compiles."""
         net = builtin_present(4, 5)
@@ -834,6 +840,17 @@ class TestParseNet:
         )
         with pytest.raises(NetError, match="no integer instant"):
             parse_net(text)
+
+    def test_two_processes_with_one_name_rejected(self):
+        text = "process P\ninit l\nfrom l on e to l\nprocess P\ninit m\nfrom m on f to m"
+        with pytest.raises(NetError, match="duplicate process 'P'"):
+            parse_net(text)
+
+    def test_second_init_in_one_process_rejected(self):
+        """The first `init` is not silently replaced by a later one."""
+        with pytest.raises(NetError) as err:
+            parse_net("process P\ninit s0\ninit s1\nfrom s0 on a to s1")
+        assert str(err.value) == "line 3: process P: second init declaration"
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\nprocess P\ninit l  # trailing\nfrom l on e to l\n"

@@ -12,8 +12,9 @@ of a word in `fott` run by its one find step, the truth
 of a label expression memoized in one place, on the expression, each
 check's report and its timing made by one builder in `checker`, every
 `Verdict` built whole, every node's fields and kept values in slots,
-`StateSet`'s bits read and built by `lts`'s helpers, and a failing property test reported with its
-falsifying example under the project's warning filters."""
+`StateSet`'s bits read and built by `lts`'s helpers and read nowhere but
+in `lts` and `mucalc`, one unbounded bound, and a failing property test
+reported with its falsifying example under the project's warning filters."""
 
 import argparse
 import ast
@@ -407,6 +408,29 @@ def test_a_state_set_reads_and_builds_its_bits_with_the_helpers():
         assert not [n for n in nodes if isinstance(n, (ast.While, ast.For))]
         bit_ops = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.LShift, ast.RShift, ast.Invert)
         assert not [n for n in nodes if isinstance(getattr(n, "op", None), bit_ops)]
+
+
+def test_one_unbounded_bound_and_state_sets_decoded_in_lts():
+    """An integer window without an upper bound ends at `math.inf`, as
+    `Interval.integer_range` gives it: no module spells `sys.maxsize` or
+    calls `float` on a string, and `timednet`'s own names for the bound are
+    gone.  Only `lts` and `mucalc`'s int algebra read a state set's `bits`
+    or `width`, and `to_dot` iterates its highlight instead of shifting it."""
+    found = []
+    for path in sorted(Path(obscheck.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        found += [f"{path.stem}: {name}" for name in ("_clock_range", "_UNBOUNDED") if name in source]
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Attribute) and ast.unparse(n) == "sys.maxsize":
+                found.append(f"{path.stem}: sys.maxsize")
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "float":
+                if any(isinstance(arg, ast.Constant) and isinstance(arg.value, str) for arg in n.args):
+                    found.append(f"{path.stem}: {ast.unparse(n)}")
+            if isinstance(n, ast.Attribute) and n.attr in ("bits", "width") and path.stem not in ("lts", "mucalc"):
+                found.append(f"{path.stem}: {ast.unparse(n)}")
+    assert found == []
+    to_dot = dict(_functions("lts"))["to_dot"]
+    assert not [n for n in ast.walk(to_dot) if isinstance(getattr(n, "op", None), ast.RShift)]
 
 
 def test_path_expressions_are_compiled_as_trees():
